@@ -27,7 +27,7 @@ from .config import (
     ExperimentConfig,
     SweepSpec,
 )
-from .engine import RateReport, run_experiment
+from .engine import STREAM_VERSION, RateReport, run_experiment
 from .eve import AUTO, PnsConfig
 from .source import Scheme, mean_pairs, single_arm_mean
 
@@ -367,9 +367,11 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             point = dataclasses.replace(point, g=None)
         try:
             point = point.validated()
-            rows.append(point_row(point, sweep_param=param, sweep_value=value))
-        except Exception as exc:
-            raise RuntimeError(f"sweep point {param}={value!r} failed: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(
+                [f"sweep point {param}={value!r}: {e}" for e in exc.errors]
+            ) from exc
+        rows.append(point_row(point, sweep_param=param, sweep_value=value))
     return rows
 
 
@@ -391,6 +393,7 @@ def emit(rows: list[dict], fmt: str, path: Optional[str], config: ExperimentConf
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
+            "stream_version": STREAM_VERSION,
             "config": config.to_dict(),
             "rows": rows,
         }

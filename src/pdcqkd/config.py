@@ -13,6 +13,8 @@ SWEEPABLE = ("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l")
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 0
 DEFAULT_TRUNCATION = 2
+# the ep kernel holds per-mode photon counts, at most the truncation, in int8
+MAX_TRUNCATION = 127
 
 
 class ConfigError(ValueError):
@@ -140,11 +142,14 @@ def validate(config: ExperimentConfig) -> list[str]:
         value = getattr(config, name)
         if not 0.0 <= value <= 1.0:
             errors.append(f"{name}: must lie in [0, 1], got {value!r}")
+    if not 0 <= config.master_seed < 1 << 64:
+        errors.append(f"master_seed: must lie in [0, 2**64), got {config.master_seed!r}")
     if config.trials < 0:
         errors.append(f"trials: must be >= 0, got {config.trials!r}")
-    if config.truncation_order < 2:
+    if not 2 <= config.truncation_order <= MAX_TRUNCATION:
         errors.append(
-            f"truncation_order: must be >= 2, got {config.truncation_order!r}"
+            f"truncation_order: must lie in [2, {MAX_TRUNCATION}], "
+            f"got {config.truncation_order!r}"
         )
     if config.workers < 1:
         errors.append(f"workers: must be >= 1, got {config.workers!r}")

@@ -5,20 +5,25 @@ from its own counter-based Philox stream keyed by (master seed, i), so the
 aggregated integer counts -- and therefore the whole report -- are
 bit-identical for a fixed seed regardless of how batches are spread over
 workers.  Changing BATCH_SIZE changes the streams and is part of the
-reproducibility contract.
+reproducibility contract; so is any change to the draws a kernel makes,
+which bumps STREAM_VERSION.
 
-Matched-basis rounds of the entangled-pair scheme use the classical
-per-photon model, which is exact because the source state keeps its form
-under an identical basis change on both sides.  Mismatched-basis rounds
-draw the four-mode photon counts from the sector-conditioned Fock
-distributions, which carry the two-photon interference the classical model
-misses.
+The entangled-pair kernel draws each trial's emission, analyzer bases and
+photon counts with one uniform from a joint table (Walker's alias method).
+Its entries are the truncation-exceeded event; matched bases with each pair
+configuration, where the classical per-photon model is exact because the
+source state keeps its form under an identical basis change on both sides;
+and each mismatched basis combo with each occupation of each per-side-total
+sector, drawn from the sector-conditioned Fock distributions, which carry
+the two-photon interference the classical model misses.  Every detector
+then fires on its own uniform against a per-count table 1 - (1 - eta)^n.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,7 +50,9 @@ from .source import (
 )
 
 BATCH_SIZE = 1 << 16
-_SEED_MASK = (1 << 64) - 1
+# 1: per-sector inverse-CDF draws and binomial detectors in the ep kernel;
+# 2: one joint-table draw and per-count detector thresholds.
+STREAM_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +275,106 @@ class _RunParams:
     guarantee_delivery: bool = True
 
 
+def _fire_table(eta: float, max_count: int) -> np.ndarray:
+    """P(a detector fires) = 1 - (1 - eta)^n for n = 0 .. max_count photons."""
+    return 1.0 - (1.0 - eta) ** np.arange(max_count + 1, dtype=np.float64)
+
+
+def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias table of a categorical distribution, padded with empty
+    entries to a power-of-two length ``k``.
+
+    For a uniform ``u`` in [0, 1), ``x = u * k`` is exact; entry
+    ``i = floor(x)`` is kept when ``x < cut[i]`` and replaced by ``alias[i]``
+    otherwise, which selects entry ``j`` with probability ``weights[j]`` up
+    to float64 rounding.
+    """
+    k = 1 << (len(weights) - 1).bit_length()
+    scaled = np.zeros(k)
+    scaled[: len(weights)] = weights * (k / weights.sum())
+    alias = np.arange(k)
+    small = [i for i in range(k) if scaled[i] < 1.0]
+    large = [i for i in range(k) if scaled[i] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    # what is left over holds weight 1 up to rounding
+    scaled[small + large] = 1.0
+    return np.arange(k) + scaled, alias
+
+
+# Entry kinds of the joint table; mismatched combo c has kind _MISMATCHED + c.
+_EXCEEDED, _MATCHED, _MISMATCHED = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class _JointTable:
+    """One categorical distribution over everything an ``ep`` trial draws
+    before the interposer and the detectors.
+
+    Entry ``j`` has probability ``probabilities[j]``, a ``kind`` and the
+    photon counts ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The
+    entries are the truncation-exceeded event (no photons), each matched
+    basis pair with pair configuration (m, n) and counts (m, n, m, n), and
+    each mismatched basis combo with each occupation of each sector total.
+    """
+
+    probabilities: np.ndarray
+    kind: np.ndarray
+    a0: np.ndarray
+    a1: np.ndarray
+    b0: np.ndarray
+    b1: np.ndarray
+    cut: np.ndarray
+    alias: np.ndarray
+
+    @classmethod
+    def build(cls, dist: PairDistribution, sector_tables: dict) -> "_JointTable":
+        totals = np.array([c.total for c in dist.configs])
+        rows = [(dist.tail, _EXCEEDED, 0, 0, 0, 0)]
+        rows += [
+            (0.5 * w, _MATCHED, c.m, c.n, c.m, c.n)
+            for c, w in zip(dist.configs, dist.probabilities)
+        ]
+        for combo in (0, 1):
+            kind = _MISMATCHED + combo
+            for total in range(totals.max() + 1):
+                weight = 0.25 * dist.probabilities[totals == total].sum()
+                if total == 0:
+                    rows.append((weight, kind, 0, 0, 0, 0))
+                    continue
+                cdf, *occupations = sector_tables[(combo, total)]
+                # the last occupation takes all mass beyond the one before, as
+                # inverse-CDF sampling of ``cdf`` does
+                q = np.diff(cdf[:-1], prepend=0.0, append=1.0)
+                rows += [(weight * qj, kind, *occ) for qj, occ in zip(q, zip(*occupations))]
+        probabilities = np.array([r[0] for r in rows])
+        columns = np.array([r[1:] for r in rows], dtype=np.int8).T
+        return cls(probabilities, *columns, *_alias_table(probabilities))
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Entry indices for uniforms ``u`` in [0, 1)."""
+        x = u * len(self.cut)
+        i = x.astype(np.intp)
+        return np.where(x < self.cut.take(i), i, self.alias.take(i))
+
+
 class _EpContext:
+    """Per-run tables of the entangled-pair kernel.
+
+    ``sector_tables`` maps (basis combo, sector total) to the inverse-CDF
+    table ``(cdf, a0, a1, b0, b1)`` of the mismatched-basis occupations;
+    combo 0 is Alice at + and Bob at x.  The joint table is derived from it
+    on first use, so it always reflects the sector tables the kernel sees.
+    """
+
     def __init__(self, params: _RunParams):
         source = SourceParams(
             Scheme.ENTANGLED_PAIRS, params.g, params.truncation
         )
-        dist = pair_distribution(source)
-        self.cdf = dist.cdf
-        self.n_configs = len(dist.configs)
-        self.m_of = np.array([c.m for c in dist.configs], dtype=np.int64)
-        self.n_of = np.array([c.n for c in dist.configs], dtype=np.int64)
+        self.dist = pair_distribution(source)
         self.sector_tables = {}
         for combo, pair in (
             (0, (fock.Basis.PLUS, fock.Basis.CROSS)),
@@ -293,64 +390,51 @@ class _EpContext:
                     arr[:, 2],
                     arr[:, 3],
                 )
+        if params.block_probability is None:
+            bob_eta = params.eta_b * params.eta_l
+        else:
+            bob_eta = 1.0 if params.guarantee_delivery else params.eta_b
+        # no mode holds more photons than the truncation allows pairs
+        self.fire_a = _fire_table(params.eta_a, params.truncation)
+        self.fire_b = _fire_table(bob_eta, params.truncation)
+
+    @cached_property
+    def joint(self) -> _JointTable:
+        return _JointTable.build(self.dist, self.sector_tables)
 
 
 def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContext) -> _Counts:
-    u = rng.random(size)
-    idx = np.searchsorted(ctx.cdf, u, side="right")
-    exceeded = idx >= ctx.n_configs
-    valid = ~exceeded
-    idx = np.where(exceeded, 0, idx)
-    m = np.where(valid, ctx.m_of[idx], 0)
-    n = np.where(valid, ctx.n_of[idx], 0)
-    basis_a = rng.integers(0, 2, size=size, dtype=np.int8)
-    basis_b = rng.integers(0, 2, size=size, dtype=np.int8)
-    matched = valid & (basis_a == basis_b)
-    mismatched = valid & (basis_a != basis_b)
+    table = ctx.joint
+    entry = table.draw(rng.random(size))
+    kind = table.kind.take(entry)
+    a0 = table.a0.take(entry)
+    a1 = table.a1.take(entry)
+    b0 = table.b0.take(entry)
+    b1 = table.b1.take(entry)
+    valid = kind != _EXCEEDED
+    matched = kind == _MATCHED
+    mismatched = kind >= _MISMATCHED
 
-    a0 = np.where(matched, m, 0)
-    a1 = np.where(matched, n, 0)
-    b0 = a0.copy()
-    b1 = a1.copy()
-    sector = m + n
-    u_sector = rng.random(size)
-    for combo in (0, 1):
-        for total in range(1, p.truncation + 1):
-            sel = mismatched & (basis_a == combo) & (sector == total)
-            if not sel.any():
-                continue
-            cdf, t_a0, t_a1, t_b0, t_b1 = ctx.sector_tables[(combo, total)]
-            j = np.searchsorted(cdf, u_sector[sel], side="right")
-            j = np.minimum(j, len(t_a0) - 1)
-            a0[sel] = t_a0[j]
-            a1[sel] = t_a1[j]
-            b0[sel] = t_b0[j]
-            b1[sel] = t_b1[j]
-
-    counts = _Counts(trials=size, excluded=int(exceeded.sum()))
+    counts = _Counts(trials=size, excluded=size - int(np.count_nonzero(valid)))
     attacked = p.block_probability is not None
-    multi = np.zeros(size, dtype=bool)
-    blocked = np.zeros(size, dtype=bool)
-    stored = np.zeros(size, dtype=np.int8)
     if attacked:
         tot = b0 + b1
         u_store = rng.random(size)
         multi = valid & (tot >= 2)
-        stored = np.where(u_store * tot < b1, 1, 0).astype(np.int8)
-        b0 = b0 - (multi & (stored == 0))
-        b1 = b1 - (multi & (stored == 1))
+        stored = u_store * tot < b1
+        b0 = b0 - (multi & ~stored)
+        b1 = b1 - (multi & stored)
         u_block = rng.random(size)
         blocked = valid & (tot == 1) & (u_block < p.block_probability)
         b0 = np.where(blocked, 0, b0)
         b1 = np.where(blocked, 0, b1)
-        bob_eta = 1.0 if p.guarantee_delivery else p.eta_b
-    else:
-        bob_eta = p.eta_b * p.eta_l
 
-    fa0 = rng.binomial(a0, p.eta_a) > 0
-    fa1 = rng.binomial(a1, p.eta_a) > 0
-    fb0 = rng.binomial(b0, bob_eta) > 0
-    fb1 = rng.binomial(b1, bob_eta) > 0
+    # one uniform per detector and event, against the per-count fire tables
+    u_fire = rng.random((4, size))
+    fa0 = u_fire[0] < ctx.fire_a.take(a0)
+    fa1 = u_fire[1] < ctx.fire_a.take(a1)
+    fb0 = u_fire[2] < ctx.fire_b.take(b0)
+    fb1 = u_fire[3] < ctx.fire_b.take(b1)
 
     a_single = fa0 ^ fa1
     b_single = fb0 ^ fb1
@@ -360,18 +444,18 @@ def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContex
     bit_b = fb1
     errors = sifted & (bit_a != bit_b)
 
-    counts.matched = int(matched.sum())
-    counts.sifted = int(sifted.sum())
-    counts.errors = int(errors.sum())
-    counts.dc_matched = int((matched & b_double).sum())
-    counts.dc_mismatched = int((mismatched & b_double).sum())
-    counts.bob_no_click = int((valid & ~fb0 & ~fb1).sum())
+    counts.matched = int(np.count_nonzero(matched))
+    counts.sifted = int(np.count_nonzero(sifted))
+    counts.errors = int(np.count_nonzero(errors))
+    counts.dc_matched = int(np.count_nonzero(matched & b_double))
+    counts.dc_mismatched = int(np.count_nonzero(mismatched & b_double))
+    counts.bob_no_click = int(np.count_nonzero(valid & ~(fb0 | fb1)))
     if attacked:
         touched = sifted & multi
-        counts.touched_sifted = int(touched.sum())
-        counts.eve_alice_hits = int((touched & (stored == bit_a)).sum())
-        counts.eve_bob_hits = int((touched & (stored == bit_b)).sum())
-        counts.blocked = int(blocked.sum())
+        counts.touched_sifted = int(np.count_nonzero(touched))
+        counts.eve_alice_hits = int(np.count_nonzero(touched & (stored == bit_a)))
+        counts.eve_bob_hits = int(np.count_nonzero(touched & (stored == bit_b)))
+        counts.blocked = int(np.count_nonzero(blocked))
     return counts
 
 
@@ -437,7 +521,7 @@ def _prepared_batch(rng: np.random.Generator, size: int, p: _RunParams) -> _Coun
 
 
 def _batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
-    key = ((master_seed & _SEED_MASK) << 64) | batch_index
+    key = (master_seed << 64) | batch_index
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -495,6 +579,7 @@ class RateReport:
 
     def to_dict(self) -> dict:
         return {
+            "stream_version": STREAM_VERSION,
             "scheme": self.scheme.value,
             "trials": self.trials,
             "valid_trials": self.valid_trials,

@@ -14,6 +14,7 @@ from pdcqkd.cli import (
     run_sweep,
 )
 from pdcqkd.config import ConfigError, ExperimentConfig, SweepSpec, validate
+from pdcqkd.engine import STREAM_VERSION
 from pdcqkd.eve import AUTO, PnsConfig
 from pdcqkd.source import Scheme
 
@@ -54,6 +55,13 @@ class TestValidation:
         errors = validate(config)
         joined = " ".join(errors)
         assert "eta_a" in joined and "trials" in joined and "workers" in joined
+
+    @pytest.mark.parametrize("truncation", [1, 128])
+    def test_truncation_range(self, truncation):
+        config = ExperimentConfig(
+            scheme=Scheme.ENTANGLED_PAIRS, g=0.1, truncation_order=truncation
+        )
+        assert any(e.startswith("truncation_order") for e in validate(config))
 
     def test_sweep_validation(self):
         config = ExperimentConfig(
@@ -165,7 +173,7 @@ class TestRows:
             trials=0,
             sweep=SweepSpec("eta_a", 0.5, 2.0, 2),
         ).validated()
-        with pytest.raises(RuntimeError) as exc:
+        with pytest.raises(ConfigError) as exc:
             run_sweep(config)
         assert "eta_a=2.0" in str(exc.value)
 
@@ -192,6 +200,7 @@ class TestMain:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["stream_version"] == STREAM_VERSION
         assert payload["config"]["scheme"] == "ep"
         assert payload["rows"][0]["r_key_oracle"] > 0
 
@@ -273,6 +282,26 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] is True
         assert any("g" in msg for msg in err["messages"])
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_out_of_range_seed_exits_2(self, seed, capsys):
+        code = main(["simulate", "--scheme", "ep", "--g", "0.3", "--trials", "10", "--seed", seed])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any(msg.startswith("master_seed") for msg in err["messages"])
+
+    def test_largest_seed_is_accepted(self, capsys):
+        seed = str((1 << 64) - 1)
+        code = main(["simulate", "--scheme", "ep", "--g", "0.3", "--trials", "10", "--seed", seed])
+        assert code == 0
+
+    def test_invalid_sweep_point_exits_2(self, capsys):
+        code = main(
+            ["sweep", "--scheme", "ep", "--eta-a", "0.5", "--trials", "0", "--sweep", "g:0.5:1.2:3"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any("g=1.2" in msg for msg in err["messages"])
 
     def test_output_file_written(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"

@@ -3,11 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pdcqkd.analytics import exact_rates_oracle, pdc_leakage, wcs_leakage
+from pdcqkd import fock
+from pdcqkd.analytics import ep_pns_oracle, exact_rates_oracle, pdc_leakage, wcs_leakage
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.detection import ChannelParams
 from pdcqkd.engine import (
+    _EXCEEDED,
+    _MATCHED,
+    _MISMATCHED,
     BATCH_SIZE,
+    _EpContext,
+    _RunParams,
     RoundRecord,
     run_ep_round,
     run_experiment,
@@ -103,6 +109,84 @@ class TestScalarRounds:
                 assert record.error == (record.bit_a != record.bit_b)
 
 
+class TestEpJointTable:
+    """The ep kernel's joint table reproduces the source and sector
+    distributions it is built from."""
+
+    CASES = [(g, t) for g in (0.0, 0.1, 0.3, 0.6, 0.9) for t in (2, 3, 4)]
+
+    @staticmethod
+    def context(g, truncation, block=None):
+        params = _RunParams(
+            Scheme.ENTANGLED_PAIRS, g, 0.0, 0.6, 0.8, 0.5, truncation, block
+        )
+        return _EpContext(params)
+
+    @pytest.mark.parametrize("g, truncation", CASES)
+    def test_entries_match_source_and_sectors(self, g, truncation):
+        table = self.context(g, truncation).joint
+        dist = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, g, truncation))
+        p = table.probabilities
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        (exceeded,) = np.flatnonzero(table.kind == _EXCEEDED)
+        assert p[exceeded] == pytest.approx(dist.tail, abs=1e-12)
+        assert table.a0[exceeded] == table.a1[exceeded] == 0
+        assert table.b0[exceeded] == table.b1[exceeded] == 0
+
+        matched = {
+            (table.a0[j], table.a1[j]): p[j]
+            for j in np.flatnonzero(table.kind == _MATCHED)
+            if table.b0[j] == table.a0[j] and table.b1[j] == table.a1[j]
+        }
+        assert len(matched) == len(dist.configs) == np.count_nonzero(table.kind == _MATCHED)
+        for c, w in zip(dist.configs, dist.probabilities):
+            assert matched[(c.m, c.n)] == pytest.approx(w / 2, abs=1e-12)
+
+        for combo, bases in enumerate(
+            [(fock.Basis.PLUS, fock.Basis.CROSS), (fock.Basis.CROSS, fock.Basis.PLUS)]
+        ):
+            rows = np.flatnonzero(table.kind == _MISMATCHED + combo)
+            for total in range(truncation + 1):
+                p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.total == total)
+                got = {
+                    (table.a0[j], table.a1[j], table.b0[j], table.b1[j]): p[j]
+                    for j in rows
+                    if table.a0[j] + table.a1[j] == total
+                }
+                occs, probs = fock.sector_distribution(total, *bases)
+                assert sorted(got) == sorted(occs)
+                for occ, q in zip(occs, probs):
+                    assert got[occ] == pytest.approx(p_total / 4 * q, abs=1e-12)
+
+    @pytest.mark.parametrize("g, truncation", CASES)
+    def test_alias_table_reproduces_probabilities(self, g, truncation):
+        table = self.context(g, truncation).joint
+        k = len(table.cut)
+        keep = table.cut - np.arange(k)
+        assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
+        implied = np.zeros(k)
+        np.add.at(implied, np.arange(k), keep / k)
+        np.add.at(implied, table.alias, (1.0 - keep) / k)
+        n = len(table.probabilities)
+        np.testing.assert_allclose(implied[:n], table.probabilities, rtol=0, atol=1e-12)
+        assert np.all(implied[n:] == 0.0)
+        edges = np.array([0.0, np.nextafter(1.0, 0.0)])
+        assert np.all(table.draw(edges) < n)
+
+    @pytest.mark.parametrize("block, bob_eta", [(None, 0.8 * 0.5), (0.5, 1.0)])
+    @pytest.mark.parametrize("g, truncation", CASES)
+    def test_fire_tables_cover_every_count(self, g, truncation, block, bob_eta):
+        ctx = self.context(g, truncation, block)
+        table = ctx.joint
+        for fire, eta, modes in (
+            (ctx.fire_a, 0.6, (table.a0, table.a1)),
+            (ctx.fire_b, bob_eta, (table.b0, table.b1)),
+        ):
+            counts = np.arange(len(fire))
+            np.testing.assert_allclose(fire, 1.0 - (1.0 - eta) ** counts, rtol=0, atol=1e-12)
+            assert max(mode.max() for mode in modes) < len(fire)
+
+
 class TestRunExperiment:
     def test_ep_rates_match_oracle(self):
         report = run_experiment(ep_config())
@@ -174,6 +258,69 @@ class TestRunExperiment:
         assert report.double_click_matched_count == 0
         assert report.eve_touched_fraction == 1.0
         assert report.block_probability == 1.0
+
+
+# Largest |z| a statistical check below accepts.  The seeds are fixed, so a
+# correct kernel fails one of the sixteen checks with probability about 1e-4.
+SIGMA_BOUND = 4.5
+
+
+def assert_binomial(observed, p, n):
+    """``observed`` is a frequency over ``n`` events with exact probability ``p``."""
+    se = (p * (1.0 - p) / n) ** 0.5
+    assert abs(observed - p) <= SIGMA_BOUND * se, (observed, p, n, se)
+
+
+class TestEpStatistics:
+    """Event-level ep tallies against the exact enumeration oracles, including
+    the mismatched-basis sector draw and the truncation exclusions."""
+
+    G, ETA_A, ETA_B, ETA_L = 0.4, 0.6, 0.8, 0.5
+
+    def config(self, truncation, **overrides):
+        return ep_config(
+            g=self.G,
+            eta_a=self.ETA_A,
+            eta_b=self.ETA_B,
+            eta_l=self.ETA_L,
+            truncation_order=truncation,
+            trials=1_000_000,
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("truncation, seed", [(2, 21), (4, 22)])
+    def test_unattacked_mismatched_and_no_click(self, truncation, seed):
+        report = run_experiment(self.config(truncation, master_seed=seed))
+        oracle = exact_rates_oracle(
+            self.G, self.ETA_A, self.ETA_B * self.ETA_L, truncation
+        )
+        valid = report.valid_trials
+        assert_binomial(report.double_click_mismatched, oracle.dc_mismatched, valid)
+        assert_binomial(report.bob_no_click_rate, oracle.bob_no_click, valid)
+        assert_binomial(
+            report.truncation_exceeded_count / report.trials,
+            1.0 - oracle.retained_mass,
+            report.trials,
+        )
+
+    @pytest.mark.parametrize("truncation, seed", [(2, 23), (4, 24)])
+    def test_attacked_matches_pns_oracle(self, truncation, seed):
+        report = run_experiment(
+            self.config(
+                truncation,
+                master_seed=seed,
+                attack=PnsConfig(block_probability=0.5),
+            )
+        )
+        oracle = ep_pns_oracle(self.G, self.ETA_A, 0.5, truncation)
+        sifted = report.sifted_count
+        touched = round(report.eve_touched_fraction * sifted)
+        assert report.block_probability == 0.5
+        assert_binomial(report.r_key, oracle.delivered_rate, report.valid_trials)
+        assert_binomial(report.epsilon, oracle.error_rate, sifted)
+        assert_binomial(report.eve_touched_fraction, oracle.touched_fraction, sifted)
+        assert_binomial(report.p_ae_hat, oracle.p_ae, touched)
+        assert_binomial(report.p_eb_hat, oracle.p_eb, touched)
 
 
 class TestDeterminism:
