@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterator
 from typing import Optional
 
 from . import analytics
@@ -27,7 +29,13 @@ from .config import (
     ExperimentConfig,
     SweepSpec,
 )
-from .engine import STREAM_VERSION, RateReport, run_experiment
+from .engine import (
+    STREAM_VERSION,
+    RateReport,
+    _resolve_run_params,
+    run_experiment,
+    run_experiments,
+)
 from .eve import AUTO, PnsConfig
 from .source import Scheme, mean_pairs, single_arm_mean
 
@@ -246,8 +254,14 @@ def parse_config(
 # ---------------------------------------------------------------------------
 
 
-def analytic_row(config: ExperimentConfig) -> dict:
-    """Closed-form / oracle quantities for one parameter point."""
+def analytic_row(
+    config: ExperimentConfig, block_probability: Optional[float] = None
+) -> dict:
+    """Closed-form / oracle quantities for one parameter point.
+
+    Under attack, ``block_probability`` is the run's resolved blocking
+    probability; it is solved here only when not given.
+    """
     row: dict = {}
     eta_bl = config.eta_b * config.eta_l
     if config.scheme is Scheme.ENTANGLED_PAIRS:
@@ -281,8 +295,31 @@ def analytic_row(config: ExperimentConfig) -> dict:
                 i_ab_oracle=q.i_ab,
                 i_e_saturated=q.saturated,
             )
-            row["r_key_oracle"] = q.r_exp if not q.saturated else q.r_double
-            row["epsilon_oracle"] = q.eps_prime
+            # the unattacked oracle does not describe an attacked run; the
+            # exact attack oracle exists only for guaranteed delivery
+            row.update(
+                r_key_oracle=None,
+                r_err_oracle=None,
+                epsilon_oracle=None,
+                double_click_matched_oracle=None,
+                double_click_mismatched_oracle=None,
+                bob_no_click_oracle=None,
+            )
+            if block_probability is None:
+                try:
+                    block_probability = _resolve_run_params(config)[1]
+                except ValueError:  # the rate-matched attack has no rate to match
+                    pass
+            if block_probability is not None and config.attack.guarantee_delivery:
+                attack = analytics.ep_pns_oracle(
+                    g, config.eta_a, 1.0 - block_probability, config.truncation_order
+                )
+                row.update(
+                    r_key_oracle=attack.delivered_rate,
+                    r_err_oracle=attack.delivered_rate * (attack.error_rate or 0.0),
+                    epsilon_oracle=attack.error_rate,
+                    double_click_matched_oracle=attack.dc_matched,
+                )
     elif config.scheme is Scheme.WEAK_COHERENT:
         leak = analytics.wcs_leakage(config.mu_prime, eta_bl)
         row.update(
@@ -319,12 +356,24 @@ def _z_score(mc: Optional[float], se: Optional[float], oracle: Optional[float]):
     return (mc - oracle) / se
 
 
-def point_row(config: ExperimentConfig, sweep_param: str = "", sweep_value=None) -> dict:
-    """One result row: analytics always, Monte Carlo when trials > 0."""
+def point_row(
+    config: ExperimentConfig,
+    sweep_param: str = "",
+    sweep_value=None,
+    reports: Optional[Iterator[RateReport]] = None,
+) -> dict:
+    """One result row: analytics always, Monte Carlo when trials > 0.
+
+    The Monte Carlo report is the next one of ``reports`` (a
+    ``run_experiments`` over the sweep's points) when given, otherwise this
+    point is run on its own.
+    """
     row = {"sweep_param": sweep_param, "sweep_value": sweep_value}
-    row.update(analytic_row(config))
-    if config.trials > 0:
-        report = run_experiment(config)
+    if config.trials <= 0:
+        row.update(analytic_row(config))
+    else:
+        report = next(reports) if reports is not None else run_experiment(config)
+        row.update(analytic_row(config, report.block_probability))
         row.update(
             r_key_mc=report.r_key,
             r_key_se=report.r_key_se,
@@ -354,25 +403,33 @@ def point_row(config: ExperimentConfig, sweep_param: str = "", sweep_value=None)
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
-    """Evaluate every sweep point, ordered by swept value."""
+    """Evaluate every sweep point, ordered by swept value.
+
+    Every point is validated before any Monte Carlo runs; then all points'
+    batches are scheduled on one pool and each row takes its report in turn.
+    """
     if config.sweep is None:
         return [point_row(config)]
     param = config.sweep.param
-    rows = []
-    for value in sorted(config.sweep.values()):
+    values = sorted(config.sweep.values())
+    points = []
+    for value in values:
         point = dataclasses.replace(config, sweep=None, **{param: value})
         if param == "g":
             point = dataclasses.replace(point, mu=None)
         elif param == "mu":
             point = dataclasses.replace(point, g=None)
         try:
-            point = point.validated()
+            points.append(point.validated())
         except ConfigError as exc:
             raise ConfigError(
                 [f"sweep point {param}={value!r}: {e}" for e in exc.errors]
             ) from exc
-        rows.append(point_row(point, sweep_param=param, sweep_value=value))
-    return rows
+    with contextlib.closing(run_experiments(points)) as reports:
+        return [
+            point_row(point, sweep_param=param, sweep_value=value, reports=reports)
+            for point, value in zip(points, values)
+        ]
 
 
 def _fmt(value) -> str:
@@ -445,6 +502,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _flags_to_values(args: argparse.Namespace) -> dict:
     values: dict = {}
+    errors: list[str] = []
     for key in (
         "scheme",
         "g",
@@ -466,7 +524,7 @@ def _flags_to_values(args: argparse.Namespace) -> dict:
     if getattr(args, "attack", None) == "pns":
         block = getattr(args, "block_probability", None)
         if block is not None and block != AUTO:
-            block = float(block)
+            block = _parse_number(block, "attack.block_probability", errors)
         values["attack"] = {
             "block_probability": AUTO if block is None else block,
             "guarantee_delivery": True,
@@ -479,11 +537,13 @@ def _flags_to_values(args: argparse.Namespace) -> dict:
             raise ConfigError(["sweep: expected param:start:stop:steps[:log]"])
         values["sweep"] = {
             "param": parts[0],
-            "start": float(parts[1]),
-            "stop": float(parts[2]),
-            "steps": int(parts[3]),
+            "start": _parse_number(parts[1], "sweep.start", errors),
+            "stop": _parse_number(parts[2], "sweep.stop", errors),
+            "steps": _parse_number(parts[3], "sweep.steps", errors, int),
             "scale": parts[4] if len(parts) == 5 else "linear",
         }
+    if errors:
+        raise ConfigError(errors)
     return values
 
 

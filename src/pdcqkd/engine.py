@@ -17,10 +17,20 @@ and each mismatched basis combo with each occupation of each per-side-total
 sector, drawn from the sector-conditioned Fock distributions, which carry
 the two-photon interference the classical model misses.  Every detector
 then fires on its own uniform against a per-count table 1 - (1 - eta)^n.
+
+``run_experiments`` schedules a list of runs -- the points of a sweep -- on
+one process pool.  Each run's batches are split into ``min(workers,
+n_batches)`` contiguous ranges, and every range of every run is submitted as
+soon as that run's parameters are resolved, so workers start on the first
+points while the parent still solves the later ones.  Reports come back in
+order, each folded from its own ranges' integer counts, so a run's report is
+the same whether it runs alone, in a sweep, or on any number of workers.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -698,29 +708,70 @@ def _resolve_run_params(config: ExperimentConfig) -> tuple[_RunParams, Optional[
     return params, block
 
 
+def _batch_ranges(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """A run's batches split into ``min(workers, n_batches)`` contiguous,
+    non-empty ranges (none when the run has no trials)."""
+    n_batches = (config.trials + BATCH_SIZE - 1) // BATCH_SIZE
+    parts = max(1, min(config.workers, n_batches))
+    bounds = [round(i * n_batches / parts) for i in range(parts + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def run_experiments(configs: Iterable[ExperimentConfig]) -> Iterator[RateReport]:
+    """Yield one RateReport per config, in order, all run on one pool.
+
+    Every config is validated before the first run starts.  A pool of as many
+    processes as the largest run has batch ranges is opened on the first
+    ``next()``; each run's ranges are submitted as soon as its blocking
+    probability is solved, and its report is folded from their counts.
+    Without a pool (one worker, or one range per run) each run executes in
+    this process when its report is asked for.  Closing the generator early
+    cancels the ranges not yet started and shuts the pool down.
+    """
+    configs = [config.validated() for config in configs]
+    ranges = [_batch_ranges(config) for config in configs]
+    pool_size = max(map(len, ranges), default=0)
+    if pool_size <= 1:
+        for config, parts in zip(configs, ranges):
+            params, block = _resolve_run_params(config)
+            counts = sum(
+                (
+                    _run_batch_range(params, config.master_seed, config.trials, lo, hi)
+                    for lo, hi in parts
+                ),
+                _Counts(),
+            )
+            yield _build_report(counts, config, block)
+        return
+    runs = []
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        try:
+            for config, parts in zip(configs, ranges):
+                params, block = _resolve_run_params(config)
+                futures = [
+                    pool.submit(
+                        _run_batch_range, params, config.master_seed, config.trials, lo, hi
+                    )
+                    for lo, hi in parts
+                ]
+                runs.append((config, block, futures))
+            for config, block, futures in runs:
+                counts = sum((f.result() for f in futures), _Counts())
+                yield _build_report(counts, config, block)
+        except BaseException:
+            # an error here or in a worker, or the caller closed the generator:
+            # the pool's exit then waits only for ranges already running
+            for _, _, futures in runs:
+                for future in futures:
+                    future.cancel()
+            raise
+
+
 def run_experiment(config: ExperimentConfig) -> RateReport:
-    """Aggregate ``config.trials`` rounds into a RateReport.
+    """Aggregate ``config.trials`` rounds into a RateReport: a one-point
+    ``run_experiments``, with the same batch ranges and at most one pool.
 
     Bit-identical for a fixed master seed regardless of worker count.
     """
-    config.validated()
-    params, block = _resolve_run_params(config)
-    trials = config.trials
-    n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
-    if config.workers <= 1 or n_batches <= 1:
-        counts = _run_batch_range(params, config.master_seed, trials, 0, n_batches)
-    else:
-        workers = min(config.workers, n_batches)
-        bounds = [round(i * n_batches / workers) for i in range(workers + 1)]
-        counts = _Counts()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_batch_range, params, config.master_seed, trials, lo, hi
-                )
-                for lo, hi in zip(bounds, bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                counts = counts + fut.result()
-    return _build_report(counts, config, block)
+    with contextlib.closing(run_experiments([config])) as reports:
+        return next(reports)

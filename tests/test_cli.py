@@ -1,20 +1,24 @@
 import csv
+import dataclasses
 import io
 import json
+import multiprocessing
 
 import pytest
 
+from pdcqkd import cli, engine
 from pdcqkd.cli import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
     analytic_row,
     build_config,
     main,
+    point_row,
     read_config_file,
     run_sweep,
 )
 from pdcqkd.config import ConfigError, ExperimentConfig, SweepSpec, validate
-from pdcqkd.engine import STREAM_VERSION
+from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION
 from pdcqkd.eve import AUTO, PnsConfig
 from pdcqkd.source import Scheme
 
@@ -178,7 +182,142 @@ class TestRows:
         assert "eta_a=2.0" in str(exc.value)
 
 
+def attacked_sweep(workers, sweep=None):
+    return ExperimentConfig(
+        scheme=Scheme.ENTANGLED_PAIRS,
+        eta_a=0.6,
+        eta_b=0.8,
+        eta_l=0.5,
+        trials=2 * BATCH_SIZE + 17,
+        master_seed=41,
+        truncation_order=3,
+        attack=PnsConfig(),
+        workers=workers,
+        sweep=sweep or SweepSpec("g", 0.1, 0.4, 3),
+    ).validated()
+
+
+class CountingPool(engine.ProcessPoolExecutor):
+    """Records every pool the engine constructs and every shutdown."""
+
+    created: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shut_down = False
+        CountingPool.created.append(self)
+
+    def shutdown(self, *args, **kwargs):
+        super().shutdown(*args, **kwargs)
+        self.shut_down = True
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    CountingPool.created = []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    return CountingPool.created
+
+
+class TestSweepScheduler:
+    def test_rows_identical_for_any_worker_count(self):
+        rows = [run_sweep(attacked_sweep(workers)) for workers in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+        alone = [
+            point_row(
+                dataclasses.replace(attacked_sweep(2), sweep=None, g=row["sweep_value"]),
+                sweep_param="g",
+                sweep_value=row["sweep_value"],
+            )
+            for row in rows[0]
+        ]
+        assert alone == rows[0]
+
+    def test_one_pool_per_sweep(self, counting_pool):
+        rows = run_sweep(attacked_sweep(2, sweep=SweepSpec("g", 0.1, 0.4, 4)))
+        assert len(rows) == 4
+        assert len(counting_pool) == 1 and counting_pool[0].shut_down
+
+    def test_invalid_last_point_fails_before_any_batch(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a batch range ran")
+
+        monkeypatch.setattr(engine, "_run_batch_range", no_run)
+        config = dataclasses.replace(
+            attacked_sweep(2), g=0.3, sweep=SweepSpec("eta_a", 0.2, 1.4, 3)
+        )
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(config)
+        assert "sweep point eta_a=1.4" in str(exc.value)
+
+    def test_row_error_mid_sweep_shuts_the_pool_down(self, monkeypatch, counting_pool):
+        real = cli.analytic_row
+        calls = []
+
+        def failing_analytic_row(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("row failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "analytic_row", failing_analytic_row)
+        # the held traceback keeps the sweep's frames, and so its generator, alive
+        with pytest.raises(RuntimeError, match="row failed") as excinfo:
+            run_sweep(attacked_sweep(2, sweep=SweepSpec("g", 0.1, 0.4, 4)))
+        assert len(counting_pool) == 1 and counting_pool[0].shut_down
+        assert multiprocessing.active_children() == []
+        del excinfo
+
+
+class TestAttackedCompare:
+    """``compare`` checks an attacked ep run against the exact attack oracle
+    for the run's own blocking probability and truncation."""
+
+    @pytest.mark.parametrize(
+        "extra, seed",
+        [
+            (["--block-probability", "1.0"], 51),
+            (["--block-probability", "auto", "--truncation", "4"], 52),
+            (["--block-probability", "auto"], 53),
+        ],
+    )
+    def test_compare_passes(self, extra, seed, capsys):
+        code = main(
+            ["compare", "--scheme", "ep", "--g", "0.4", "--eta-a", "0.6", "--attack", "pns"]
+            + ["--trials", "1000000", "--seed", str(seed), "--sigma", "4.5"]
+            + extra
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.count("PASS") == 3
+
+    def test_undelivered_attack_has_no_oracle(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[experiment]\nscheme = ep\ng = 0.3\neta_a = 0.6\ntrials = 20000\n"
+            "[attack]\nblock_probability = 0.5\nguarantee_delivery = false\n"
+        )
+        code = main(["compare", "-c", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("n/a") == 3 and "PASS" not in out
+
+
 class TestMain:
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["simulate", "--scheme", "ep", "--g", "0.3", "--attack", "pns",
+              "--block-probability", "abc"], "attack.block_probability"),
+            (["sweep", "--scheme", "ep", "--trials", "0", "--sweep", "g:a:0.3:3"], "sweep.start"),
+            (["sweep", "--scheme", "ep", "--trials", "0", "--sweep", "g:0.1:0.3:x"], "sweep.steps"),
+        ],
+    )
+    def test_unparsable_flag_exits_2_naming_the_field(self, args, field, capsys):
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any(msg.startswith(field) for msg in err["messages"])
+
     def test_analytic_json(self, capsys):
         code = main(
             [

@@ -17,6 +17,7 @@ from pdcqkd.engine import (
     RoundRecord,
     run_ep_round,
     run_experiment,
+    run_experiments,
     run_pdc_round,
     run_wcs_round,
 )
@@ -348,3 +349,51 @@ class TestDeterminism:
         serial = run_experiment(base)
         parallel = run_experiment(dataclasses.replace(base, workers=2))
         assert serial == parallel
+
+
+class TestRunExperiments:
+    def configs(self, workers):
+        return [
+            ep_config(trials=3 * BATCH_SIZE + 5, master_seed=31, workers=workers),
+            ep_config(
+                trials=2 * BATCH_SIZE,
+                master_seed=32,
+                workers=workers,
+                truncation_order=3,
+                attack=PnsConfig(),
+            ),
+            ep_config(trials=BATCH_SIZE // 2, master_seed=33, workers=workers),
+            ExperimentConfig(
+                scheme=Scheme.WEAK_COHERENT,
+                mu_prime=0.4,
+                eta_b=0.5,
+                trials=2 * BATCH_SIZE + 9,
+                master_seed=34,
+                workers=workers,
+                attack=PnsConfig(block_probability=0.3),
+            ),
+            ExperimentConfig(
+                scheme=Scheme.TRIGGERED_PDC,
+                g=0.3,
+                eta_a=0.7,
+                trials=0,
+                master_seed=35,
+                workers=workers,
+            ),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_equal_single_runs_in_order(self, workers):
+        configs = self.configs(workers)
+        singles = [run_experiment(dataclasses.replace(c, workers=1)) for c in configs]
+        assert list(run_experiments(configs)) == singles
+
+    def test_invalid_config_raises_before_any_run(self, monkeypatch):
+        from pdcqkd import engine
+
+        def no_run(*args):
+            raise AssertionError("a batch range ran")
+
+        monkeypatch.setattr(engine, "_run_batch_range", no_run)
+        with pytest.raises(ConfigError):
+            next(run_experiments(self.configs(1) + [ep_config(g=None)]))
