@@ -10,22 +10,20 @@ from .source import (
     mean_pairs,
     pair_distribution,
 )
-from .detection import ChannelParams, ClickOutcome, compose_bob_efficiency
+from .detection import ChannelParams, compose_bob_efficiency
 from .config import ExperimentConfig, SweepSpec, ConfigError
-from .engine import RateReport, RoundRecord, run_experiment
+from .engine import RateReport, run_experiment
 from .eve import AUTO, SATURATED, PnsConfig, solve_block_probability
 
 __all__ = [
     "AUTO",
     "ChannelParams",
-    "ClickOutcome",
     "ConfigError",
     "ExperimentConfig",
     "PairConfiguration",
     "PairDistribution",
     "PnsConfig",
     "RateReport",
-    "RoundRecord",
     "SATURATED",
     "Scheme",
     "SourceParams",

@@ -483,9 +483,8 @@ def ep_pns_quantities(g: float, eta_a: float, eta_bl: float) -> EpPnsQuantities:
         ratio = r_double / r_exp
         i_ae = ratio * binary_information(p_ae)
         i_eb = ratio * binary_information(p_eb)
-        retained = attack_err = None
         # delivered errors come only from the split one-of-each-pair signals
-        rows, retained = _pair_weights(g, 2)
+        _, retained = _pair_weights(g, 2)
         xi4 = (1.0 - g * g) ** 2
         attack_err = 0.5 * xi4 * g4 * eta_a * (1.0 - eta_a) / retained
         eps_prime = attack_err / r_exp

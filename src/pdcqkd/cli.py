@@ -260,10 +260,22 @@ def analytic_row(
     """Closed-form / oracle quantities for one parameter point.
 
     Under attack, ``block_probability`` is the run's resolved blocking
-    probability; it is solved here only when not given.
+    probability; it is solved here only when not given, and the row records
+    it.  The attacked oracle rows hold the exact delivered statistics at that
+    probability, and are empty without guaranteed delivery.
     """
     row: dict = {}
     eta_bl = config.eta_b * config.eta_l
+    pass_probability = None
+    if config.attack is not None:
+        if block_probability is None:
+            try:
+                block_probability = _resolve_run_params(config)[1]
+            except ValueError:  # the rate-matched attack has no rate to match
+                pass
+        row["block_probability"] = block_probability
+        if block_probability is not None and config.attack.guarantee_delivery:
+            pass_probability = 1.0 - block_probability
     if config.scheme is Scheme.ENTANGLED_PAIRS:
         g = config.resolved_gain()
         oracle = analytics.exact_rates_oracle(
@@ -295,8 +307,7 @@ def analytic_row(
                 i_ab_oracle=q.i_ab,
                 i_e_saturated=q.saturated,
             )
-            # the unattacked oracle does not describe an attacked run; the
-            # exact attack oracle exists only for guaranteed delivery
+            # the unattacked oracle does not describe an attacked run
             row.update(
                 r_key_oracle=None,
                 r_err_oracle=None,
@@ -305,14 +316,9 @@ def analytic_row(
                 double_click_mismatched_oracle=None,
                 bob_no_click_oracle=None,
             )
-            if block_probability is None:
-                try:
-                    block_probability = _resolve_run_params(config)[1]
-                except ValueError:  # the rate-matched attack has no rate to match
-                    pass
-            if block_probability is not None and config.attack.guarantee_delivery:
+            if pass_probability is not None:
                 attack = analytics.ep_pns_oracle(
-                    g, config.eta_a, 1.0 - block_probability, config.truncation_order
+                    g, config.eta_a, pass_probability, config.truncation_order
                 )
                 row.update(
                     r_key_oracle=attack.delivered_rate,
@@ -320,33 +326,30 @@ def analytic_row(
                     epsilon_oracle=attack.error_rate,
                     double_click_matched_oracle=attack.dc_matched,
                 )
-    elif config.scheme is Scheme.WEAK_COHERENT:
+        return row
+    if config.scheme is Scheme.WEAK_COHERENT:
         leak = analytics.wcs_leakage(config.mu_prime, eta_bl)
-        row.update(
-            r_exp=leak.r_exp,
-            r_multi=leak.r_multi,
-            i_e=leak.i_e,
-            i_e_saturated=leak.saturated,
-            r_key_oracle=leak.r_exp,
-            r_err_oracle=0.0,
-            epsilon_oracle=0.0 if leak.r_exp > 0 else None,
-        )
-        if config.attack is not None and leak.saturated:
-            row["r_key_oracle"] = leak.r_multi
     else:
         g = config.resolved_gain()
         leak = analytics.pdc_leakage(g, config.eta_a, eta_bl)
-        row.update(
-            r_exp=leak.r_exp,
-            r_multi=leak.r_multi,
-            i_e=leak.i_e,
-            i_e_saturated=leak.saturated,
-            r_key_oracle=leak.r_exp,
-            r_err_oracle=0.0,
-            epsilon_oracle=0.0 if leak.r_exp > 0 else None,
-        )
-        if config.attack is not None and leak.saturated:
-            row["r_key_oracle"] = leak.r_multi
+    if config.attack is None:
+        rate = leak.r_exp
+    elif pass_probability is None:
+        rate = None
+    elif config.scheme is Scheme.WEAK_COHERENT:
+        rate = analytics.wcs_attack_delivered(config.mu_prime, pass_probability)
+    else:
+        rate = analytics.pdc_attack_delivered(g, config.eta_a, pass_probability)
+    # every delivered photon is in Alice's mode, so no sifted bit is wrong
+    row.update(
+        r_exp=leak.r_exp,
+        r_multi=leak.r_multi,
+        i_e=leak.i_e,
+        i_e_saturated=leak.saturated,
+        r_key_oracle=rate,
+        r_err_oracle=None if rate is None else 0.0,
+        epsilon_oracle=0.0 if rate else None,
+    )
     return row
 
 

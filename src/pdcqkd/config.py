@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .eve import AUTO, PnsConfig
@@ -83,39 +83,7 @@ class ExperimentConfig:
         return g_for_mean(self.mu)
 
     def to_dict(self) -> dict:
-        out = {
-            "scheme": self.scheme.value,
-            "g": self.g,
-            "mu": self.mu,
-            "mu_prime": self.mu_prime,
-            "eta_a": self.eta_a,
-            "eta_b": self.eta_b,
-            "eta_l": self.eta_l,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "truncation_order": self.truncation_order,
-            "workers": self.workers,
-            "out_format": self.out_format,
-            "out_path": self.out_path,
-        }
-        if self.attack is not None:
-            out["attack"] = {
-                "block_probability": self.attack.block_probability,
-                "guarantee_delivery": self.attack.guarantee_delivery,
-            }
-        else:
-            out["attack"] = None
-        if self.sweep is not None:
-            out["sweep"] = {
-                "param": self.sweep.param,
-                "start": self.sweep.start,
-                "stop": self.sweep.stop,
-                "steps": self.sweep.steps,
-                "scale": self.sweep.scale,
-            }
-        else:
-            out["sweep"] = None
-        return out
+        return {**asdict(self), "scheme": self.scheme.value}
 
 
 def validate(config: ExperimentConfig) -> list[str]:

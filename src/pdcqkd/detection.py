@@ -1,110 +1,28 @@
-"""Loss and yes/no detector models.
+"""Detector efficiencies and line transmittance of the channel.
 
-Loss (line transmittance and detector efficiency) is binomial thinning of
-photon counts; a detector fires iff at least one thinned photon survives,
-which reproduces the number-diagonal yes/no projector statistics
-1 - (1 - eta)^n.  Because every measurement here is diagonal in photon
-number, applying loss to sampled counts is exactly equivalent to applying
-it to amplitudes (checked against the Fock-state module in the tests).
+Every detector is a yes/no detector: seeing n photons it fires with
+probability 1 - (1 - eta)^n, which is binomial loss of each photon followed
+by a click on at least one survivor.  Line loss and Bob's detector
+inefficiency therefore compose into one survival probability.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-
-
-class ClickKind(enum.Enum):
-    NO_CLICK = "none"
-    SINGLE = "single"
-    DOUBLE_CLICK = "double"
-
-
-@dataclass(frozen=True)
-class ClickOutcome:
-    """Per-side detector result; a single click carries the measured bit."""
-
-    kind: ClickKind
-    bit: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is ClickKind.SINGLE:
-            if self.bit not in (0, 1):
-                raise ValueError("single click must carry bit 0 or 1")
-        elif self.bit is not None:
-            raise ValueError("only single clicks carry a bit")
-
-    @property
-    def is_single(self) -> bool:
-        return self.kind is ClickKind.SINGLE
-
-
-NO_CLICK = ClickOutcome(ClickKind.NO_CLICK)
-DOUBLE_CLICK = ClickOutcome(ClickKind.DOUBLE_CLICK)
-SINGLE_0 = ClickOutcome(ClickKind.SINGLE, 0)
-SINGLE_1 = ClickOutcome(ClickKind.SINGLE, 1)
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Detector efficiencies and line transmittance.
-
-    ``dark_click_probability`` is a hook for future noise studies; the model
-    of record keeps it at 0.
-    """
+    """Detector efficiencies and line transmittance."""
 
     eta_a: float = 1.0
     eta_b: float = 1.0
     eta_l: float = 1.0
-    dark_click_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("eta_a", "eta_b", "eta_l", "dark_click_probability"):
+        for name in ("eta_a", "eta_b", "eta_l"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def thin(rng: np.random.Generator, count: int, p: float) -> int:
-    """Binomial survivors of ``count`` photons through a beam splitter with
-    transmittance ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"survival probability must lie in [0, 1], got {p!r}")
-    if count < 0:
-        raise ValueError(f"photon count must be >= 0, got {count!r}")
-    return int(rng.binomial(count, p))
-
-
-def classify(fire0: bool, fire1: bool) -> ClickOutcome:
-    if fire0 and fire1:
-        return DOUBLE_CLICK
-    if fire0:
-        return SINGLE_0
-    if fire1:
-        return SINGLE_1
-    return NO_CLICK
-
-
-def detect_side(
-    rng: np.random.Generator,
-    photons_mode0: int,
-    photons_mode1: int,
-    eta: float,
-    dark_click_probability: float = 0.0,
-) -> ClickOutcome:
-    """Yes/no detection of the two polarization modes of one side.
-
-    Each mode's detector fires independently with probability
-    1 - (1 - eta)^n for its photon count n.
-    """
-    fire0 = thin(rng, photons_mode0, eta) >= 1
-    fire1 = thin(rng, photons_mode1, eta) >= 1
-    if dark_click_probability > 0.0:
-        fire0 = fire0 or rng.random() < dark_click_probability
-        fire1 = fire1 or rng.random() < dark_click_probability
-    return classify(fire0, fire1)
 
 
 def compose_bob_efficiency(params: ChannelParams) -> float:

@@ -17,6 +17,11 @@ and each mismatched basis combo with each occupation of each per-side-total
 sector, drawn from the sector-conditioned Fock distributions, which carry
 the two-photon interference the classical model misses.  Every detector
 then fires on its own uniform against a per-count table 1 - (1 - eta)^n.
+The prepare-and-measure kernel draws photon numbers, Alice's bit and both
+bases, and thins Bob's photons binomially.  Both kernels share the sift and
+tally stage, ``_tally``; under attack the ``ep`` kernel passes Bob's arm
+through ``_intercept``, and the prepared kernel applies the same rule to
+photon totals.
 
 ``run_experiments`` schedules a list of runs -- the points of a sweep -- on
 one process pool.  Each run's batches are split into ``min(workers,
@@ -32,215 +37,22 @@ import contextlib
 import math
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .detection import (
-    ChannelParams,
-    ClickOutcome,
-    classify,
-    compose_bob_efficiency,
-    detect_side,
-)
-from .eve import EveRecord, PnsConfig, eve_measure_stored, pns_intercept, resolve_block_probability
+from .detection import ChannelParams
+from .eve import resolve_block_probability
 from . import fock
-from .source import (
-    PairConfiguration,
-    PairDistribution,
-    Scheme,
-    SourceParams,
-    pair_distribution,
-    sample_pair_config,
-    sample_pdc_single_arm,
-    sample_wcs_photons,
-)
+from .source import PairDistribution, Scheme, SourceParams, pair_distribution
 
 BATCH_SIZE = 1 << 16
 # 1: per-sector inverse-CDF draws and binomial detectors in the ep kernel;
 # 2: one joint-table draw and per-count detector thresholds.
 STREAM_VERSION = 2
-
-
-# ---------------------------------------------------------------------------
-# Round records (scalar path)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    scheme: Scheme
-    basis_a: int
-    basis_b: int
-    pair_config: Optional[PairConfiguration] = None
-    photon_count: Optional[int] = None
-    outcome_a: Optional[ClickOutcome] = None
-    outcome_b: Optional[ClickOutcome] = None
-    sifted: bool = False
-    bit_a: Optional[int] = None
-    bit_b: Optional[int] = None
-    error: bool = False
-    eve: Optional[EveRecord] = None
-    truncation_exceeded: bool = False
-    triggered: Optional[bool] = None
-
-
-def _finish_eve(
-    rng: np.random.Generator,
-    record: Optional[EveRecord],
-    basis_a: int,
-    basis_b: int,
-) -> Optional[EveRecord]:
-    """Post-announcement measurement of the stored photon; the Bob-side guess
-    is the measured value itself (the interceptor cannot tell split pairs of
-    identical polarization from split one-of-each pairs)."""
-    if record is None or record.stored_polarization is None:
-        return record
-    measured = eve_measure_stored(rng, record, basis_a, basis_b)
-    return replace(record, guess_bit_alice=measured, guess_bit_on_bob=measured)
-
-
-def run_ep_round(
-    rng: np.random.Generator,
-    source: SourceParams,
-    channel: ChannelParams,
-    attack: Optional[PnsConfig] = None,
-    block_probability: Optional[float] = None,
-    dist: Optional[PairDistribution] = None,
-) -> RoundRecord:
-    """One entangled-pair round.  ``block_probability`` must be the resolved
-    value when the attack config says AUTO."""
-    if dist is None:
-        dist = pair_distribution(source)
-    basis_a = int(rng.integers(0, 2))
-    basis_b = int(rng.integers(0, 2))
-    cfg = sample_pair_config(rng, dist)
-    if cfg is None:
-        return RoundRecord(
-            scheme=Scheme.ENTANGLED_PAIRS,
-            basis_a=basis_a,
-            basis_b=basis_b,
-            truncation_exceeded=True,
-        )
-    if basis_a == basis_b:
-        a0, a1, b0, b1 = cfg.m, cfg.n, cfg.m, cfg.n
-    else:
-        ba = fock.Basis.PLUS if basis_a == 0 else fock.Basis.CROSS
-        bb = fock.Basis.PLUS if basis_b == 0 else fock.Basis.CROSS
-        occs, probs = fock.sector_distribution(cfg.total, ba, bb)
-        u = rng.random()
-        acc = 0.0
-        occ = occs[-1]
-        for candidate, p in zip(occs, probs):
-            acc += p
-            if u < acc:
-                occ = candidate
-                break
-        a0, a1, b0, b1 = occ
-    eve_rec: Optional[EveRecord] = None
-    if attack is not None:
-        eve_rec, (b0, b1) = pns_intercept(
-            rng, (b0, b1), attack, block_probability=block_probability
-        )
-        bob_eta = 1.0 if attack.guarantee_delivery else channel.eta_b
-    else:
-        bob_eta = compose_bob_efficiency(channel)
-    outcome_a = detect_side(rng, a0, a1, channel.eta_a, channel.dark_click_probability)
-    outcome_b = detect_side(rng, b0, b1, bob_eta, channel.dark_click_probability)
-    sifted = basis_a == basis_b and outcome_a.is_single and outcome_b.is_single
-    bit_a = outcome_a.bit if outcome_a.is_single else None
-    bit_b = outcome_b.bit if outcome_b.is_single else None
-    eve_rec = _finish_eve(rng, eve_rec, basis_a, basis_b)
-    return RoundRecord(
-        scheme=Scheme.ENTANGLED_PAIRS,
-        basis_a=basis_a,
-        basis_b=basis_b,
-        pair_config=cfg,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        sifted=sifted,
-        bit_a=bit_a,
-        bit_b=bit_b,
-        error=sifted and bit_a != bit_b,
-        eve=eve_rec,
-    )
-
-
-def _run_prepared_round(
-    rng: np.random.Generator,
-    scheme: Scheme,
-    photons: int,
-    triggered: Optional[bool],
-    channel: ChannelParams,
-    attack: Optional[PnsConfig],
-    block_probability: Optional[float],
-) -> RoundRecord:
-    """Shared Bob-side pipeline of the prepare-and-measure schemes: all
-    photons of one signal carry Alice's bit in Alice's basis."""
-    bit_a = int(rng.integers(0, 2))
-    basis_a = int(rng.integers(0, 2))
-    basis_b = int(rng.integers(0, 2))
-    arm = (photons, 0) if bit_a == 0 else (0, photons)
-    eve_rec: Optional[EveRecord] = None
-    if attack is not None:
-        eve_rec, arm = pns_intercept(rng, arm, attack, block_probability=block_probability)
-        bob_eta = 1.0 if attack.guarantee_delivery else channel.eta_b
-    else:
-        bob_eta = compose_bob_efficiency(channel)
-    if basis_a == basis_b:
-        b0, b1 = arm
-    else:
-        total = arm[0] + arm[1]
-        s = int(rng.binomial(total, 0.5))
-        b0, b1 = s, total - s
-    outcome_b = detect_side(rng, b0, b1, bob_eta, channel.dark_click_probability)
-    announced = triggered is not False
-    sifted = announced and basis_a == basis_b and outcome_b.is_single
-    bit_b = outcome_b.bit if outcome_b.is_single else None
-    eve_rec = _finish_eve(rng, eve_rec, basis_a, basis_a)
-    return RoundRecord(
-        scheme=scheme,
-        basis_a=basis_a,
-        basis_b=basis_b,
-        photon_count=photons,
-        outcome_b=outcome_b,
-        sifted=sifted,
-        bit_a=bit_a,
-        bit_b=bit_b,
-        error=sifted and bit_a != bit_b,
-        eve=eve_rec,
-        triggered=triggered,
-    )
-
-
-def run_wcs_round(
-    rng: np.random.Generator,
-    source: SourceParams,
-    channel: ChannelParams,
-    attack: Optional[PnsConfig] = None,
-    block_probability: Optional[float] = None,
-) -> RoundRecord:
-    photons = sample_wcs_photons(rng, source.mu_prime)
-    return _run_prepared_round(
-        rng, Scheme.WEAK_COHERENT, photons, None, channel, attack, block_probability
-    )
-
-
-def run_pdc_round(
-    rng: np.random.Generator,
-    source: SourceParams,
-    channel: ChannelParams,
-    attack: Optional[PnsConfig] = None,
-    block_probability: Optional[float] = None,
-) -> RoundRecord:
-    pairs = sample_pdc_single_arm(rng, source.g)
-    triggered = rng.binomial(pairs, channel.eta_a) >= 1 if pairs else False
-    return _run_prepared_round(
-        rng, Scheme.TRIGGERED_PDC, pairs, bool(triggered), channel, attack, block_probability
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +64,6 @@ def run_pdc_round(
 class _Counts:
     trials: int = 0
     excluded: int = 0
-    matched: int = 0
     sifted: int = 0
     errors: int = 0
     dc_matched: int = 0
@@ -283,6 +94,15 @@ class _RunParams:
     truncation: int
     block_probability: Optional[float]  # None means no attack
     guarantee_delivery: bool = True
+
+    @property
+    def bob_eta(self) -> float:
+        """Probability that one photon on Bob's arm is detected: line and
+        detector loss, or under attack the interceptor's lossless line (with
+        guaranteed detection unless ``guarantee_delivery`` is off)."""
+        if self.block_probability is None:
+            return self.eta_b * self.eta_l
+        return 1.0 if self.guarantee_delivery else self.eta_b
 
 
 def _fire_table(eta: float, max_count: int) -> np.ndarray:
@@ -400,17 +220,68 @@ class _EpContext:
                     arr[:, 2],
                     arr[:, 3],
                 )
-        if params.block_probability is None:
-            bob_eta = params.eta_b * params.eta_l
-        else:
-            bob_eta = 1.0 if params.guarantee_delivery else params.eta_b
         # no mode holds more photons than the truncation allows pairs
         self.fire_a = _fire_table(params.eta_a, params.truncation)
-        self.fire_b = _fire_table(bob_eta, params.truncation)
+        self.fire_b = _fire_table(params.bob_eta, params.truncation)
 
     @cached_property
     def joint(self) -> _JointTable:
         return _JointTable.build(self.dist, self.sector_tables)
+
+
+def _intercept(u_store, u_block, b0, b1, valid, p_block: float):
+    """The PNS interposer on Bob's arm, photon counts ``b0``/``b1`` per mode.
+
+    A multi-photon signal loses one photon, taken from mode 1 when
+    ``u_store * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
+    otherwise; a single photon is blocked when ``u_block < p_block``; vacuum
+    passes.  Only ``valid`` events are touched.  Returns the forwarded counts
+    and the ``multi``, ``stored`` (mode of the stored photon, meaningful where
+    ``multi``) and ``blocked`` masks.
+    """
+    total = b0 + b1
+    multi = valid & (total >= 2)
+    stored = u_store * total < b1
+    b0 = b0 - (multi & ~stored)
+    b1 = b1 - (multi & stored)
+    blocked = valid & (total == 1) & (u_block < p_block)
+    b0 = np.where(blocked, 0, b0)
+    b1 = np.where(blocked, 0, b1)
+    return b0, b1, multi, stored, blocked
+
+
+def _tally(present, announced, matched, a_single, bit_a, fb0, fb1, eve=None) -> _Counts:
+    """Sift one batch and count it.
+
+    ``present`` marks the emitted (not truncation-exceeded) events,
+    ``announced`` those Alice keeps (for ``pdc``, the trigger fired),
+    ``matched`` those with equal bases, ``a_single`` those where Alice holds
+    the bit ``bit_a``; ``fb0``/``fb1`` say which of Bob's detectors fired.
+    A sifted bit needs all of these and a single click on Bob's side, which
+    carries his bit.  ``eve`` is the interposer's ``(multi, stored, blocked)``
+    masks; Eve guesses the stored photon's mode for both bits.
+    """
+    size = len(fb0)
+    b_double = fb0 & fb1
+    kept = announced & matched
+    sifted = kept & a_single & (fb0 ^ fb1)
+    counts = _Counts(
+        trials=size,
+        excluded=size - int(np.count_nonzero(present)),
+        sifted=int(np.count_nonzero(sifted)),
+        errors=int(np.count_nonzero(sifted & (bit_a != fb1))),
+        dc_matched=int(np.count_nonzero(kept & b_double)),
+        dc_mismatched=int(np.count_nonzero(announced & ~matched & b_double)),
+        bob_no_click=int(np.count_nonzero(present & ~(fb0 | fb1))),
+    )
+    if eve is not None:
+        multi, stored, blocked = eve
+        touched = sifted & multi
+        counts.touched_sifted = int(np.count_nonzero(touched))
+        counts.eve_alice_hits = int(np.count_nonzero(touched & (stored == bit_a)))
+        counts.eve_bob_hits = int(np.count_nonzero(touched & (stored == fb1)))
+        counts.blocked = int(np.count_nonzero(blocked))
+    return counts
 
 
 def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContext) -> _Counts:
@@ -422,22 +293,12 @@ def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContex
     b0 = table.b0.take(entry)
     b1 = table.b1.take(entry)
     valid = kind != _EXCEEDED
-    matched = kind == _MATCHED
-    mismatched = kind >= _MISMATCHED
 
-    counts = _Counts(trials=size, excluded=size - int(np.count_nonzero(valid)))
-    attacked = p.block_probability is not None
-    if attacked:
-        tot = b0 + b1
+    eve = None
+    if p.block_probability is not None:
         u_store = rng.random(size)
-        multi = valid & (tot >= 2)
-        stored = u_store * tot < b1
-        b0 = b0 - (multi & ~stored)
-        b1 = b1 - (multi & stored)
         u_block = rng.random(size)
-        blocked = valid & (tot == 1) & (u_block < p.block_probability)
-        b0 = np.where(blocked, 0, b0)
-        b1 = np.where(blocked, 0, b1)
+        b0, b1, *eve = _intercept(u_store, u_block, b0, b1, valid, p.block_probability)
 
     # one uniform per detector and event, against the per-count fire tables
     u_fire = rng.random((4, size))
@@ -445,28 +306,7 @@ def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContex
     fa1 = u_fire[1] < ctx.fire_a.take(a1)
     fb0 = u_fire[2] < ctx.fire_b.take(b0)
     fb1 = u_fire[3] < ctx.fire_b.take(b1)
-
-    a_single = fa0 ^ fa1
-    b_single = fb0 ^ fb1
-    b_double = fb0 & fb1
-    sifted = matched & a_single & b_single
-    bit_a = fa1
-    bit_b = fb1
-    errors = sifted & (bit_a != bit_b)
-
-    counts.matched = int(np.count_nonzero(matched))
-    counts.sifted = int(np.count_nonzero(sifted))
-    counts.errors = int(np.count_nonzero(errors))
-    counts.dc_matched = int(np.count_nonzero(matched & b_double))
-    counts.dc_mismatched = int(np.count_nonzero(mismatched & b_double))
-    counts.bob_no_click = int(np.count_nonzero(valid & ~(fb0 | fb1)))
-    if attacked:
-        touched = sifted & multi
-        counts.touched_sifted = int(np.count_nonzero(touched))
-        counts.eve_alice_hits = int(np.count_nonzero(touched & (stored == bit_a)))
-        counts.eve_bob_hits = int(np.count_nonzero(touched & (stored == bit_b)))
-        counts.blocked = int(np.count_nonzero(blocked))
-    return counts
+    return _tally(valid, valid, kind == _MATCHED, fa0 ^ fa1, fa1, fb0, fb1, eve)
 
 
 def _prepared_batch(rng: np.random.Generator, size: int, p: _RunParams) -> _Counts:
@@ -485,48 +325,25 @@ def _prepared_batch(rng: np.random.Generator, size: int, p: _RunParams) -> _Coun
     basis_b = rng.integers(0, 2, size=size, dtype=np.int8)
     matched = basis_a == basis_b
 
-    counts = _Counts(trials=size)
-    attacked = p.block_probability is not None
-    multi = np.zeros(size, dtype=bool)
-    blocked = np.zeros(size, dtype=bool)
+    eve = None
     forwarded = photons
-    if attacked:
+    if p.block_probability is not None:
+        # the interposer of ``_intercept`` on photon totals: every photon is
+        # in Alice's mode, so the stored one carries her bit
         multi = photons >= 2
-        forwarded = photons - multi
         u_block = rng.random(size)
         blocked = (photons == 1) & (u_block < p.block_probability)
-        forwarded = np.where(blocked, 0, forwarded)
-        bob_eta = 1.0 if p.guarantee_delivery else p.eta_b
-    else:
-        bob_eta = p.eta_b * p.eta_l
+        forwarded = np.where(blocked, 0, photons - multi)
+        eve = (multi, bit_a, blocked)
 
-    surv = rng.binomial(forwarded, bob_eta)
+    surv = rng.binomial(forwarded, p.bob_eta)
     split0 = rng.binomial(surv, 0.5)
     in0 = np.where(bit_a == 0, surv, 0)
-    b0 = np.where(matched, in0, split0)
-    b1 = np.where(matched, surv - in0, surv - split0)
-    fb0 = b0 > 0
-    fb1 = b1 > 0
-    b_single = fb0 ^ fb1
-    b_double = fb0 & fb1
-    sifted = triggered & matched & b_single
-    bit_b = fb1
-    errors = sifted & (bit_b != bit_a)
-
-    counts.matched = int(matched.sum())
-    counts.triggered = int(triggered.sum())
-    counts.sifted = int(sifted.sum())
-    counts.errors = int(errors.sum())
-    counts.dc_matched = int((triggered & matched & b_double).sum())
-    counts.dc_mismatched = int((triggered & ~matched & b_double).sum())
-    counts.bob_no_click = int((~fb0 & ~fb1).sum())
-    if attacked:
-        touched = sifted & multi
-        counts.touched_sifted = int(touched.sum())
-        # the stored photon carries Alice's encoded bit
-        counts.eve_alice_hits = int(touched.sum())
-        counts.eve_bob_hits = int((touched & (bit_b == bit_a)).sum())
-        counts.blocked = int(blocked.sum())
+    fb0 = np.where(matched, in0, split0) > 0
+    fb1 = np.where(matched, surv - in0, surv - split0) > 0
+    present = np.ones(size, dtype=bool)
+    counts = _tally(present, triggered, matched, True, bit_a, fb0, fb1, eve)
+    counts.triggered = int(np.count_nonzero(triggered))
     return counts
 
 
@@ -588,34 +405,7 @@ class RateReport:
     master_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "stream_version": STREAM_VERSION,
-            "scheme": self.scheme.value,
-            "trials": self.trials,
-            "valid_trials": self.valid_trials,
-            "truncation_exceeded_count": self.truncation_exceeded_count,
-            "sifted_count": self.sifted_count,
-            "error_count": self.error_count,
-            "r_key": self.r_key,
-            "r_key_se": self.r_key_se,
-            "r_err": self.r_err,
-            "r_err_se": self.r_err_se,
-            "epsilon": self.epsilon,
-            "epsilon_se": self.epsilon_se,
-            "double_click_matched": self.double_click_matched,
-            "double_click_mismatched": self.double_click_mismatched,
-            "double_click_matched_count": self.double_click_matched_count,
-            "bob_no_click_rate": self.bob_no_click_rate,
-            "triggered_count": self.triggered_count,
-            "eve_touched_fraction": self.eve_touched_fraction,
-            "p_ae_hat": self.p_ae_hat,
-            "p_eb_hat": self.p_eb_hat,
-            "i_ae": self.i_ae,
-            "i_eb": self.i_eb,
-            "eve_blocked_count": self.eve_blocked_count,
-            "block_probability": self.block_probability,
-            "master_seed": self.master_seed,
-        }
+        return {**asdict(self), "scheme": self.scheme.value, "stream_version": STREAM_VERSION}
 
 
 def _build_report(

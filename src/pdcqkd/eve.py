@@ -1,20 +1,17 @@
-"""Photon-number-splitting attack: interception, blocking policy solving and
-information accounting.
+"""Photon-number-splitting attack: the attack policy and its blocking
+probability.
 
-The interceptor is an event-level channel interposer on Bob's arm: it counts
-photons nondestructively, stores one photon from multi-photon signals,
-forwards the rest over a lossless line with guaranteed detection, and blocks
-single-photon signals with a tunable probability chosen so that the delivered
-sifted rate matches the unattacked one.
+The interceptor sits on Bob's arm: it counts photons nondestructively,
+stores one photon from multi-photon signals, forwards the rest over a
+lossless line with guaranteed detection, and blocks single-photon signals
+with a tunable probability, chosen by default so that the delivered sifted
+rate matches the unattacked one.  The Monte Carlo kernels apply it as
+``engine._intercept``; this module solves the blocking probability.
 """
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
-
-import numpy as np
+from typing import Union
 
 from . import analytics
 from .detection import ChannelParams, compose_bob_efficiency
@@ -34,12 +31,6 @@ SATURATED = _Saturated()
 AUTO = "auto"
 
 
-class KnowledgeClass(enum.Enum):
-    CERTAIN = "certain"
-    HALF = "half"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class PnsConfig:
     """Attack policy: single-photon blocking probability (or AUTO to solve
@@ -55,69 +46,6 @@ class PnsConfig:
                 raise ValueError(f"block_probability must be a float or {AUTO!r}")
         elif not 0.0 <= p <= 1.0:
             raise ValueError(f"block_probability must lie in [0, 1], got {p!r}")
-
-
-@dataclass(frozen=True)
-class EveRecord:
-    intercepted: bool = False
-    photons_seen: int = 0
-    stored_polarization: Optional[int] = None
-    blocked: bool = False
-    guess_bit_alice: Optional[int] = None
-    guess_bit_on_bob: Optional[int] = None
-    knowledge_class: KnowledgeClass = KnowledgeClass.NONE
-
-
-def pns_intercept(
-    rng: np.random.Generator,
-    arm_counts: tuple[int, int],
-    cfg: PnsConfig,
-    block_probability: Optional[float] = None,
-) -> tuple[EveRecord, tuple[int, int]]:
-    """Intercept one signal on Bob's arm.
-
-    ``block_probability`` overrides the config value (used after AUTO has
-    been solved).  Multi-photon signals lose one photon chosen uniformly
-    among the physical photons; its polarization (mode index) is stored.
-    """
-    n0, n1 = arm_counts
-    if n0 < 0 or n1 < 0:
-        raise ValueError("photon counts must be >= 0")
-    p_block = block_probability
-    if p_block is None:
-        p_block = cfg.block_probability
-        if p_block == AUTO:
-            raise ValueError("AUTO block probability must be solved first")
-    total = n0 + n1
-    if total == 0:
-        return EveRecord(photons_seen=0), (0, 0)
-    if total == 1:
-        if rng.random() < p_block:
-            return EveRecord(photons_seen=1, blocked=True), (0, 0)
-        return EveRecord(photons_seen=1), (n0, n1)
-    stored = 1 if rng.random() * total < n1 else 0
-    forwarded = (n0 - (stored == 0), n1 - (stored == 1))
-    record = EveRecord(
-        intercepted=True,
-        photons_seen=total,
-        stored_polarization=stored,
-        knowledge_class=KnowledgeClass.CERTAIN if n0 == 0 or n1 == 0 else KnowledgeClass.HALF,
-    )
-    return record, forwarded
-
-
-def eve_measure_stored(
-    rng: np.random.Generator,
-    record: EveRecord,
-    announced_basis,
-    preparation_basis,
-) -> int:
-    """Measure the stored photon after the basis announcement."""
-    if record.stored_polarization is None:
-        raise ValueError("no stored photon to measure")
-    if announced_basis == preparation_basis:
-        return record.stored_polarization
-    return int(rng.integers(0, 2))
 
 
 def _unattacked_rate(source: SourceParams, channel: ChannelParams) -> float:
@@ -178,49 +106,3 @@ def resolve_block_probability(
         solved = solve_block_probability(source, channel)
         return 1.0 if solved is SATURATED else float(solved)
     return float(cfg.block_probability)
-
-
-@dataclass(frozen=True)
-class EveInformation:
-    i_ae: float
-    i_eb: float
-    p_ae_hat: Optional[float]
-    p_eb_hat: Optional[float]
-    touched_fraction: float
-
-
-def empirical_eve_information(records: Iterable) -> EveInformation:
-    """Fold sifted round records into the adversary's empirical information.
-
-    Each record must expose ``sifted``, ``bit_a``, ``bit_b`` and an ``eve``
-    EveRecord.  Untouched bits contribute with hit probability 1/2.
-    """
-    sifted = touched = hits_a = hits_b = 0
-    for rec in records:
-        if not rec.sifted:
-            continue
-        sifted += 1
-        ev = rec.eve
-        if ev is None or not ev.intercepted:
-            continue
-        touched += 1
-        if ev.guess_bit_alice == rec.bit_a:
-            hits_a += 1
-        if ev.guess_bit_on_bob == rec.bit_b:
-            hits_b += 1
-    if sifted == 0:
-        raise ValueError("no sifted bits; Eve information is undefined")
-    frac = touched / sifted
-    if touched == 0:
-        return EveInformation(0.0, 0.0, None, None, 0.0)
-    p_ae = hits_a / touched
-    p_eb = hits_b / touched
-    groups_a = [(frac, p_ae), (1.0 - frac, 0.5)]
-    groups_b = [(frac, p_eb), (1.0 - frac, 0.5)]
-    return EveInformation(
-        i_ae=analytics.eq10_information(groups_a),
-        i_eb=analytics.eq10_information(groups_b),
-        p_ae_hat=p_ae,
-        p_eb_hat=p_eb,
-        touched_fraction=frac,
-    )

@@ -2,15 +2,15 @@
 
 Covers the two-crystal entangled-pair down-conversion source, attenuated
 laser (weak coherent state) signals, and the triggered single-crystal
-down-conversion source.  All samplers take an explicit numpy Generator and
-are otherwise stateless.
+down-conversion source: their parameters, the gain / mean-pair-number
+conversions, and the truncated pair-configuration table of the entangled-pair
+source.  The Monte Carlo kernels in ``engine`` draw from these laws.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,18 +66,12 @@ class PairDistribution:
     """Truncated probability table over pair configurations.
 
     ``tail`` is the probability mass of configurations beyond the truncation;
-    it is reported, never re-normalized away.  The cumulative table appends
-    the tail as a final bucket, so inverse-CDF sampling is exact.
+    it is reported, never re-normalized away.
     """
 
     configs: tuple[PairConfiguration, ...]
     probabilities: np.ndarray
     tail: float
-    cdf: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        cdf = np.cumsum(self.probabilities)
-        object.__setattr__(self, "cdf", cdf)
 
     @property
     def total_mass(self) -> float:
@@ -131,37 +125,3 @@ def pair_distribution(params: SourceParams) -> PairDistribution:
     probabilities = np.asarray(probs, dtype=float)
     tail = max(0.0, 1.0 - float(probabilities.sum()))
     return PairDistribution(tuple(configs), probabilities, tail)
-
-
-def sample_pair_config(
-    rng: np.random.Generator, dist: PairDistribution
-) -> Optional[PairConfiguration]:
-    """Draw one pair configuration; ``None`` flags a truncation-exceeded event.
-
-    Callers must count and exclude ``None`` draws rather than resampling.
-    """
-    u = rng.random()
-    idx = int(np.searchsorted(dist.cdf, u, side="right"))
-    if idx >= len(dist.configs):
-        return None
-    return dist.configs[idx]
-
-
-def sample_wcs_photons(rng: np.random.Generator, mu_prime: float) -> int:
-    """Poissonian photon number of one weak-coherent signal."""
-    if mu_prime < 0:
-        raise ValueError(f"mu_prime must be >= 0, got {mu_prime!r}")
-    return int(rng.poisson(mu_prime))
-
-
-def sample_pdc_single_arm(rng: np.random.Generator, g: float) -> int:
-    """Pair number of one single-crystal emission, P(n) = (1-g^2) g^{2n}.
-
-    Both arms carry the same n; the caller uses one arm as the trigger and
-    the other as the signal.  The geometric sampler is exact, so no
-    truncation is involved.
-    """
-    _check_gain(g)
-    if g == 0.0:
-        return 0
-    return int(rng.geometric(1.0 - g * g)) - 1

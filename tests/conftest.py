@@ -1,11 +1,2 @@
-import numpy as np
-import pytest
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(12345)
-
-
 def freq_se(p: float, n: int) -> float:
     return (p * (1.0 - p) / n) ** 0.5

@@ -6,7 +6,7 @@ import multiprocessing
 
 import pytest
 
-from pdcqkd import cli, engine
+from pdcqkd import analytics, cli, engine
 from pdcqkd.cli import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -157,6 +157,37 @@ class TestRows:
         assert row["i_e"] == pytest.approx(row["r_multi"] / row["r_exp"], abs=1e-12)
         assert row["i_e_saturated"] is False
 
+    def test_analytic_row_records_block_probability(self):
+        config = ExperimentConfig(
+            scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(), trials=0
+        ).validated()
+        row = analytic_row(config)
+        assert row["block_probability"] == engine._resolve_run_params(config)[1]
+        assert 0.0 < row["block_probability"] < 1.0
+        assert analytic_row(config, 0.25)["block_probability"] == 0.25
+        unattacked = dataclasses.replace(config, attack=None)
+        assert "block_probability" not in analytic_row(unattacked)
+
+    def test_attacked_prepared_rows_follow_block_probability(self):
+        wcs = ExperimentConfig(
+            scheme=Scheme.WEAK_COHERENT, mu_prime=0.5, eta_b=0.8, eta_l=0.5,
+            attack=PnsConfig(block_probability=0.5),
+        ).validated()
+        row = analytic_row(wcs, 0.5)
+        assert row["r_key_oracle"] == analytics.wcs_attack_delivered(0.5, 0.5)
+        assert row["r_err_oracle"] == 0.0 and row["epsilon_oracle"] == 0.0
+        pdc = ExperimentConfig(
+            scheme=Scheme.TRIGGERED_PDC, g=0.3, eta_a=0.6,
+            attack=PnsConfig(block_probability=0.0),
+        ).validated()
+        row = analytic_row(pdc, 0.0)
+        assert row["r_key_oracle"] == analytics.pdc_attack_delivered(0.3, 0.6, 1.0)
+        undelivered = dataclasses.replace(
+            pdc, attack=PnsConfig(block_probability=0.0, guarantee_delivery=False)
+        )
+        row = analytic_row(undelivered, 0.0)
+        assert row["r_key_oracle"] is row["r_err_oracle"] is row["epsilon_oracle"] is None
+
     def test_sweep_rows_ordered(self):
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS,
@@ -290,6 +321,31 @@ class TestAttackedCompare:
         out = capsys.readouterr().out
         assert code == 0, out
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize(
+        "scheme, block, seed",
+        [
+            (scheme, block, seed)
+            for seed, (scheme, block) in enumerate(
+                [(s, b) for s in ("wcs", "pdc") for b in ("0", "0.5", "auto")], start=54
+            )
+        ],
+    )
+    def test_prepared_compare_passes(self, scheme, block, seed, capsys):
+        # the oracle is the delivered rate at the run's blocking probability;
+        # no sifted bit is wrong, so only r_key has a z-score
+        source = {
+            "wcs": ["--mu-prime", "0.5", "--eta-b", "0.8", "--eta-l", "0.5"],
+            "pdc": ["--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.8", "--eta-l", "0.5"],
+        }[scheme]
+        code = main(
+            ["compare", "--scheme", scheme, *source, "--attack", "pns"]
+            + ["--block-probability", block, "--trials", "1000000"]
+            + ["--seed", str(seed), "--sigma", "4.5"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.count("PASS") == 1
 
     def test_undelivered_attack_has_no_oracle(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

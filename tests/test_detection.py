@@ -1,90 +1,50 @@
 import numpy as np
 import pytest
 
-from pdcqkd.detection import (
-    DOUBLE_CLICK,
-    NO_CLICK,
-    SINGLE_0,
-    SINGLE_1,
-    ChannelParams,
-    ClickKind,
-    ClickOutcome,
-    classify,
-    compose_bob_efficiency,
-    detect_side,
-    thin,
-)
-
-from conftest import freq_se
+from pdcqkd.detection import ChannelParams, compose_bob_efficiency
+from pdcqkd.engine import _fire_table, _tally
 
 
-class TestClickOutcome:
+def tally(fb0, fb1, bit_a, matched=True, announced=True):
+    fb0, fb1 = np.array(fb0), np.array(fb1)
+    present = np.ones(len(fb0), dtype=bool)
+    return _tally(present, announced, matched, True, np.array(bit_a), fb0, fb1)
+
+
+class TestBobClicks:
+    """Bob's two detectors read as no click, a single click or a double click."""
+
     def test_classify_table(self):
-        assert classify(False, False) is NO_CLICK
-        assert classify(True, False) is SINGLE_0
-        assert classify(False, True) is SINGLE_1
-        assert classify(True, True) is DOUBLE_CLICK
+        # no click, single on mode 0, single on mode 1, double click
+        counts = tally([0, 1, 0, 1], [0, 0, 1, 1], bit_a=[0, 0, 1, 1])
+        assert counts.sifted == 2 and counts.errors == 0
+        assert counts.bob_no_click == 1
+        assert counts.dc_matched == 1 and counts.dc_mismatched == 0
+        counts = tally([0, 1, 0, 1], [0, 0, 1, 1], bit_a=[0, 0, 1, 1], matched=False)
+        assert counts.sifted == 0 and counts.bob_no_click == 1
+        assert counts.dc_matched == 0 and counts.dc_mismatched == 1
 
     def test_single_click_carries_bit(self):
-        assert SINGLE_0.bit == 0 and SINGLE_1.bit == 1
-        assert SINGLE_0.is_single and not DOUBLE_CLICK.is_single
-
-    def test_invalid_combinations_rejected(self):
-        with pytest.raises(ValueError):
-            ClickOutcome(ClickKind.SINGLE)
-        with pytest.raises(ValueError):
-            ClickOutcome(ClickKind.NO_CLICK, bit=0)
-
-
-class TestThin:
-    def test_extremes(self, rng):
-        assert thin(rng, 5, 0.0) == 0
-        assert thin(rng, 5, 1.0) == 5
-        assert thin(rng, 0, 0.5) == 0
-
-    def test_rejects_bad_arguments(self, rng):
-        with pytest.raises(ValueError):
-            thin(rng, 3, 1.5)
-        with pytest.raises(ValueError):
-            thin(rng, -1, 0.5)
-
-    def test_survival_frequency(self):
-        rng = np.random.default_rng(23)
-        n = 100_000
-        survivors = sum(thin(rng, 1, 0.3) for _ in range(n))
-        assert abs(survivors / n - 0.3) < 5 * freq_se(0.3, n)
+        # a click on mode 1 reads bit 1: wrong exactly where Alice holds 0
+        counts = tally([1, 1, 0, 0], [0, 0, 1, 1], bit_a=[0, 1, 0, 1])
+        assert counts.sifted == 4 and counts.errors == 2
+        unannounced = tally([1, 0], [0, 1], bit_a=[1, 0], announced=np.array([False, True]))
+        assert unannounced.sifted == 1 and unannounced.errors == 1
 
 
 class TestDetectSide:
-    def test_perfect_efficiency_is_deterministic(self, rng):
-        assert detect_side(rng, 0, 0, 1.0) is NO_CLICK
-        assert detect_side(rng, 2, 0, 1.0) is SINGLE_0
-        assert detect_side(rng, 0, 3, 1.0) is SINGLE_1
-        assert detect_side(rng, 1, 1, 1.0) is DOUBLE_CLICK
+    """A detector seeing n photons fires with probability 1 - (1 - eta)^n."""
 
-    def test_zero_efficiency_never_fires(self, rng):
-        assert all(detect_side(rng, 4, 4, 0.0) is NO_CLICK for _ in range(30))
+    def test_perfect_efficiency_is_deterministic(self):
+        np.testing.assert_array_equal(_fire_table(1.0, 4), [0.0, 1.0, 1.0, 1.0, 1.0])
 
-    def test_fire_probability_matches_yes_no_projector(self):
-        # a detector seeing n photons fires with probability 1 - (1-eta)^n
-        rng = np.random.default_rng(29)
-        n, eta, count = 60_000, 0.3, 3
-        fired = sum(
-            detect_side(rng, count, 0, eta) is SINGLE_0 for _ in range(n)
-        )
-        p = 1.0 - (1.0 - eta) ** count
-        assert abs(fired / n - p) < 5 * freq_se(p, n)
-
-    def test_dark_clicks_hook(self, rng):
-        out = detect_side(rng, 0, 0, 0.0, dark_click_probability=1.0)
-        assert out is DOUBLE_CLICK
+    def test_zero_efficiency_never_fires(self):
+        np.testing.assert_array_equal(_fire_table(0.0, 4), np.zeros(5))
 
 
 class TestChannelParams:
     def test_defaults_lossless(self):
-        params = ChannelParams()
-        assert compose_bob_efficiency(params) == 1.0
-        assert params.dark_click_probability == 0.0
+        assert compose_bob_efficiency(ChannelParams()) == 1.0
 
     def test_bob_efficiency_is_product(self):
         params = ChannelParams(eta_a=0.5, eta_b=0.5, eta_l=0.2)

@@ -6,22 +6,18 @@ import pytest
 from pdcqkd import fock
 from pdcqkd.analytics import ep_pns_oracle, exact_rates_oracle, pdc_leakage, wcs_leakage
 from pdcqkd.config import ConfigError, ExperimentConfig
-from pdcqkd.detection import ChannelParams
 from pdcqkd.engine import (
     _EXCEEDED,
     _MATCHED,
     _MISMATCHED,
     BATCH_SIZE,
+    STREAM_VERSION,
     _EpContext,
     _RunParams,
-    RoundRecord,
-    run_ep_round,
     run_experiment,
     run_experiments,
-    run_pdc_round,
-    run_wcs_round,
 )
-from pdcqkd.eve import PnsConfig, empirical_eve_information
+from pdcqkd.eve import PnsConfig
 from pdcqkd.source import Scheme, SourceParams, pair_distribution
 
 
@@ -37,77 +33,6 @@ def ep_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestScalarRounds:
-    def test_vacuum_round_never_sifts(self, rng):
-        source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.0)
-        channel = ChannelParams(0.8, 0.9, 1.0)
-        dist = pair_distribution(source)
-        for _ in range(40):
-            record = run_ep_round(rng, source, channel, dist=dist)
-            assert not record.sifted and not record.error
-
-    def test_scalar_rate_matches_oracle(self):
-        rng = np.random.default_rng(51)
-        source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3)
-        channel = ChannelParams(0.8, 0.9, 1.0)
-        dist = pair_distribution(source)
-        n = 40_000
-        sifted = excluded = 0
-        for _ in range(n):
-            record = run_ep_round(rng, source, channel, dist=dist)
-            sifted += record.sifted
-            excluded += record.truncation_exceeded
-        oracle = exact_rates_oracle(0.3, 0.8, 0.9)
-        rate = sifted / (n - excluded)
-        se = (oracle.r_key * (1 - oracle.r_key) / (n - excluded)) ** 0.5
-        assert abs(rate - oracle.r_key) < 5 * se
-
-    def test_scalar_attack_records(self):
-        # saturated blocking: every sifted bit comes from a split multi-pair
-        rng = np.random.default_rng(53)
-        source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.6)
-        channel = ChannelParams(eta_a=0.6, eta_b=1.0, eta_l=1.0)
-        dist = pair_distribution(source)
-        attack = PnsConfig(block_probability=1.0)
-        records = [
-            run_ep_round(rng, source, channel, attack=attack, dist=dist)
-            for _ in range(30_000)
-        ]
-        sifted = [r for r in records if r.sifted]
-        assert len(sifted) > 1500
-        assert all(r.eve is not None and r.eve.intercepted for r in sifted)
-        info = empirical_eve_information(records)
-        assert info.touched_fraction == 1.0
-        se = (info.p_ae_hat * (1 - info.p_ae_hat) / len(sifted)) ** 0.5
-        assert abs(info.p_ae_hat - 8.0 / 9.0) < 5 * se
-
-    def test_wcs_round_structure(self, rng):
-        source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.2)
-        channel = ChannelParams(1.0, 0.5, 0.5)
-        record = run_wcs_round(rng, source, channel)
-        assert record.scheme is Scheme.WEAK_COHERENT
-        assert record.photon_count is not None
-        if record.sifted:
-            assert record.basis_a == record.basis_b
-
-    def test_pdc_trigger_gates_sifting(self, rng):
-        source = SourceParams(Scheme.TRIGGERED_PDC, g=0.3)
-        channel = ChannelParams(0.8, 0.9, 0.9)
-        for _ in range(200):
-            record = run_pdc_round(rng, source, channel)
-            if record.sifted:
-                assert record.triggered
-
-    def test_matched_sifted_bits_agree_or_error(self, rng):
-        source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3)
-        channel = ChannelParams(0.8, 0.9, 1.0)
-        dist = pair_distribution(source)
-        for _ in range(2000):
-            record = run_ep_round(rng, source, channel, dist=dist)
-            if record.sifted:
-                assert record.error == (record.bit_a != record.bit_b)
 
 
 class TestEpJointTable:
@@ -247,6 +172,27 @@ class TestRunExperiment:
     def test_rejects_invalid_config(self):
         with pytest.raises(ConfigError):
             run_experiment(ep_config(g=None))
+
+    def test_vacuum_source_never_sifts(self):
+        report = run_experiment(ep_config(g=0.0, trials=BATCH_SIZE + 5))
+        assert report.truncation_exceeded_count == 0
+        assert report.sifted_count == report.error_count == 0
+        assert report.bob_no_click_rate == 1.0
+
+    def test_pdc_trigger_gates_sifting(self):
+        config = ExperimentConfig(
+            scheme=Scheme.TRIGGERED_PDC,
+            g=0.3,
+            eta_a=0.8,
+            eta_b=0.9,
+            eta_l=0.9,
+            trials=200_000,
+            master_seed=4,
+        )
+        report = run_experiment(config)
+        assert 0 < report.sifted_count <= report.triggered_count
+        dark = run_experiment(dataclasses.replace(config, eta_a=0.0))
+        assert dark.triggered_count == dark.sifted_count == 0
 
     def test_attacked_run_has_no_matched_double_clicks(self):
         config = ep_config(
@@ -397,3 +343,68 @@ class TestRunExperiments:
         monkeypatch.setattr(engine, "_run_batch_range", no_run)
         with pytest.raises(ConfigError):
             next(run_experiments(self.configs(1) + [ep_config(g=None)]))
+
+
+class TestStreams:
+    """Exact counts of four runs, recorded when STREAM_VERSION was 2."""
+
+    TRIALS = BATCH_SIZE + 123
+    # trials, valid, excluded, sifted, errors, matched double clicks,
+    # triggered, blocked
+    PINNED = {
+        "ep": (65659, 65503, 156, 3923, 7, 201, 0, 0),
+        "ep-pns": (65659, 65482, 177, 3773, 131, 142, 0, 7461),
+        "wcs-pns": (65659, 65659, 0, 9874, 0, 0, 65659, 5923),
+        "pdc": (65659, 65659, 0, 1217, 0, 0, 3684, 0),
+    }
+
+    def configs(self):
+        return {
+            "ep": ep_config(trials=self.TRIALS, master_seed=61),
+            "ep-pns": ep_config(
+                g=0.4,
+                eta_a=0.6,
+                eta_b=0.8,
+                eta_l=0.5,
+                truncation_order=3,
+                trials=self.TRIALS,
+                master_seed=62,
+                attack=PnsConfig(block_probability=0.5),
+            ),
+            "wcs-pns": ExperimentConfig(
+                scheme=Scheme.WEAK_COHERENT,
+                mu_prime=0.5,
+                eta_b=0.8,
+                eta_l=0.5,
+                trials=self.TRIALS,
+                master_seed=63,
+                attack=PnsConfig(block_probability=0.3),
+            ),
+            "pdc": ExperimentConfig(
+                scheme=Scheme.TRIGGERED_PDC,
+                g=0.3,
+                eta_a=0.6,
+                eta_b=0.7,
+                eta_l=0.9,
+                trials=self.TRIALS,
+                master_seed=64,
+            ),
+        }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_counts_are_pinned(self, name):
+        r = run_experiment(self.configs()[name])
+        got = (
+            r.trials,
+            r.valid_trials,
+            r.truncation_exceeded_count,
+            r.sifted_count,
+            r.error_count,
+            r.double_click_matched_count,
+            r.triggered_count,
+            r.eve_blocked_count,
+        )
+        assert got == self.PINNED[name], (
+            f"the {name} stream changed: if the kernel's draws changed on purpose, "
+            f"bump STREAM_VERSION (now {STREAM_VERSION}) and record the new counts"
+        )

@@ -1,19 +1,14 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from pdcqkd.analytics import wcs_attack_delivered, wcs_leakage
+from pdcqkd.analytics import binary_information, wcs_attack_delivered, wcs_leakage
+from pdcqkd.config import ExperimentConfig
 from pdcqkd.detection import ChannelParams
+from pdcqkd.engine import _build_report, _Counts, _intercept
 from pdcqkd.eve import (
     AUTO,
     SATURATED,
-    EveRecord,
-    KnowledgeClass,
     PnsConfig,
-    empirical_eve_information,
-    eve_measure_stored,
-    pns_intercept,
     resolve_block_probability,
     solve_block_probability,
 )
@@ -35,70 +30,73 @@ class TestPnsConfig:
             PnsConfig(block_probability="half")
 
 
+def intercept(counts, p_block, u_store=0.5, u_block=0.5):
+    """``_intercept`` on events that all carry ``counts`` photons in Bob's two
+    modes, one event per storage or blocking uniform."""
+    u_store = np.atleast_1d(np.asarray(u_store, dtype=float))
+    u_block = np.atleast_1d(np.asarray(u_block, dtype=float))
+    n = max(len(u_store), len(u_block))
+    b0 = np.full(n, counts[0], dtype=np.int8)
+    b1 = np.full(n, counts[1], dtype=np.int8)
+    valid = np.ones(n, dtype=bool)
+    return _intercept(u_store, u_block, b0, b1, valid, p_block)
+
+
+# the last double below 1: the largest uniform a generator returns
+U_MAX = np.nextafter(1.0, 0.0)
+EDGES = [0.0, 0.25, 0.5, U_MAX]
+
+
 class TestIntercept:
-    def test_vacuum_passes_untouched(self, rng):
-        record, forwarded = pns_intercept(rng, (0, 0), PnsConfig(0.5))
-        assert forwarded == (0, 0)
-        assert not record.intercepted and not record.blocked
+    """The PNS interposer on Bob's arm, on hand-built photon counts."""
 
-    def test_single_always_blocked(self, rng):
-        record, forwarded = pns_intercept(rng, (1, 0), PnsConfig(1.0))
-        assert forwarded == (0, 0)
-        assert record.blocked and record.photons_seen == 1
+    def test_vacuum_passes_untouched(self):
+        b0, b1, multi, _, blocked = intercept((0, 0), 1.0, EDGES, EDGES)
+        assert not b0.any() and not b1.any()
+        assert not multi.any() and not blocked.any()
 
-    def test_single_never_blocked(self, rng):
-        record, forwarded = pns_intercept(rng, (0, 1), PnsConfig(0.0))
-        assert forwarded == (0, 1)
-        assert not record.blocked
+    def test_single_always_blocked(self):
+        b0, b1, multi, _, blocked = intercept((1, 0), 1.0, u_block=EDGES)
+        assert blocked.all() and not multi.any()
+        assert not b0.any() and not b1.any()
 
-    def test_multi_photon_stores_exactly_one(self, rng):
+    def test_single_never_blocked(self):
+        b0, b1, _, _, blocked = intercept((0, 1), 0.0, u_block=EDGES)
+        assert not blocked.any()
+        assert (b0 == 0).all() and (b1 == 1).all()
+
+    def test_single_blocked_below_threshold(self):
+        b0, _, _, _, blocked = intercept((1, 0), 0.5, u_block=[0.0, 0.4999, 0.5, U_MAX])
+        np.testing.assert_array_equal(blocked, [True, True, False, False])
+        np.testing.assert_array_equal(b0, [0, 0, 1, 1])
+        # a truncation-exceeded event is never touched
+        out = _intercept(0.5, 0.0, np.int8(1), np.int8(0), False, 1.0)
+        assert out[0] == 1 and not out[4]
+
+    def test_multi_photon_stores_exactly_one(self):
+        u = np.random.default_rng(37).random(200)
         for counts in ((2, 0), (0, 2), (1, 1), (3, 2)):
-            record, forwarded = pns_intercept(rng, counts, PnsConfig(1.0))
-            assert record.intercepted
-            assert sum(forwarded) == sum(counts) - 1
-            assert forwarded[record.stored_polarization] == (
-                counts[record.stored_polarization] - 1
-            )
+            b0, b1, multi, stored, blocked = intercept(counts, 1.0, u, u)
+            assert multi.all() and not blocked.any()
+            np.testing.assert_array_equal(b0 + b1, sum(counts) - 1)
+            np.testing.assert_array_equal(b0, counts[0] - ~stored)
+            np.testing.assert_array_equal(b1, counts[1] - stored)
 
-    def test_knowledge_classes(self, rng):
-        record, _ = pns_intercept(rng, (2, 0), PnsConfig(0.0))
-        assert record.knowledge_class is KnowledgeClass.CERTAIN
-        record, _ = pns_intercept(rng, (1, 1), PnsConfig(0.0))
-        assert record.knowledge_class is KnowledgeClass.HALF
+    def test_knowledge_classes(self):
+        # both photons in one mode: the stored mode is certain
+        assert not intercept((2, 0), 0.0, EDGES)[3].any()
+        assert intercept((0, 2), 0.0, EDGES)[3].all()
+        # one photon per mode: each is stored half the time
+        n = 60_000
+        u = np.random.default_rng(43).random(n)
+        freq = intercept((1, 1), 0.0, u)[3].mean()
+        assert abs(freq - 0.5) < 5 * freq_se(0.5, n)
 
     def test_stored_mode_is_uniform_over_photons(self):
-        rng = np.random.default_rng(41)
         n = 60_000
-        hits = sum(
-            pns_intercept(rng, (1, 2), PnsConfig(0.0))[0].stored_polarization == 1
-            for _ in range(n)
-        )
-        assert abs(hits / n - 2.0 / 3.0) < 5 * freq_se(2.0 / 3.0, n)
-
-    def test_auto_must_be_resolved_first(self, rng):
-        with pytest.raises(ValueError):
-            pns_intercept(rng, (1, 0), PnsConfig(AUTO))
-
-    def test_override_beats_config(self, rng):
-        _, forwarded = pns_intercept(rng, (1, 0), PnsConfig(AUTO), block_probability=1.0)
-        assert forwarded == (0, 0)
-
-
-class TestMeasureStored:
-    def test_matching_basis_reads_polarization(self, rng):
-        record = EveRecord(intercepted=True, photons_seen=2, stored_polarization=1)
-        assert eve_measure_stored(rng, record, 0, 0) == 1
-
-    def test_mismatched_basis_is_random(self):
-        rng = np.random.default_rng(43)
-        record = EveRecord(intercepted=True, photons_seen=2, stored_polarization=1)
-        n = 40_000
-        ones = sum(eve_measure_stored(rng, record, 0, 1) for _ in range(n))
-        assert abs(ones / n - 0.5) < 5 * freq_se(0.5, n)
-
-    def test_requires_stored_photon(self, rng):
-        with pytest.raises(ValueError):
-            eve_measure_stored(rng, EveRecord(), 0, 0)
+        u = np.random.default_rng(41).random(n)
+        freq = intercept((1, 2), 0.0, u)[3].mean()
+        assert abs(freq - 2.0 / 3.0) < 5 * freq_se(2.0 / 3.0, n)
 
 
 class TestBlockSolver:
@@ -140,45 +138,35 @@ class TestBlockSolver:
         assert delivered == pytest.approx(target, abs=1e-9)
 
 
-def _record(sifted, bit_a=0, bit_b=0, eve=None):
-    return SimpleNamespace(sifted=sifted, bit_a=bit_a, bit_b=bit_b, eve=eve)
+def report(attacked=True, **counts):
+    config = ExperimentConfig(scheme=Scheme.ENTANGLED_PAIRS, g=0.3)
+    return _build_report(_Counts(trials=100, **counts), config, 0.5 if attacked else None)
 
 
 class TestEmpiricalInformation:
+    """Eve's information, folded from the sifted and touched tallies."""
+
     def test_requires_sifted_bits(self):
-        with pytest.raises(ValueError):
-            empirical_eve_information([_record(False)])
+        rep = report(sifted=0)
+        assert rep.i_ae is None and rep.i_eb is None
 
     def test_untouched_bits_carry_nothing(self):
-        info = empirical_eve_information([_record(True) for _ in range(10)])
-        assert info.i_ae == 0.0 and info.i_eb == 0.0
-        assert info.touched_fraction == 0.0
+        rep = report(sifted=10)
+        assert rep.i_ae == 0.0 and rep.i_eb == 0.0
+        assert rep.eve_touched_fraction == 0.0
 
     def test_certain_hits_give_full_information(self):
-        eve = EveRecord(
-            intercepted=True,
-            photons_seen=2,
-            stored_polarization=1,
-            guess_bit_alice=1,
-            guess_bit_on_bob=1,
-        )
-        records = [_record(True, bit_a=1, bit_b=1, eve=eve) for _ in range(10)]
-        info = empirical_eve_information(records)
-        assert info.i_ae == pytest.approx(1.0)
-        assert info.i_eb == pytest.approx(1.0)
-        assert info.p_ae_hat == 1.0
+        rep = report(sifted=10, touched_sifted=10, eve_alice_hits=10, eve_bob_hits=10)
+        assert rep.i_ae == pytest.approx(1.0)
+        assert rep.i_eb == pytest.approx(1.0)
+        assert rep.p_ae_hat == 1.0
 
     def test_mixed_groups_average(self):
-        eve = EveRecord(
-            intercepted=True,
-            photons_seen=2,
-            stored_polarization=0,
-            guess_bit_alice=0,
-            guess_bit_on_bob=0,
-        )
-        records = [_record(True, eve=eve) for _ in range(5)] + [
-            _record(True) for _ in range(5)
-        ]
-        info = empirical_eve_information(records)
-        assert info.touched_fraction == 0.5
-        assert info.i_ae == pytest.approx(0.5)
+        rep = report(sifted=10, touched_sifted=5, eve_alice_hits=5, eve_bob_hits=4)
+        assert rep.eve_touched_fraction == 0.5
+        assert rep.i_ae == pytest.approx(0.5)
+        assert rep.i_eb == pytest.approx(0.5 * binary_information(0.8))
+
+    def test_unattacked_run_has_no_information(self):
+        rep = report(attacked=False, sifted=10)
+        assert rep.i_ae is None and rep.i_eb is None

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +12,8 @@ from pdcqkd.source import (
     g_for_single_arm_mean,
     mean_pairs,
     pair_distribution,
-    sample_pair_config,
-    sample_pdc_single_arm,
-    sample_wcs_photons,
     single_arm_mean,
 )
-
-from conftest import freq_se
 
 
 def ep_params(g, truncation=2):
@@ -104,78 +98,3 @@ class TestMeanPairs:
             assert g_for_single_arm_mean(single_arm_mean(g)) == pytest.approx(
                 g, abs=1e-12
             )
-
-
-class TestSamplers:
-    def test_deterministic_pair_config(self, rng):
-        dist = pair_distribution(ep_params(0.0))
-        assert all(
-            sample_pair_config(rng, dist) == PairConfiguration(0, 0)
-            for _ in range(50)
-        )
-
-    def test_pair_config_frequencies(self):
-        dist = pair_distribution(ep_params(0.1))
-        rng = np.random.default_rng(7)
-        n = 400_000
-        hits = sum(
-            sample_pair_config(rng, dist) == PairConfiguration(1, 0)
-            for _ in range(n)
-        )
-        p = 0.009801
-        assert abs(hits / n - p) < 5 * freq_se(p, n)
-
-    def test_same_seed_same_sequence(self):
-        dist = pair_distribution(ep_params(0.3))
-        a = [sample_pair_config(np.random.default_rng(3), dist) for _ in range(1)]
-        seq1 = [
-            sample_pair_config(r, dist)
-            for r in [np.random.default_rng(3)]
-            for _ in range(200)
-        ]
-        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        seq1 = [sample_pair_config(r1, dist) for _ in range(200)]
-        seq2 = [sample_pair_config(r2, dist) for _ in range(200)]
-        assert seq1 == seq2
-
-    def test_wcs_zero_mean(self, rng):
-        assert all(sample_wcs_photons(rng, 0.0) == 0 for _ in range(20))
-
-    def test_wcs_multi_photon_tail(self):
-        rng = np.random.default_rng(11)
-        n = 400_000
-        counts = rng.poisson(0.1, n)  # sampler delegates to the same law
-        sampled = sum(sample_wcs_photons(rng, 0.1) >= 2 for _ in range(10_000))
-        p = 1.0 - 1.1 * math.exp(-0.1)
-        assert p == pytest.approx(0.0046788, abs=1e-7)
-        assert abs(np.mean(counts >= 2) - p) < 5 * freq_se(p, n)
-        assert abs(sampled / 10_000 - p) < 5 * freq_se(p, 10_000)
-
-    def test_wcs_sample_mean(self):
-        rng = np.random.default_rng(13)
-        n = 200_000
-        mean = np.mean([sample_wcs_photons(rng, 0.1) for _ in range(n)])
-        assert abs(mean - 0.1) < 5 * math.sqrt(0.1 / n)
-
-    def test_wcs_rejects_negative(self, rng):
-        with pytest.raises(ValueError):
-            sample_wcs_photons(rng, -0.1)
-
-    def test_pdc_single_arm_zero_gain(self, rng):
-        assert all(sample_pdc_single_arm(rng, 0.0) == 0 for _ in range(20))
-
-    def test_pdc_single_arm_distribution(self):
-        g = 0.1
-        rng = np.random.default_rng(17)
-        n = 300_000
-        draws = np.array([sample_pdc_single_arm(rng, g) for _ in range(n)])
-        p1 = (1 - g * g) * g * g
-        assert p1 == pytest.approx(0.0099, abs=1e-12)
-        assert abs(np.mean(draws == 1) - p1) < 5 * freq_se(p1, n)
-        mean = g * g / (1 - g * g)
-        var = g * g / (1 - g * g) ** 2
-        assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
-
-    def test_pdc_rejects_bad_gain(self, rng):
-        with pytest.raises(ValueError):
-            sample_pdc_single_arm(rng, 1.0)
