@@ -4,6 +4,8 @@ import pytest
 from pdcqkd.detection import ChannelParams, compose_bob_efficiency
 from pdcqkd.engine import _fire_table, _tally
 
+from conftest import freq_se
+
 
 def tally(fb0, fb1, bit_a, matched=True, announced=True):
     fb0, fb1 = np.array(fb0), np.array(fb1)
@@ -40,6 +42,15 @@ class TestDetectSide:
 
     def test_zero_efficiency_never_fires(self):
         np.testing.assert_array_equal(_fire_table(0.0, 4), np.zeros(5))
+
+    def test_fire_probability_matches_yes_no_projector(self):
+        # the kernels fire a detector seeing n photons when u < table[n]
+        n, eta, count = 60_000, 0.3, 3
+        p = 1.0 - (1.0 - eta) ** count
+        table = _fire_table(eta, 4)
+        assert table[count] == pytest.approx(p, abs=1e-15)
+        fired = np.count_nonzero(np.random.default_rng(29).random(n) < table[count])
+        assert abs(fired / n - p) < 5 * freq_se(p, n)
 
 
 class TestChannelParams:

@@ -4,7 +4,7 @@ import pytest
 from pdcqkd.analytics import binary_information, wcs_attack_delivered, wcs_leakage
 from pdcqkd.config import ExperimentConfig
 from pdcqkd.detection import ChannelParams
-from pdcqkd.engine import _build_report, _Counts, _intercept
+from pdcqkd.engine import _build_report, _Counts, _intercept, _resolve_run_params
 from pdcqkd.eve import (
     AUTO,
     SATURATED,
@@ -97,6 +97,26 @@ class TestIntercept:
         u = np.random.default_rng(41).random(n)
         freq = intercept((1, 2), 0.0, u)[3].mean()
         assert abs(freq - 2.0 / 3.0) < 5 * freq_se(2.0 / 3.0, n)
+
+    def test_auto_must_be_resolved_first(self):
+        # the kernels get the solved probability, never the AUTO marker
+        config = ExperimentConfig(
+            scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(AUTO)
+        )
+        params, block = _resolve_run_params(config)
+        assert isinstance(params.block_probability, float)
+        assert params.block_probability == block
+        source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3)
+        solved = solve_block_probability(source, ChannelParams(eta_a=0.6))
+        assert block == solved and 0.0 < block < 1.0
+
+    def test_override_beats_config(self):
+        # an explicit blocking probability is used as given, not solved for
+        config = ExperimentConfig(
+            scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(0.25)
+        )
+        params, block = _resolve_run_params(config)
+        assert params.block_probability == block == 0.25
 
 
 class TestBlockSolver:

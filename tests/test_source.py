@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,17 @@ from pdcqkd.source import (
     pair_distribution,
     single_arm_mean,
 )
+from pdcqkd.engine import _MATCHED, _EpContext, _ep_batch, _prepared_batch, _RunParams
+
+from conftest import freq_se
 
 
 def ep_params(g, truncation=2):
     return SourceParams(Scheme.ENTANGLED_PAIRS, g=g, truncation_order=truncation)
+
+
+def run_params(scheme, g=0.0, mu_prime=0.0, truncation=2):
+    return _RunParams(scheme, g, mu_prime, 0.8, 0.9, 1.0, truncation, None)
 
 
 class TestPairDistribution:
@@ -98,3 +106,55 @@ class TestMeanPairs:
             assert g_for_single_arm_mean(single_arm_mean(g)) == pytest.approx(
                 g, abs=1e-12
             )
+
+
+class TestSamplers:
+    """The kernels' photon draws: the ``ep`` joint table and the photon
+    numbers of ``_prepared_batch``."""
+
+    def test_deterministic_pair_config(self):
+        table = _EpContext(run_params(Scheme.ENTANGLED_PAIRS, g=0.0)).joint
+        entry = table.draw(np.random.default_rng(5).random(1_000))
+        for column in (table.a0, table.a1, table.b0, table.b1):
+            assert not column.take(entry).any()
+
+    def test_pair_config_frequencies(self):
+        # a matched entry carries its pair configuration (m, n) in both arms
+        table = _EpContext(run_params(Scheme.ENTANGLED_PAIRS, g=0.1)).joint
+        n = 400_000
+        entry = table.draw(np.random.default_rng(7).random(n))
+        hits = np.count_nonzero(
+            (table.kind.take(entry) == _MATCHED)
+            & (table.a0.take(entry) == 1)
+            & (table.a1.take(entry) == 0)
+        )
+        p = 0.5 * 0.009801
+        assert abs(hits / n - p) < 5 * freq_se(p, n)
+
+    def test_same_seed_same_sequence(self):
+        params = run_params(Scheme.ENTANGLED_PAIRS, g=0.3)
+        ctx = _EpContext(params)
+        first = _ep_batch(np.random.default_rng(3), 5_000, params, ctx)
+        second = _ep_batch(np.random.default_rng(3), 5_000, params, ctx)
+        assert first == second
+        assert first.sifted > 0
+
+    def test_wcs_zero_mean(self):
+        counts = _prepared_batch(
+            np.random.default_rng(9), 2_000, run_params(Scheme.WEAK_COHERENT)
+        )
+        assert counts.sifted == 0 and counts.bob_no_click == 2_000
+
+    def test_wcs_rejects_negative(self):
+        with pytest.raises(ValueError):
+            SourceParams(Scheme.WEAK_COHERENT, mu_prime=-0.1)
+
+    def test_pdc_single_arm_zero_gain(self):
+        counts = _prepared_batch(
+            np.random.default_rng(15), 2_000, run_params(Scheme.TRIGGERED_PDC)
+        )
+        assert counts.triggered == 0 and counts.sifted == 0
+
+    def test_pdc_rejects_bad_gain(self):
+        with pytest.raises(ValueError):
+            SourceParams(Scheme.TRIGGERED_PDC, g=1.0)
