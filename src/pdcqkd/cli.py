@@ -29,6 +29,7 @@ from .config import (
     ExperimentConfig,
     SweepSpec,
 )
+from .detection import ChannelParams, compose_bob_efficiency
 from .engine import (
     STREAM_VERSION,
     RateReport,
@@ -39,7 +40,9 @@ from .engine import (
 from .eve import AUTO, PnsConfig
 from .source import Scheme, mean_pairs, single_arm_mean
 
-SCHEMA_VERSION = 1
+# 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
+# printed leading-order values moved to *_formula, i_ab_oracle is gone
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
     "sweep_param",
@@ -265,7 +268,7 @@ def analytic_row(
     probability, and are empty without guaranteed delivery.
     """
     row: dict = {}
-    eta_bl = config.eta_b * config.eta_l
+    eta_bl = compose_bob_efficiency(ChannelParams(config.eta_a, config.eta_b, config.eta_l))
     pass_probability = None
     if config.attack is not None:
         if block_probability is None:
@@ -299,12 +302,12 @@ def analytic_row(
                 r_exp=q.r_exp,
                 r_multi=q.r_double,
                 i_e=q.i_ae,
-                i_ae_oracle=q.i_ae,
-                i_eb_oracle=q.i_eb,
-                p_ae_oracle=q.p_ae,
-                p_eb_oracle=q.p_eb,
-                eps_prime_oracle=q.eps_prime,
-                i_ab_oracle=q.i_ab,
+                i_ae_formula=q.i_ae,
+                i_eb_formula=q.i_eb,
+                p_ae_formula=q.p_ae,
+                p_eb_formula=q.p_eb,
+                eps_prime_formula=q.eps_prime,
+                i_ab_formula=q.i_ab,
                 i_e_saturated=q.saturated,
             )
             # the unattacked oracle does not describe an attacked run
@@ -315,6 +318,11 @@ def analytic_row(
                 double_click_matched_oracle=None,
                 double_click_mismatched_oracle=None,
                 bob_no_click_oracle=None,
+                p_ae_oracle=None,
+                p_eb_oracle=None,
+                i_ae_oracle=None,
+                i_eb_oracle=None,
+                eps_prime_oracle=None,
             )
             if pass_probability is not None:
                 attack = analytics.ep_pns_oracle(
@@ -325,6 +333,11 @@ def analytic_row(
                     r_err_oracle=attack.delivered_rate * (attack.error_rate or 0.0),
                     epsilon_oracle=attack.error_rate,
                     double_click_matched_oracle=attack.dc_matched,
+                    p_ae_oracle=attack.p_ae,
+                    p_eb_oracle=attack.p_eb,
+                    i_ae_oracle=attack.i_ae,
+                    i_eb_oracle=attack.i_eb,
+                    eps_prime_oracle=attack.error_rate,
                 )
         return row
     if config.scheme is Scheme.WEAK_COHERENT:

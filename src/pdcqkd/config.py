@@ -6,15 +6,21 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .eve import AUTO, PnsConfig
-from .source import Scheme, g_for_mean, g_for_single_arm_mean
+from .source import (
+    MAX_MEAN_PHOTONS,
+    MAX_TRUNCATION,
+    MIN_TRUNCATION,
+    Scheme,
+    g_for_mean,
+    g_for_single_arm_mean,
+    single_arm_mean,
+)
 
 SWEEPABLE = ("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l")
 
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 0
 DEFAULT_TRUNCATION = 2
-# the ep kernel holds per-mode photon counts, at most the truncation, in int8
-MAX_TRUNCATION = 127
 
 
 class ConfigError(ValueError):
@@ -99,11 +105,23 @@ def validate(config: ExperimentConfig) -> list[str]:
             errors.append(f"g: must lie in [0, 1), got {config.g!r}")
         if config.mu is not None and config.mu < 0:
             errors.append(f"mu: must be >= 0, got {config.mu!r}")
+        # the triggered source's signal arm has mean g^2/(1-g^2) = mu
+        pdc = scheme is Scheme.TRIGGERED_PDC
+        if pdc and config.mu is not None and config.mu > MAX_MEAN_PHOTONS:
+            errors.append(f"mu: must be <= {MAX_MEAN_PHOTONS}, got {config.mu!r}")
+        if pdc and config.g is not None and 0.0 <= config.g < 1.0:
+            if single_arm_mean(config.g) > MAX_MEAN_PHOTONS:
+                errors.append(
+                    f"g: mean photon number g^2/(1-g^2) must be <= {MAX_MEAN_PHOTONS}, "
+                    f"got {config.g!r}"
+                )
     else:
         if config.mu_prime is None:
             errors.append("mu_prime: required for the weak-coherent scheme")
-        elif config.mu_prime < 0:
-            errors.append(f"mu_prime: must be >= 0, got {config.mu_prime!r}")
+        elif not 0 <= config.mu_prime <= MAX_MEAN_PHOTONS:
+            errors.append(
+                f"mu_prime: must lie in [0, {MAX_MEAN_PHOTONS}], got {config.mu_prime!r}"
+            )
         if config.g is not None or config.mu is not None:
             errors.append("g/mu: not applicable to the weak-coherent scheme")
     for name in ("eta_a", "eta_b", "eta_l"):
@@ -114,9 +132,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"master_seed: must lie in [0, 2**64), got {config.master_seed!r}")
     if config.trials < 0:
         errors.append(f"trials: must be >= 0, got {config.trials!r}")
-    if not 2 <= config.truncation_order <= MAX_TRUNCATION:
+    if not MIN_TRUNCATION <= config.truncation_order <= MAX_TRUNCATION:
         errors.append(
-            f"truncation_order: must lie in [2, {MAX_TRUNCATION}], "
+            f"truncation_order: must lie in [{MIN_TRUNCATION}, {MAX_TRUNCATION}], "
             f"got {config.truncation_order!r}"
         )
     if config.workers < 1:

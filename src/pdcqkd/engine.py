@@ -17,11 +17,15 @@ and each mismatched basis combo with each occupation of each per-side-total
 sector, drawn from the sector-conditioned Fock distributions, which carry
 the two-photon interference the classical model misses.  Every detector
 then fires on its own uniform against a per-count table 1 - (1 - eta)^n.
-The prepare-and-measure kernel draws photon numbers, Alice's bit and both
-bases, and thins Bob's photons binomially.  Both kernels share the sift and
-tally stage, ``_tally``; under attack the ``ep`` kernel passes Bob's arm
-through ``_intercept``, and the prepared kernel applies the same rule to
-photon totals.
+The prepare-and-measure kernel draws the photon number with Alice's bit and
+both bases from one alias table in the same way; the ``pdc`` herald fires on
+a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors on one uniform
+against per-count thresholds that give the yes/no detector law in the
+matched basis and binomial loss followed by a 50:50 split in the other.
+Both kernels draw only uniforms and share the sift and tally stage,
+``_tally``; under attack the ``ep`` kernel passes Bob's arm through
+``_intercept``, and the prepared kernel applies the same rule to photon
+totals.
 
 ``run_experiments`` schedules a list of runs -- the points of a sweep -- on
 one process pool.  Each run's batches are split into ``min(workers,
@@ -44,15 +48,22 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .detection import ChannelParams
+from .detection import ChannelParams, compose_bob_efficiency
 from .eve import resolve_block_probability
 from . import fock
-from .source import PairDistribution, Scheme, SourceParams, pair_distribution
+from .source import (
+    PairDistribution,
+    Scheme,
+    SourceParams,
+    pair_distribution,
+    photon_number_law,
+)
 
 BATCH_SIZE = 1 << 16
 # 1: per-sector inverse-CDF draws and binomial detectors in the ep kernel;
-# 2: one joint-table draw and per-count detector thresholds.
-STREAM_VERSION = 2
+# 2: one joint-table draw and per-count detector thresholds;
+# 3: the same for the wcs/pdc kernel (ep streams as in 2).
+STREAM_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +112,7 @@ class _RunParams:
         detector loss, or under attack the interceptor's lossless line (with
         guaranteed detection unless ``guarantee_delivery`` is off)."""
         if self.block_probability is None:
-            return self.eta_b * self.eta_l
+            return compose_bob_efficiency(ChannelParams(self.eta_a, self.eta_b, self.eta_l))
         return 1.0 if self.guarantee_delivery else self.eta_b
 
 
@@ -133,6 +144,13 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # what is left over holds weight 1 up to rounding
     scaled[small + large] = 1.0
     return np.arange(k) + scaled, alias
+
+
+def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Entry indices of an ``_alias_table`` for uniforms ``u`` in [0, 1)."""
+    x = u * len(cut)
+    i = x.astype(np.intp)
+    return np.where(x < cut.take(i), i, alias.take(i))
 
 
 # Entry kinds of the joint table; mismatched combo c has kind _MISMATCHED + c.
@@ -186,9 +204,7 @@ class _JointTable:
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Entry indices for uniforms ``u`` in [0, 1)."""
-        x = u * len(self.cut)
-        i = x.astype(np.intp)
-        return np.where(x < self.cut.take(i), i, self.alias.take(i))
+        return _alias_draw(self.cut, self.alias, u)
 
 
 class _EpContext:
@@ -227,6 +243,60 @@ class _EpContext:
     @cached_property
     def joint(self) -> _JointTable:
         return _JointTable.build(self.dist, self.sector_tables)
+
+
+# A prepared trial's combo c = bit | basis_a << 1 | basis_b << 2; all eight
+# are equally likely.
+_COMBOS = np.arange(8)
+_COMBO_BIT = _COMBOS & 1
+_COMBO_MATCHED = (_COMBOS >> 1 & 1) == _COMBOS >> 2
+
+
+def _bob_thresholds(eta: float, max_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bob's two detectors on one uniform ``u``, per forwarded photon count k
+    and combo c (flat index ``8 k + c``): D0 fires when ``u < d0``, D1 when
+    ``d1_lo <= u < d1_hi``.
+
+    In the matched basis every photon is in the mode of Alice's bit, and that
+    detector fires with probability 1 - (1 - eta)^k.  In the other basis each
+    photon reaches D0 with probability eta/2, D1 with eta/2, or is lost, so
+    each detector fires alone with probability (1 - eta/2)^k - (1 - eta)^k
+    and both share the rest of 1 - (1 - eta)^k: D0 alone on [0, alone), both
+    on [alone, fire - alone), D1 alone on [fire - alone, fire).
+    """
+    k = np.arange(max_count + 1, dtype=np.float64)[:, None]
+    fire = _fire_table(eta, max_count)[:, None]
+    alone = (1.0 - 0.5 * eta) ** k - (1.0 - eta) ** k
+    d0 = np.where(_COMBO_MATCHED, np.where(_COMBO_BIT == 0, fire, 0.0), fire - alone)
+    d1_lo = np.where(_COMBO_MATCHED, 0.0, alone)
+    d1_hi = np.where(_COMBO_MATCHED & (_COMBO_BIT == 0), 0.0, fire)
+    return d0.ravel(), d1_lo.ravel(), d1_hi.ravel()
+
+
+class _PreparedContext:
+    """Per-run tables of the prepare-and-measure kernel.
+
+    ``law`` is the photon-number law of ``source.photon_number_law``.  Entry
+    ``8 n + c`` of the alias table ``(cut, alias)`` is n photons with combo
+    c, with probability ``law[n] / 8``: only ``law`` goes through
+    ``_alias_table``, and each of its slots is split into eight, which keeps
+    the build linear in the table length.  ``trigger`` is the ``pdc``
+    herald's fire table over n, and ``d0``/``d1_lo``/``d1_hi`` are Bob's
+    thresholds of ``_bob_thresholds`` over the same flat index.
+    """
+
+    def __init__(self, params: _RunParams):
+        self.law = photon_number_law(
+            SourceParams(params.scheme, params.g, mu_prime=params.mu_prime)
+        )
+        n_max = len(self.law) - 1
+        cut, alias = _alias_table(self.law)
+        slots = np.arange(len(cut))[:, None]
+        self.cut = (8 * slots + _COMBOS + (cut[:, None] - slots)).ravel()
+        self.alias = (8 * alias[:, None] + _COMBOS).ravel()
+        self.matched = np.tile(_COMBO_MATCHED, n_max + 1)
+        self.trigger = _fire_table(params.eta_a, n_max)
+        self.d0, self.d1_lo, self.d1_hi = _bob_thresholds(params.bob_eta, n_max)
 
 
 def _intercept(u_store, u_block, b0, b1, valid, p_block: float):
@@ -309,39 +379,33 @@ def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContex
     return _tally(valid, valid, kind == _MATCHED, fa0 ^ fa1, fa1, fb0, fb1, eve)
 
 
-def _prepared_batch(rng: np.random.Generator, size: int, p: _RunParams) -> _Counts:
-    if p.scheme is Scheme.WEAK_COHERENT:
-        photons = rng.poisson(p.mu_prime, size)
-        triggered = np.ones(size, dtype=bool)
-    else:
-        if p.g > 0.0:
-            photons = rng.geometric(1.0 - p.g * p.g, size=size) - 1
-        else:
-            photons = np.zeros(size, dtype=np.int64)
-        u_trig = rng.random(size)
-        triggered = u_trig < 1.0 - (1.0 - p.eta_a) ** photons
-    bit_a = rng.integers(0, 2, size=size, dtype=np.int8)
-    basis_a = rng.integers(0, 2, size=size, dtype=np.int8)
-    basis_b = rng.integers(0, 2, size=size, dtype=np.int8)
-    matched = basis_a == basis_b
+def _prepared_batch(
+    rng: np.random.Generator, size: int, p: _RunParams, ctx: _PreparedContext
+) -> _Counts:
+    pdc = p.scheme is Scheme.TRIGGERED_PDC
+    attacked = p.block_probability is not None
+    # rows: joint entry, then the pdc herald, then the interposer, then Bob
+    u = rng.random((2 + pdc + attacked, size))
+    entry = _alias_draw(ctx.cut, ctx.alias, u[0])
+    photons = entry >> 3
+    bit_a = entry & 1
+    matched = ctx.matched.take(entry)
+    present = np.ones(size, dtype=bool)
+    triggered = u[1] < ctx.trigger.take(photons) if pdc else present
 
     eve = None
-    forwarded = photons
-    if p.block_probability is not None:
+    row = entry
+    if attacked:
         # the interposer of ``_intercept`` on photon totals: every photon is
         # in Alice's mode, so the stored one carries her bit
         multi = photons >= 2
-        u_block = rng.random(size)
-        blocked = (photons == 1) & (u_block < p.block_probability)
-        forwarded = np.where(blocked, 0, photons - multi)
+        blocked = (photons == 1) & (u[-2] < p.block_probability)
+        row = np.where(multi | blocked, entry - 8, entry)  # one photon fewer
         eve = (multi, bit_a, blocked)
 
-    surv = rng.binomial(forwarded, p.bob_eta)
-    split0 = rng.binomial(surv, 0.5)
-    in0 = np.where(bit_a == 0, surv, 0)
-    fb0 = np.where(matched, in0, split0) > 0
-    fb1 = np.where(matched, surv - in0, surv - split0) > 0
-    present = np.ones(size, dtype=bool)
+    u_bob = u[-1]
+    fb0 = u_bob < ctx.d0.take(row)
+    fb1 = (u_bob >= ctx.d1_lo.take(row)) & (u_bob < ctx.d1_hi.take(row))
     counts = _tally(present, triggered, matched, True, bit_a, fb0, fb1, eve)
     counts.triggered = int(np.count_nonzero(triggered))
     return counts
@@ -355,15 +419,16 @@ def _batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
 def _run_batch_range(
     params: _RunParams, master_seed: int, trials: int, start: int, stop: int
 ) -> _Counts:
-    ctx = _EpContext(params) if params.scheme is Scheme.ENTANGLED_PAIRS else None
+    ep = params.scheme is Scheme.ENTANGLED_PAIRS
+    ctx = _EpContext(params) if ep else _PreparedContext(params)
     counts = _Counts()
     for b in range(start, stop):
         size = min(BATCH_SIZE, trials - b * BATCH_SIZE)
         rng = _batch_rng(master_seed, b)
-        if ctx is not None:
+        if ep:
             counts = counts + _ep_batch(rng, size, params, ctx)
         else:
-            counts = counts + _prepared_batch(rng, size, params)
+            counts = counts + _prepared_batch(rng, size, params, ctx)
     return counts
 
 

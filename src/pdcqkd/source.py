@@ -15,6 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Truncation orders of the entangled-pair source: at least the two-pair terms
+# that carry the multi-photon physics, and at most 127 because the ep kernel
+# holds per-mode photon counts in int8.
+MIN_TRUNCATION = 2
+MAX_TRUNCATION = 127
+# Largest mean photon number of a prepared (wcs or pdc) signal: the
+# prepare-and-measure kernel tabulates every photon number up to a 2^-64
+# tail, and that table grows with the mean.
+MAX_MEAN_PHOTONS = 1000.0
+# log of the tail mass a photon-number table may leave out
+_LOG_TAIL = -64.0 * math.log(2.0)
+
+
 class Scheme(enum.Enum):
     ENTANGLED_PAIRS = "ep"
     WEAK_COHERENT = "wcs"
@@ -41,12 +54,26 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         _check_gain(self.g)
-        if self.truncation_order < 1:
+        if not MIN_TRUNCATION <= self.truncation_order <= MAX_TRUNCATION:
             raise ValueError(
-                f"truncation_order must be >= 1, got {self.truncation_order!r}"
+                f"truncation_order must lie in [{MIN_TRUNCATION}, {MAX_TRUNCATION}], "
+                f"got {self.truncation_order!r}"
             )
         if self.mu_prime < 0:
             raise ValueError(f"mu_prime must be >= 0, got {self.mu_prime!r}")
+        if self.mean_photons > MAX_MEAN_PHOTONS:
+            raise ValueError(
+                f"mean photon number must be <= {MAX_MEAN_PHOTONS}, got {self.mean_photons!r}"
+            )
+
+    @property
+    def mean_photons(self) -> float:
+        """Mean photon number of a prepared signal (0 for entangled pairs)."""
+        if self.scheme is Scheme.WEAK_COHERENT:
+            return self.mu_prime
+        if self.scheme is Scheme.TRIGGERED_PDC:
+            return single_arm_mean(self.g)
+        return 0.0
 
 
 @dataclass(frozen=True, order=True)
@@ -125,3 +152,45 @@ def pair_distribution(params: SourceParams) -> PairDistribution:
     probabilities = np.asarray(probs, dtype=float)
     tail = max(0.0, 1.0 - float(probabilities.sum()))
     return PairDistribution(tuple(configs), probabilities, tail)
+
+
+def photon_number_law(params: SourceParams) -> np.ndarray:
+    """P(n) of a prepared signal's photon number, n = 0 .. n_max.
+
+    Poisson(mu') for the weak-coherent scheme and (1 - g^2) g^(2n) for the
+    signal arm of the triggered scheme, evaluated in log space so that no
+    term underflows through its neighbours.  n_max is the first count at
+    which a bound on the remaining tail falls below 2^-64; that tail (exact
+    for the geometric law, its bound for the Poisson law) is folded into the
+    last entry.
+    """
+    if params.scheme is Scheme.WEAK_COHERENT:
+        mu = params.mu_prime
+        if mu == 0.0:
+            return np.ones(1)
+        log_mu = math.log(mu)
+
+        def log_p(n: int) -> float:
+            return n * log_mu - mu - math.lgamma(n + 1.0)
+
+        def log_tail(n: int) -> float:
+            # past n + 1 each term is at most mu / (n + 2) < 1 times the one
+            # before, so P(k > n) <= P(n + 1) / (1 - mu / (n + 2))
+            return log_p(n + 1) - math.log1p(-mu / (n + 2))
+
+        n_max = math.floor(mu)  # the first n with n + 2 > mu
+        while log_tail(n_max) >= _LOG_TAIL:
+            n_max += 1
+        law = np.exp([log_p(n) for n in range(n_max + 1)])
+        law[-1] += math.exp(log_tail(n_max))
+        return law
+    if params.scheme is Scheme.TRIGGERED_PDC:
+        if params.g == 0.0:
+            return np.ones(1)
+        log_g2 = 2.0 * math.log(params.g)
+        # P(n > n_max) = g^(2 (n_max + 1)) < 2^-64
+        n_max = math.floor(_LOG_TAIL / log_g2)
+        law = (1.0 - params.g**2) * np.exp(log_g2 * np.arange(n_max + 1))
+        law[-1] = math.exp(log_g2 * n_max)  # P(n >= n_max)
+        return law
+    raise ValueError("photon_number_law requires a prepare-and-measure scheme")

@@ -188,6 +188,26 @@ class TestRows:
         row = analytic_row(undelivered, 0.0)
         assert row["r_key_oracle"] is row["r_err_oracle"] is row["epsilon_oracle"] is None
 
+    def test_attacked_ep_row_separates_oracle_and_formula(self):
+        config = ExperimentConfig(
+            scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(), trials=0
+        ).validated()
+        row = analytic_row(config, 0.25)
+        exact = analytics.ep_pns_oracle(0.3, 0.6, 0.75, 2)
+        printed = analytics.ep_pns_quantities(0.3, 0.6, 1.0)
+        for key in ("p_ae", "p_eb", "i_ae", "i_eb"):
+            assert row[f"{key}_oracle"] == getattr(exact, key)
+            assert row[f"{key}_formula"] == getattr(printed, key)
+        assert row["eps_prime_oracle"] == exact.error_rate
+        assert row["eps_prime_formula"] == printed.eps_prime
+        assert row["i_ab_formula"] == printed.i_ab and "i_ab_oracle" not in row
+        undelivered = dataclasses.replace(
+            config, attack=PnsConfig(block_probability=0.25, guarantee_delivery=False)
+        )
+        row = analytic_row(undelivered, 0.25)
+        for key in ("p_ae", "p_eb", "i_ae", "i_eb", "eps_prime"):
+            assert row[f"{key}_oracle"] is None and row[f"{key}_formula"] is not None
+
     def test_sweep_rows_ordered(self):
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS,
@@ -470,6 +490,38 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("block", ["auto", "0.064"])
+    def test_attacked_ep_oracle_keys_hold_the_exact_oracle(self, block, capsys):
+        code = main(
+            ["analytic", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6",
+             "--attack", "pns", "--block-probability", block, "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        (row,) = payload["rows"]
+        exact = analytics.ep_pns_oracle(0.3, 0.6, 1.0 - row["block_probability"], 2)
+        assert row["i_ae_oracle"] == exact.i_ae
+        # the leading-order value is the exact one only at the rate-matched
+        # blocking probability (0.036 here)
+        assert row["i_ae_formula"] == pytest.approx(0.0715, abs=5e-5)
+        expected = 0.0715 if block == "auto" else 0.0733
+        assert row["i_ae_oracle"] == pytest.approx(expected, abs=5e-5)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["--scheme", "ep", "--g", "0.3", "--truncation", "1"], "truncation_order"),
+            (["--scheme", "wcs", "--mu-prime", "1001"], "mu_prime"),
+            (["--scheme", "pdc", "--mu", "1001"], "mu"),
+            (["--scheme", "pdc", "--g", "0.9999"], "g"),
+        ],
+    )
+    def test_out_of_range_source_exits_2(self, args, field, capsys):
+        assert main(["simulate", "--trials", "10", *args]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any(msg.startswith(field + ":") for msg in err["messages"])
 
     def test_invalid_config_exits_2(self, capsys):
         code = main(["analytic", "--scheme", "ep", "--g", "1.5"])

@@ -1,10 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pdcqkd import fock
-from pdcqkd.analytics import ep_pns_oracle, exact_rates_oracle, pdc_leakage, wcs_leakage
+from pdcqkd.analytics import (
+    ep_pns_oracle,
+    exact_rates_oracle,
+    pdc_leakage,
+    wcs_leakage,
+)
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.engine import (
     _EXCEEDED,
@@ -13,7 +19,9 @@ from pdcqkd.engine import (
     BATCH_SIZE,
     STREAM_VERSION,
     _EpContext,
+    _PreparedContext,
     _RunParams,
+    _bob_thresholds,
     run_experiment,
     run_experiments,
 )
@@ -270,6 +278,149 @@ class TestEpStatistics:
         assert_binomial(report.p_eb_hat, oracle.p_eb, touched)
 
 
+class TestPreparedTable:
+    """The prepared kernel's alias table reproduces the photon-number law
+    times the eight equally likely combos, and Bob's thresholds reproduce
+    binomial thinning followed by a 50:50 split."""
+
+    CASES = [(Scheme.WEAK_COHERENT, mu) for mu in (0.0, 0.1, 0.5, 3.0, 100.0)] + [
+        (Scheme.TRIGGERED_PDC, g) for g in (0.0, 0.1, 0.3, 0.6, 0.9, 0.99)
+    ]
+
+    @staticmethod
+    def context(scheme, x, eta_a=0.6, bob_eta=0.4):
+        g, mu = (0.0, x) if scheme is Scheme.WEAK_COHERENT else (x, 0.0)
+        return _PreparedContext(_RunParams(scheme, g, mu, eta_a, bob_eta, 1.0, 2, None))
+
+    @staticmethod
+    def exact_law(scheme, x, count):
+        """P(n) for n < count: the Poisson recurrence from P(0) = exp(-mu), or
+        the geometric terms one by one."""
+        if scheme is Scheme.WEAK_COHERENT:
+            terms = [math.exp(-x)]
+            for n in range(1, count):
+                terms.append(terms[-1] * x / n)
+            return np.array(terms)
+        return np.array([(1.0 - x * x) * (x * x) ** n for n in range(count)])
+
+    @pytest.mark.parametrize("scheme, x", CASES)
+    def test_law_matches_source_with_folded_tail(self, scheme, x):
+        law = self.context(scheme, x).law
+        n_max = len(law) - 1
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        exact = self.exact_law(scheme, x, n_max + 200)
+        np.testing.assert_allclose(law[:-1], exact[:n_max], rtol=0, atol=1e-12)
+        folded = law[-1] - exact[n_max]
+        tail = exact[n_max + 1 :].sum()
+        # the folded mass bounds the tail (equals it for the geometric law)
+        assert 0.0 <= tail <= folded * (1.0 + 1e-9) and folded < 2.0**-64
+
+    @pytest.mark.parametrize("mu", [800.0, 1000.0])
+    def test_large_poisson_mean_keeps_its_mass(self, mu):
+        # exp(-mu) underflows, so the law must not be built up from P(0)
+        law = self.context(Scheme.WEAK_COHERENT, mu).law
+        n = np.arange(len(law))
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (n * law).sum() == pytest.approx(mu, rel=1e-12)
+        assert (n * n * law).sum() - mu * mu == pytest.approx(mu, rel=1e-9)
+
+    @pytest.mark.parametrize("scheme, x", CASES)
+    def test_alias_table_reproduces_probabilities(self, scheme, x):
+        ctx = self.context(scheme, x)
+        k = len(ctx.cut)
+        keep = ctx.cut - np.arange(k)
+        assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
+        implied = np.zeros(k)
+        np.add.at(implied, np.arange(k), keep / k)
+        np.add.at(implied, ctx.alias, (1.0 - keep) / k)
+        expected = np.repeat(ctx.law / 8, 8)
+        np.testing.assert_allclose(implied[: len(expected)], expected, rtol=0, atol=1e-12)
+        assert np.all(implied[len(expected) :] == 0.0)
+        # entry 8 n + c is combo c = bit | basis_a << 1 | basis_b << 2
+        c = np.arange(len(expected)) % 8
+        np.testing.assert_array_equal(ctx.matched, (c >> 1 & 1) == c >> 2)
+        np.testing.assert_allclose(
+            ctx.trigger, 1.0 - 0.4 ** np.arange(len(ctx.law)), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.4, 0.8, 1.0])
+    def test_bob_thresholds_match_thin_then_split(self, eta):
+        max_count = 40
+        d0, d1_lo, d1_hi = (t.reshape(max_count + 1, 8) for t in _bob_thresholds(eta, max_count))
+        for k in range(max_count + 1):
+            survivors = [math.comb(k, s) * eta**s * (1.0 - eta) ** (k - s) for s in range(k + 1)]
+            fire = 1.0 - survivors[0]
+            # every survivor to D0, every one to D1, at least one to each
+            alone = sum(p * 0.5**s for s, p in enumerate(survivors) if s > 0)
+            for c in range(8):
+                bit, matched = c & 1, (c >> 1 & 1) == c >> 2
+                if matched:
+                    want = (fire, 0.0, 0.0) if bit == 0 else (0.0, fire, 0.0)
+                else:
+                    want = (alone, alone, fire - 2 * alone)
+                # D0 fires on [0, d0), D1 on [d1_lo, d1_hi)
+                both = max(0.0, min(d0[k, c], d1_hi[k, c]) - d1_lo[k, c])
+                got = (d0[k, c] - both, d1_hi[k, c] - d1_lo[k, c] - both, both)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert 0.0 <= d1_lo[k, c] <= d1_hi[k, c] <= 1.0 and 0.0 <= d0[k, c] <= 1.0
+
+
+class TestPreparedStatistics:
+    """Event-level wcs/pdc tallies against the leakage closed forms, including
+    the mismatched-basis double clicks that only Bob's detector stage
+    decides."""
+
+    ETA_A, ETA_B, ETA_L = 0.6, 0.8, 0.5
+    ETA = ETA_B * ETA_L
+
+    def run(self, scheme, x, seed):
+        source = {"mu_prime": x} if scheme is Scheme.WEAK_COHERENT else {"g": x}
+        return run_experiment(
+            ExperimentConfig(
+                scheme=scheme,
+                eta_a=self.ETA_A,
+                eta_b=self.ETA_B,
+                eta_l=self.ETA_L,
+                trials=1_000_000,
+                master_seed=seed,
+                **source,
+            )
+        )
+
+    @pytest.mark.parametrize("mu, seed", [(0.5, 71), (3.0, 72)])
+    def test_wcs_matches_closed_forms(self, mu, seed):
+        report = self.run(Scheme.WEAK_COHERENT, mu, seed)
+        eta, n = self.ETA, report.trials
+        assert report.valid_trials == report.triggered_count == n
+        assert report.error_count == 0
+        assert_binomial(report.r_key, wcs_leakage(mu, eta).r_exp, n)
+        assert_binomial(report.bob_no_click_rate, math.exp(-mu * eta), n)
+        double = 0.5 * (1.0 - 2.0 * math.exp(-mu * eta / 2) + math.exp(-mu * eta))
+        assert_binomial(report.double_click_mismatched, double, n)
+
+    @pytest.mark.parametrize("g, seed", [(0.3, 73), (0.7, 74)])
+    def test_pdc_matches_closed_forms(self, g, seed):
+        report = self.run(Scheme.TRIGGERED_PDC, g, seed)
+        eta, n = self.ETA, report.trials
+        g2 = g * g
+
+        def law_sum(x):
+            """Sum over n of (1 - g^2) g^(2n) x^n."""
+            return (1.0 - g2) / (1.0 - g2 * x)
+
+        dark_a = 1.0 - self.ETA_A
+        assert report.error_count == 0
+        assert_binomial(report.r_key, pdc_leakage(g, self.ETA_A, eta).r_exp, n)
+        assert_binomial(report.bob_no_click_rate, law_sum(1.0 - eta), n)
+        assert_binomial(report.triggered_count / n, 1.0 - law_sum(dark_a), n)
+        # heralded, mismatched bases, both of Bob's detectors fire
+        double = 0.5 * sum(
+            sign * (law_sum(x) - law_sum(x * dark_a))
+            for sign, x in ((1.0, 1.0), (-2.0, 1.0 - eta / 2), (1.0, 1.0 - eta))
+        )
+        assert_binomial(report.double_click_mismatched, double, n)
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self):
         config = ep_config(trials=200_000, master_seed=9)
@@ -295,6 +446,20 @@ class TestDeterminism:
         serial = run_experiment(base)
         parallel = run_experiment(dataclasses.replace(base, workers=2))
         assert serial == parallel
+
+
+    @pytest.mark.parametrize("attack", [None, PnsConfig(block_probability=0.5)])
+    @pytest.mark.parametrize(
+        "source", [dict(scheme=Scheme.WEAK_COHERENT, mu_prime=0.5), dict(scheme=Scheme.TRIGGERED_PDC, g=0.3)]
+    )
+    def test_prepared_run_deterministic_across_workers(self, source, attack):
+        base = ExperimentConfig(
+            **source, eta_a=0.6, eta_b=0.8, eta_l=0.5, trials=3 * BATCH_SIZE + 7,
+            master_seed=15, attack=attack,
+        )
+        serial = run_experiment(base)
+        assert serial == run_experiment(dataclasses.replace(base, workers=2))
+        assert serial.sifted_count > 0
 
 
 class TestRunExperiments:
@@ -346,7 +511,8 @@ class TestRunExperiments:
 
 
 class TestStreams:
-    """Exact counts of four runs, recorded when STREAM_VERSION was 2."""
+    """Exact counts of four runs: the ep rows recorded when STREAM_VERSION
+    was 2, the wcs/pdc rows when it was 3."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
@@ -354,8 +520,8 @@ class TestStreams:
     PINNED = {
         "ep": (65659, 65503, 156, 3923, 7, 201, 0, 0),
         "ep-pns": (65659, 65482, 177, 3773, 131, 142, 0, 7461),
-        "wcs-pns": (65659, 65659, 0, 9874, 0, 0, 65659, 5923),
-        "pdc": (65659, 65659, 0, 1217, 0, 0, 3684, 0),
+        "wcs-pns": (65659, 65659, 0, 9984, 0, 0, 65659, 5844),
+        "pdc": (65659, 65659, 0, 1191, 0, 0, 3657, 0),
     }
 
     def configs(self):

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcqkd.source import (
+    MAX_MEAN_PHOTONS,
+    MAX_TRUNCATION,
+    MIN_TRUNCATION,
     PairConfiguration,
     Scheme,
     SourceParams,
@@ -15,7 +18,14 @@ from pdcqkd.source import (
     pair_distribution,
     single_arm_mean,
 )
-from pdcqkd.engine import _MATCHED, _EpContext, _ep_batch, _prepared_batch, _RunParams
+from pdcqkd.engine import (
+    _MATCHED,
+    _EpContext,
+    _ep_batch,
+    _prepared_batch,
+    _PreparedContext,
+    _RunParams,
+)
 
 from conftest import freq_se
 
@@ -46,7 +56,7 @@ class TestPairDistribution:
 
     @given(
         g=st.floats(min_value=0.0, max_value=0.95),
-        truncation=st.integers(min_value=1, max_value=6),
+        truncation=st.integers(min_value=MIN_TRUNCATION, max_value=6),
     )
     @settings(max_examples=80, deadline=None)
     def test_normalization_with_tail(self, g, truncation):
@@ -65,7 +75,7 @@ class TestPairDistribution:
         g = 0.4
         mu = mean_pairs(g)
         previous = -1.0
-        for truncation in range(1, 10):
+        for truncation in range(MIN_TRUNCATION, 10):
             dist = pair_distribution(ep_params(g, truncation))
             partial = sum(
                 c.total * p for c, p in zip(dist.configs, dist.probabilities)
@@ -73,6 +83,22 @@ class TestPairDistribution:
             assert previous < partial <= mu + 1e-12
             previous = partial
         assert partial == pytest.approx(mu, rel=1e-3)
+
+    @pytest.mark.parametrize("truncation", [MIN_TRUNCATION - 1, MAX_TRUNCATION + 1])
+    def test_rejects_truncation_out_of_range(self, truncation):
+        with pytest.raises(ValueError, match="truncation_order"):
+            ep_params(0.1, truncation)
+
+    def test_rejects_prepared_mean_above_limit(self):
+        over = MAX_MEAN_PHOTONS * 1.01
+        for params in (
+            dict(scheme=Scheme.WEAK_COHERENT, mu_prime=over),
+            dict(scheme=Scheme.TRIGGERED_PDC, g=g_for_single_arm_mean(over)),
+        ):
+            with pytest.raises(ValueError, match="mean photon number"):
+                SourceParams(**params)
+        at_limit = SourceParams(Scheme.WEAK_COHERENT, mu_prime=MAX_MEAN_PHOTONS)
+        assert at_limit.mean_photons == MAX_MEAN_PHOTONS
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError):
@@ -140,8 +166,9 @@ class TestSamplers:
         assert first.sifted > 0
 
     def test_wcs_zero_mean(self):
+        params = run_params(Scheme.WEAK_COHERENT)
         counts = _prepared_batch(
-            np.random.default_rng(9), 2_000, run_params(Scheme.WEAK_COHERENT)
+            np.random.default_rng(9), 2_000, params, _PreparedContext(params)
         )
         assert counts.sifted == 0 and counts.bob_no_click == 2_000
 
@@ -150,8 +177,9 @@ class TestSamplers:
             SourceParams(Scheme.WEAK_COHERENT, mu_prime=-0.1)
 
     def test_pdc_single_arm_zero_gain(self):
+        params = run_params(Scheme.TRIGGERED_PDC)
         counts = _prepared_batch(
-            np.random.default_rng(15), 2_000, run_params(Scheme.TRIGGERED_PDC)
+            np.random.default_rng(15), 2_000, params, _PreparedContext(params)
         )
         assert counts.triggered == 0 and counts.sifted == 0
 
