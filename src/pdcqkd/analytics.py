@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import fock
+from .source import GAIN, MEAN, TRUNCATION, UNIT, mean_pairs
 
 __all__ = [
     "binary_information",
@@ -38,22 +39,12 @@ __all__ = [
 ]
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def _check_gain(g: float) -> None:
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"gain g must satisfy 0 <= g < 1, got {g!r}")
-
-
 def binary_information(p: float) -> float:
     """1 + p log2 p + (1-p) log2 (1-p), with the 0 log 0 := 0 convention.
 
     Equals 1 minus the binary entropy of p; symmetric under p -> 1-p.
     """
-    _check_unit("p", p)
+    UNIT.require(p=p)
     out = 1.0
     if 0.0 < p < 1.0:
         out += p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
@@ -66,8 +57,7 @@ def eq10_information(groups: Iterable[tuple[float, float]]) -> float:
     groups = list(groups)
     total = 0.0
     for r, _ in groups:
-        if r < 0:
-            raise ValueError(f"group weight must be >= 0, got {r!r}")
+        UNIT.require(weight=r)
         total += r
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"group weights must sum to 1, got {total!r}")
@@ -85,9 +75,8 @@ def ep_rates_approx(
     """Printed leading-order sifted-key rate, error count and error rate for
     the entangled-pair scheme; ``eta_bl`` is the product of line transmittance
     and Bob's detector efficiency."""
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("eta_bl", eta_bl)
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, eta_bl=eta_bl)
     xi2 = 1.0 - g * g
     g2 = g * g
     r_key = (
@@ -151,11 +140,9 @@ def exact_rates_oracle(
     from the sector-conditioned Fock count distributions.  The 1/2 basis
     coincidence factor is included in every rate.
     """
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("eta_bl", eta_bl)
-    if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation!r}")
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, eta_bl=eta_bl)
+    TRUNCATION.require(truncation=truncation)
     rows, retained = _pair_weights(g, truncation)
 
     sift = err = dc_m = bob_none_m = 0.0
@@ -216,9 +203,8 @@ class LeakageReport:
 def wcs_leakage(mu_prime: float, eta_lb: float) -> LeakageReport:
     """Delivered-rate and multi-photon fractions for weak coherent states and
     the resulting adversary information branch."""
-    if mu_prime < 0:
-        raise ValueError(f"mu_prime must be >= 0, got {mu_prime!r}")
-    _check_unit("eta_lb", eta_lb)
+    MEAN.require(mu_prime=mu_prime)
+    UNIT.require(eta_lb=eta_lb)
     r_exp = 0.5 * (1.0 - math.exp(-eta_lb * mu_prime))
     r_multi = 0.5 * (1.0 - (1.0 + mu_prime) * math.exp(-mu_prime))
     leading = mu_prime / (2.0 * eta_lb) if eta_lb > 0 else math.inf
@@ -232,9 +218,8 @@ def wcs_leakage(mu_prime: float, eta_lb: float) -> LeakageReport:
 def pdc_rates_closed(g: float, eta_a: float, eta_lb: float) -> tuple[float, float]:
     """Closed-form geometric-series evaluation of the triggered-PDC sifted
     rate and multi-photon rate."""
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("eta_lb", eta_lb)
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, eta_lb=eta_lb)
     xi2 = 1.0 - g * g
     g2 = g * g
 
@@ -260,9 +245,8 @@ def pdc_rates_series(
     """Direct numeric summation of the same two series, used as an internal
     cross-check of the closed forms.  Terms are summed until the geometric
     tail bound drops below ``tail_bound``."""
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("eta_lb", eta_lb)
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, eta_lb=eta_lb)
     xi2 = 1.0 - g * g
     g2 = g * g
     r_exp = r_multi = 0.0
@@ -322,9 +306,9 @@ def ep_pns_oracle(
     blocks singles with probability 1 - ``pass_probability`` and forwards the
     rest over a lossless, guaranteed-detection channel.
     """
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("pass_probability", pass_probability)
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, pass_probability=pass_probability)
+    TRUNCATION.require(truncation=truncation)
     rows, retained = _pair_weights(g, truncation)
 
     sift = err = touched = hits_a = hits_b = dc = 0.0
@@ -398,9 +382,8 @@ def ep_attack_delivered(
 
 def wcs_attack_delivered(mu_prime: float, pass_probability: float) -> float:
     """Delivered sifted rate of the attacked weak-coherent scheme."""
-    if mu_prime < 0:
-        raise ValueError(f"mu_prime must be >= 0, got {mu_prime!r}")
-    _check_unit("pass_probability", pass_probability)
+    MEAN.require(mu_prime=mu_prime)
+    UNIT.require(pass_probability=pass_probability)
     p1 = mu_prime * math.exp(-mu_prime)
     p_multi = 1.0 - (1.0 + mu_prime) * math.exp(-mu_prime)
     return 0.5 * (p_multi + pass_probability * p1)
@@ -408,9 +391,8 @@ def wcs_attack_delivered(mu_prime: float, pass_probability: float) -> float:
 
 def pdc_attack_delivered(g: float, eta_a: float, pass_probability: float) -> float:
     """Delivered sifted rate of the attacked triggered-PDC scheme."""
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("pass_probability", pass_probability)
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, pass_probability=pass_probability)
     _, r_multi = pdc_rates_closed(g, eta_a, 1.0)
     xi2 = 1.0 - g * g
     return r_multi + pass_probability * 0.5 * xi2 * g * g * eta_a
@@ -423,58 +405,46 @@ class EpPnsQuantities:
 
     r_exp: float
     r_double: float
-    r_double_formula: float
     p_ae: float
     p_eb: float
     i_ae: Optional[float]
     i_eb: Optional[float]
     eps_prime: Optional[float]
     eps_prime_leading: float
-    r_err_e_formula: float
     i_ab: Optional[float]
     saturated: bool
 
 
-def ep_pns_quantities(g: float, eta_a: float, eta_bl: float) -> EpPnsQuantities:
+def ep_pns_quantities(
+    g: float, eta_a: float, eta_bl: float, truncation: int = 2
+) -> EpPnsQuantities:
     """Evaluate the attack-side quantities of the entangled-pair scheme:
-    hit probabilities, information branches and the attack-raised error rate."""
-    _check_gain(g)
-    _check_unit("eta_a", eta_a)
-    _check_unit("eta_bl", eta_bl)
-    xi2 = 1.0 - g * g
-    g4 = g**4
+    hit probabilities, information branches and the attack-raised error rate.
+    The branch rates come from the oracles at ``truncation``."""
+    GAIN.require(g=g)
+    UNIT.require(eta_a=eta_a, eta_bl=eta_bl)
     p_ae = (5.0 - 3.0 * eta_a) / (6.0 - 4.0 * eta_a)
     p_eb = (2.0 - eta_a) / (3.0 - 2.0 * eta_a)
-    r_double_formula = xi2 * g4 * (
-        (1.0 - (1.0 - eta_a) ** 2) + eta_a * (1.0 - eta_a)
+    eps_prime_leading = (
+        (1.0 - eta_a) * mean_pairs(g) / (4.0 * eta_bl) if eta_bl > 0 else math.inf
     )
-    r_err_e_formula = xi2 * g4 * eta_a * (1.0 - eta_a) / 2.0
-    oracle = exact_rates_oracle(g, eta_a, eta_bl) if g > 0 else None
+    oracle = exact_rates_oracle(g, eta_a, eta_bl, truncation) if g > 0 else None
     if oracle is None or oracle.r_key <= 0.0:
-        mu = 2.0 * g * g / (1.0 - g * g)
-        leading = (1.0 - eta_a) * mu / (4.0 * eta_bl) if eta_bl > 0 else math.inf
         return EpPnsQuantities(
             r_exp=0.0,
             r_double=0.0,
-            r_double_formula=r_double_formula,
             p_ae=p_ae,
             p_eb=p_eb,
             i_ae=None,
             i_eb=None,
             eps_prime=None,
-            eps_prime_leading=leading,
-            r_err_e_formula=r_err_e_formula,
+            eps_prime_leading=eps_prime_leading,
             i_ab=None,
             saturated=False,
         )
     r_exp = oracle.r_key
-    attack = ep_pns_oracle(g, eta_a, 0.0)
-    r_double = attack.delivered_rate
+    r_double = ep_pns_oracle(g, eta_a, 0.0, truncation).delivered_rate
     saturated = r_exp <= r_double
-    mu = 2.0 * g * g / (1.0 - g * g)
-    eps_prime_leading = (
-        (1.0 - eta_a) * mu / (4.0 * eta_bl) if eta_bl > 0 else math.inf
-    )
     if saturated:
         i_ae = binary_information(p_ae)
         i_eb = binary_information(p_eb)
@@ -484,22 +454,20 @@ def ep_pns_quantities(g: float, eta_a: float, eta_bl: float) -> EpPnsQuantities:
         i_ae = ratio * binary_information(p_ae)
         i_eb = ratio * binary_information(p_eb)
         # delivered errors come only from the split one-of-each-pair signals
-        _, retained = _pair_weights(g, 2)
+        _, retained = _pair_weights(g, truncation)
         xi4 = (1.0 - g * g) ** 2
-        attack_err = 0.5 * xi4 * g4 * eta_a * (1.0 - eta_a) / retained
+        attack_err = 0.5 * xi4 * g**4 * eta_a * (1.0 - eta_a) / retained
         eps_prime = attack_err / r_exp
     i_ab = binary_information(eps_prime)
     return EpPnsQuantities(
         r_exp=r_exp,
         r_double=r_double,
-        r_double_formula=r_double_formula,
         p_ae=p_ae,
         p_eb=p_eb,
         i_ae=i_ae,
         i_eb=i_eb,
         eps_prime=eps_prime,
         eps_prime_leading=eps_prime_leading,
-        r_err_e_formula=r_err_e_formula,
         i_ab=i_ab,
         saturated=saturated,
     )

@@ -15,7 +15,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import sys
 from collections.abc import Iterator
 from typing import Optional
@@ -28,6 +27,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     SweepSpec,
+    validate,
 )
 from .detection import ChannelParams, compose_bob_efficiency
 from .engine import (
@@ -38,7 +38,7 @@ from .engine import (
     run_experiments,
 )
 from .eve import AUTO, PnsConfig
-from .source import Scheme, mean_pairs, single_arm_mean
+from .source import Scheme
 
 # 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
 # printed leading-order values moved to *_formula, i_ab_oracle is gone
@@ -83,22 +83,22 @@ CSV_COLUMNS = [
 
 _SCHEME_NAMES = {s.value: s for s in Scheme}
 
-_EXPERIMENT_KEYS = {
-    "scheme",
-    "g",
-    "mu",
-    "mu_prime",
-    "eta_a",
-    "eta_b",
-    "eta_l",
-    "trials",
-    "seed",
-    "truncation",
-    "workers",
+# The type of every number a config file or a flag gives, by field; a key of
+# the [attack] or [sweep] section is named after its section.
+_NUMBERS = {
+    **dict.fromkeys(("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l"), float),
+    **dict.fromkeys(("trials", "seed", "truncation", "workers"), int),
+    "attack.block_probability": float,
+    "sweep.start": float,
+    "sweep.stop": float,
+    "sweep.steps": int,
 }
-_ATTACK_KEYS = {"enabled", "block_probability", "guarantee_delivery"}
-_SWEEP_KEYS = {"param", "start", "stop", "steps", "scale"}
-_OUTPUT_KEYS = {"format", "path"}
+_SECTION_KEYS = {
+    "experiment": ("scheme", *(field for field in _NUMBERS if "." not in field)),
+    "attack": ("enabled", "block_probability", "guarantee_delivery"),
+    "sweep": ("param", "start", "stop", "steps", "scale"),
+    "output": ("format", "path"),
+}
 
 
 def _parse_bool(raw: str, field: str, errors: list[str]) -> bool:
@@ -111,12 +111,21 @@ def _parse_bool(raw: str, field: str, errors: list[str]) -> bool:
     return False
 
 
-def _parse_number(raw: str, field: str, errors: list[str], kind=float):
-    try:
-        return kind(raw)
-    except ValueError:
-        errors.append(f"{field}: expected a {kind.__name__}, got {raw!r}")
-        return None
+def _parse_numbers(raw: dict, errors: list[str], section: str = "") -> dict:
+    """``raw`` with each value that ``_NUMBERS`` types parsed, or set to None
+    with a message naming its field; a blocking probability may be ``auto``."""
+    values = {}
+    for key, value in raw.items():
+        field = f"{section}.{key}" if section else key
+        kind = _NUMBERS.get(field)
+        if kind is not None and not (field == "attack.block_probability" and value == AUTO):
+            try:
+                value = kind(value)
+            except ValueError:
+                errors.append(f"{field}: expected a {kind.__name__}, got {value!r}")
+                value = None
+        values[key] = value
+    return values
 
 
 def read_config_file(path: str) -> dict:
@@ -128,66 +137,39 @@ def read_config_file(path: str) -> dict:
     with open(path) as fh:
         parser.read_file(fh, source=path)
     errors: list[str] = []
-    values: dict = {}
-    known = {
-        "experiment": _EXPERIMENT_KEYS,
-        "attack": _ATTACK_KEYS,
-        "sweep": _SWEEP_KEYS,
-        "output": _OUTPUT_KEYS,
-    }
     for section in parser.sections():
-        if section not in known:
+        if section not in _SECTION_KEYS:
             errors.append(f"{path}: unknown section [{section}]")
             continue
         for key in parser[section]:
-            if key not in known[section]:
+            if key not in _SECTION_KEYS[section]:
                 errors.append(f"{path}: unknown key '{key}' in section [{section}]")
     if errors:
         raise ConfigError(errors)
 
     exp = parser["experiment"] if parser.has_section("experiment") else {}
-    if "scheme" in exp:
-        values["scheme"] = exp["scheme"]
-    for key in ("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l"):
-        if key in exp:
-            values[key] = _parse_number(exp[key], key, errors)
-    for key, name in (("trials", "trials"), ("seed", "seed"), ("truncation", "truncation"), ("workers", "workers")):
-        if key in exp:
-            values[name] = _parse_number(exp[key], key, errors, int)
+    values = _parse_numbers(dict(exp), errors)
     if parser.has_section("attack"):
         sec = parser["attack"]
-        enabled = _parse_bool(sec.get("enabled", "true"), "attack.enabled", errors)
-        if enabled:
-            block = sec.get("block_probability", AUTO)
-            if block != AUTO:
-                block = _parse_number(block, "attack.block_probability", errors)
-            values["attack"] = {
-                "block_probability": block,
+        if _parse_bool(sec.get("enabled", "true"), "attack.enabled", errors):
+            attack = {
+                "block_probability": sec.get("block_probability", AUTO),
                 "guarantee_delivery": _parse_bool(
                     sec.get("guarantee_delivery", "true"),
                     "attack.guarantee_delivery",
                     errors,
                 ),
             }
+            values["attack"] = _parse_numbers(attack, errors, "attack")
     if parser.has_section("sweep"):
         sec = parser["sweep"]
         missing = [k for k in ("param", "start", "stop", "steps") if k not in sec]
         if missing:
             errors.append(f"sweep: missing keys {missing}")
         else:
-            values["sweep"] = {
-                "param": sec["param"],
-                "start": _parse_number(sec["start"], "sweep.start", errors),
-                "stop": _parse_number(sec["stop"], "sweep.stop", errors),
-                "steps": _parse_number(sec["steps"], "sweep.steps", errors, int),
-                "scale": sec.get("scale", "linear"),
-            }
+            values["sweep"] = _parse_numbers(dict(sec), errors, "sweep")
     if parser.has_section("output"):
-        sec = parser["output"]
-        if "format" in sec:
-            values["format"] = sec["format"]
-        if "path" in sec:
-            values["path"] = sec["path"]
+        values.update(parser["output"])
     if errors:
         raise ConfigError(errors)
     return values
@@ -199,21 +181,23 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
-    errors: list[str] = []
     scheme_name = merged.get("scheme")
     if scheme_name is None:
-        errors.append("scheme: required (one of ep, wcs, pdc)")
-        raise ConfigError(errors)
+        raise ConfigError(["scheme: required (one of ep, wcs, pdc)"])
     scheme = _SCHEME_NAMES.get(str(scheme_name))
     if scheme is None:
         raise ConfigError([f"scheme: must be one of {sorted(_SCHEME_NAMES)}, got {scheme_name!r}"])
+    errors: list[str] = []
     attack = None
     raw_attack = merged.get("attack")
     if raw_attack is not None:
-        attack = PnsConfig(
-            block_probability=raw_attack.get("block_probability", AUTO),
-            guarantee_delivery=raw_attack.get("guarantee_delivery", True),
-        )
+        try:
+            attack = PnsConfig(
+                block_probability=raw_attack.get("block_probability", AUTO),
+                guarantee_delivery=raw_attack.get("guarantee_delivery", True),
+            )
+        except ConfigError as exc:
+            errors += [f"attack.{message}" for message in exc.errors]
     sweep = None
     raw_sweep = merged.get("sweep")
     if raw_sweep is not None:
@@ -241,7 +225,10 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
         out_format=merged.get("format", "csv"),
         out_path=merged.get("path"),
     )
-    return config.validated()
+    errors += validate(config)
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
 def parse_config(
@@ -297,7 +284,9 @@ def analytic_row(
             bob_no_click_oracle=oracle.bob_no_click,
         )
         if config.attack is not None:
-            q = analytics.ep_pns_quantities(g, config.eta_a, eta_bl)
+            q = analytics.ep_pns_quantities(
+                g, config.eta_a, eta_bl, config.truncation_order
+            )
             row.update(
                 r_exp=q.r_exp,
                 r_multi=q.r_double,
@@ -497,18 +486,19 @@ def emit(rows: list[dict], fmt: str, path: Optional[str], config: ExperimentConf
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    # numbers stay strings here: _flags_to_values parses them as a file's are
     p.add_argument("-c", "--config", help="configuration file")
     p.add_argument("--scheme", choices=sorted(_SCHEME_NAMES))
-    p.add_argument("--g", type=float, help="down-conversion gain")
-    p.add_argument("--mu", type=float, help="mean pair number (converted to gain)")
-    p.add_argument("--mu-prime", dest="mu_prime", type=float, help="WCS mean photon number")
-    p.add_argument("--eta-a", dest="eta_a", type=float)
-    p.add_argument("--eta-b", dest="eta_b", type=float)
-    p.add_argument("--eta-l", dest="eta_l", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--g", help="down-conversion gain")
+    p.add_argument("--mu", help="mean pair number (converted to gain)")
+    p.add_argument("--mu-prime", dest="mu_prime", help="WCS mean photon number")
+    p.add_argument("--eta-a", dest="eta_a")
+    p.add_argument("--eta-b", dest="eta_b")
+    p.add_argument("--eta-l", dest="eta_l")
+    p.add_argument("--trials")
+    p.add_argument("--seed")
+    p.add_argument("--truncation")
+    p.add_argument("--workers")
     p.add_argument("--attack", choices=["none", "pns"])
     p.add_argument("--block-probability", dest="block_probability")
     p.add_argument("--sweep", help="param:start:stop:steps[:log]")
@@ -517,47 +507,26 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _flags_to_values(args: argparse.Namespace) -> dict:
-    values: dict = {}
     errors: list[str] = []
-    for key in (
-        "scheme",
-        "g",
-        "mu",
-        "mu_prime",
-        "eta_a",
-        "eta_b",
-        "eta_l",
-        "trials",
-        "seed",
-        "truncation",
-        "workers",
-        "format",
-        "path",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = value
+    keys = (*_SECTION_KEYS["experiment"], *_SECTION_KEYS["output"])
+    given = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    values = _parse_numbers(given, errors)
     if getattr(args, "attack", None) == "pns":
         block = getattr(args, "block_probability", None)
-        if block is not None and block != AUTO:
-            block = _parse_number(block, "attack.block_probability", errors)
-        values["attack"] = {
+        attack = {
             "block_probability": AUTO if block is None else block,
             "guarantee_delivery": True,
         }
+        values["attack"] = _parse_numbers(attack, errors, "attack")
     elif getattr(args, "attack", None) == "none":
         values["attack"] = None
     if getattr(args, "sweep", None):
         parts = args.sweep.split(":")
         if len(parts) not in (4, 5):
             raise ConfigError(["sweep: expected param:start:stop:steps[:log]"])
-        values["sweep"] = {
-            "param": parts[0],
-            "start": _parse_number(parts[1], "sweep.start", errors),
-            "stop": _parse_number(parts[2], "sweep.stop", errors),
-            "steps": _parse_number(parts[3], "sweep.steps", errors, int),
-            "scale": parts[4] if len(parts) == 5 else "linear",
-        }
+        values["sweep"] = _parse_numbers(
+            dict(zip(_SECTION_KEYS["sweep"], parts)), errors, "sweep"
+        )
     if errors:
         raise ConfigError(errors)
     return values

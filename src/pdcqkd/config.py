@@ -5,11 +5,14 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .eve import AUTO, PnsConfig
+from .eve import PnsConfig
 from .source import (
-    MAX_MEAN_PHOTONS,
-    MAX_TRUNCATION,
-    MIN_TRUNCATION,
+    GAIN,
+    MEAN,
+    MEAN_PHOTONS,
+    TRUNCATION,
+    UNIT,
+    ConfigError,
     Scheme,
     g_for_mean,
     g_for_single_arm_mean,
@@ -21,14 +24,6 @@ SWEEPABLE = ("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l")
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 0
 DEFAULT_TRUNCATION = 2
-
-
-class ConfigError(ValueError):
-    """Configuration rejection carrying named-field diagnostics."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -101,50 +96,35 @@ def validate(config: ExperimentConfig) -> list[str]:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
         elif config.g is None and config.mu is None and not sweeps_gain:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
-        if config.g is not None and not 0.0 <= config.g < 1.0:
-            errors.append(f"g: must lie in [0, 1), got {config.g!r}")
-        if config.mu is not None and config.mu < 0:
-            errors.append(f"mu: must be >= 0, got {config.mu!r}")
         # the triggered source's signal arm has mean g^2/(1-g^2) = mu
         pdc = scheme is Scheme.TRIGGERED_PDC
-        if pdc and config.mu is not None and config.mu > MAX_MEAN_PHOTONS:
-            errors.append(f"mu: must be <= {MAX_MEAN_PHOTONS}, got {config.mu!r}")
-        if pdc and config.g is not None and 0.0 <= config.g < 1.0:
-            if single_arm_mean(config.g) > MAX_MEAN_PHOTONS:
-                errors.append(
-                    f"g: mean photon number g^2/(1-g^2) must be <= {MAX_MEAN_PHOTONS}, "
-                    f"got {config.g!r}"
-                )
+        if config.g is not None:
+            errors += GAIN.violations(g=config.g) or (
+                MEAN_PHOTONS.violations(g=single_arm_mean(config.g)) if pdc else []
+            )
+        if config.mu is not None:
+            errors += MEAN.violations(mu=config.mu) or (
+                MEAN_PHOTONS.violations(mu=config.mu) if pdc else []
+            )
     else:
         if config.mu_prime is None:
             errors.append("mu_prime: required for the weak-coherent scheme")
-        elif not 0 <= config.mu_prime <= MAX_MEAN_PHOTONS:
-            errors.append(
-                f"mu_prime: must lie in [0, {MAX_MEAN_PHOTONS}], got {config.mu_prime!r}"
+        else:
+            errors += MEAN.violations(mu_prime=config.mu_prime) or MEAN_PHOTONS.violations(
+                mu_prime=config.mu_prime
             )
         if config.g is not None or config.mu is not None:
             errors.append("g/mu: not applicable to the weak-coherent scheme")
-    for name in ("eta_a", "eta_b", "eta_l"):
-        value = getattr(config, name)
-        if not 0.0 <= value <= 1.0:
-            errors.append(f"{name}: must lie in [0, 1], got {value!r}")
+    errors += UNIT.violations(eta_a=config.eta_a, eta_b=config.eta_b, eta_l=config.eta_l)
     if not 0 <= config.master_seed < 1 << 64:
         errors.append(f"master_seed: must lie in [0, 2**64), got {config.master_seed!r}")
     if config.trials < 0:
         errors.append(f"trials: must be >= 0, got {config.trials!r}")
-    if not MIN_TRUNCATION <= config.truncation_order <= MAX_TRUNCATION:
-        errors.append(
-            f"truncation_order: must lie in [{MIN_TRUNCATION}, {MAX_TRUNCATION}], "
-            f"got {config.truncation_order!r}"
-        )
+    errors += TRUNCATION.violations(truncation_order=config.truncation_order)
     if config.workers < 1:
         errors.append(f"workers: must be >= 1, got {config.workers!r}")
     if config.out_format not in ("csv", "json"):
         errors.append(f"out_format: must be 'csv' or 'json', got {config.out_format!r}")
-    if config.attack is not None:
-        p = config.attack.block_probability
-        if isinstance(p, str) and p != AUTO:
-            errors.append(f"attack.block_probability: must be a float or '{AUTO}'")
     if config.sweep is not None:
         sw = config.sweep
         if sw.param not in SWEEPABLE:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .source import UNIT
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -19,10 +21,7 @@ class ChannelParams:
     eta_l: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("eta_a", "eta_b", "eta_l"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        UNIT.require(eta_a=self.eta_a, eta_b=self.eta_b, eta_l=self.eta_l)
 
 
 def compose_bob_efficiency(params: ChannelParams) -> float:

@@ -476,7 +476,7 @@ class RateReport:
 def _build_report(
     counts: _Counts, config: ExperimentConfig, block_probability: Optional[float]
 ) -> RateReport:
-    from .analytics import binary_information
+    from .analytics import eq10_information
 
     valid = counts.trials - counts.excluded
     if valid > 0:
@@ -500,8 +500,10 @@ def _build_report(
     if counts.touched_sifted > 0:
         p_ae = counts.eve_alice_hits / counts.touched_sifted
         p_eb = counts.eve_bob_hits / counts.touched_sifted
-        i_ae = touched * binary_information(p_ae)
-        i_eb = touched * binary_information(p_eb)
+        # Eq. 10: Eve knows a touched bit with her hit probability and guesses
+        # every other one
+        i_ae = eq10_information([(touched, p_ae), (1.0 - touched, 0.5)])
+        i_eb = eq10_information([(touched, p_eb), (1.0 - touched, 0.5)])
     else:
         p_ae = p_eb = None
         i_ae = i_eb = (0.0 if counts.sifted > 0 and block_probability is not None else None)

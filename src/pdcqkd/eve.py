@@ -15,7 +15,7 @@ from typing import Union
 
 from . import analytics
 from .detection import ChannelParams, compose_bob_efficiency
-from .source import Scheme, SourceParams
+from .source import AUTO, BLOCK_PROBABILITY, Scheme, SourceParams
 
 
 class _Saturated:
@@ -28,8 +28,6 @@ class _Saturated:
 
 SATURATED = _Saturated()
 
-AUTO = "auto"
-
 
 @dataclass(frozen=True)
 class PnsConfig:
@@ -40,12 +38,7 @@ class PnsConfig:
     guarantee_delivery: bool = True
 
     def __post_init__(self) -> None:
-        p = self.block_probability
-        if isinstance(p, str):
-            if p != AUTO:
-                raise ValueError(f"block_probability must be a float or {AUTO!r}")
-        elif not 0.0 <= p <= 1.0:
-            raise ValueError(f"block_probability must lie in [0, 1], got {p!r}")
+        BLOCK_PROBABILITY.require(block_probability=self.block_probability)
 
 
 def _unattacked_rate(source: SourceParams, channel: ChannelParams) -> float:

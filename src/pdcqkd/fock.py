@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .source import GAIN
+
 PRUNE_TOL = 1e-14
 
 Occupation = tuple[int, int, int, int]
@@ -49,8 +51,7 @@ def _merged(raw: dict[Occupation, complex]) -> dict[Occupation, complex]:
 def build_truncated_state(g: float, truncation: int = 2) -> FockSuperposition:
     """State of the two-crystal source keeping terms with at most
     ``truncation`` total pairs, renormalized over the retained terms."""
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"gain g must satisfy 0 <= g < 1, got {g!r}")
+    GAIN.require(g=g)
     raw: dict[Occupation, complex] = {}
     for total in range(truncation + 1):
         for m in range(total + 1):

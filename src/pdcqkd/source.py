@@ -2,14 +2,16 @@
 
 Covers the two-crystal entangled-pair down-conversion source, attenuated
 laser (weak coherent state) signals, and the triggered single-crystal
-down-conversion source: their parameters, the gain / mean-pair-number
-conversions, and the truncated pair-configuration table of the entangled-pair
-source.  The Monte Carlo kernels in ``engine`` draw from these laws.
+down-conversion source: their parameters and the rules every input value
+must satisfy, the gain / mean-pair-number conversions, and the truncated
+pair-configuration table of the entangled-pair source.  The Monte Carlo
+kernels in ``engine`` draw from these laws.
 """
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +28,62 @@ MAX_TRUNCATION = 127
 MAX_MEAN_PHOTONS = 1000.0
 # log of the tail mass a photon-number table may leave out
 _LOG_TAIL = -64.0 * math.log(2.0)
+# the blocking probability that the attack solves for itself
+AUTO = "auto"
+
+
+class ConfigError(ValueError):
+    """Input rejection carrying one message per offending field."""
+
+    def __init__(self, errors: list[str]):
+        self.errors = errors
+        super().__init__("; ".join(errors))
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A domain that input values must lie in; ``holds`` is false for NaN."""
+
+    holds: Callable[[object], bool]
+    requirement: str
+
+    def violations(self, **values) -> list[str]:
+        """One message for each value outside the domain, led by its field."""
+        return [
+            f"{field}: {self.requirement}, got {value!r}"
+            for field, value in values.items()
+            if not self.holds(value)
+        ]
+
+    def require(self, **values) -> None:
+        """Raise the ``violations`` of ``values`` as a ConfigError."""
+        errors = self.violations(**values)
+        if errors:
+            raise ConfigError(errors)
+
+
+# Every input rule of the model, written once.
+GAIN = Rule(lambda g: 0.0 <= g < 1.0, "must lie in [0, 1)")
+UNIT = Rule(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+MEAN = Rule(lambda mu: 0.0 <= mu < math.inf, "must be finite and >= 0")
+# checked after MEAN or GAIN, which exclude negative and infinite values
+MEAN_PHOTONS = Rule(
+    lambda mu: mu <= MAX_MEAN_PHOTONS, f"mean photon number must be <= {MAX_MEAN_PHOTONS}"
+)
+TRUNCATION = Rule(
+    lambda t: MIN_TRUNCATION <= t <= MAX_TRUNCATION,
+    f"must lie in [{MIN_TRUNCATION}, {MAX_TRUNCATION}]",
+)
+BLOCK_PROBABILITY = Rule(
+    lambda p: p == AUTO or (not isinstance(p, str) and UNIT.holds(p)),
+    f"must be {AUTO!r} or lie in [0, 1]",
+)
 
 
 class Scheme(enum.Enum):
     ENTANGLED_PAIRS = "ep"
     WEAK_COHERENT = "wcs"
     TRIGGERED_PDC = "pdc"
-
-
-def _check_gain(g: float) -> None:
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"gain g must satisfy 0 <= g < 1, got {g!r}")
 
 
 @dataclass(frozen=True)
@@ -53,18 +100,11 @@ class SourceParams:
     mu_prime: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_gain(self.g)
-        if not MIN_TRUNCATION <= self.truncation_order <= MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation_order must lie in [{MIN_TRUNCATION}, {MAX_TRUNCATION}], "
-                f"got {self.truncation_order!r}"
-            )
-        if self.mu_prime < 0:
-            raise ValueError(f"mu_prime must be >= 0, got {self.mu_prime!r}")
-        if self.mean_photons > MAX_MEAN_PHOTONS:
-            raise ValueError(
-                f"mean photon number must be <= {MAX_MEAN_PHOTONS}, got {self.mean_photons!r}"
-            )
+        GAIN.require(g=self.g)
+        TRUNCATION.require(truncation_order=self.truncation_order)
+        MEAN.require(mu_prime=self.mu_prime)
+        mean_field = "mu_prime" if self.scheme is Scheme.WEAK_COHERENT else "g"
+        MEAN_PHOTONS.require(**{mean_field: self.mean_photons})
 
     @property
     def mean_photons(self) -> float:
@@ -107,27 +147,25 @@ class PairDistribution:
 
 def mean_pairs(g: float) -> float:
     """Mean pair number of the two-crystal source, 2 g^2 / (1 - g^2)."""
-    _check_gain(g)
+    GAIN.require(g=g)
     return 2.0 * g * g / (1.0 - g * g)
 
 
 def g_for_mean(mu: float) -> float:
     """Gain that produces mean pair number ``mu`` (inverse of mean_pairs)."""
-    if mu < 0:
-        raise ValueError(f"mean pair number must be >= 0, got {mu!r}")
+    MEAN.require(mu=mu)
     return math.sqrt(mu / (2.0 + mu))
 
 
 def single_arm_mean(g: float) -> float:
     """Mean pair number of a single crystal, g^2 / (1 - g^2)."""
-    _check_gain(g)
+    GAIN.require(g=g)
     return g * g / (1.0 - g * g)
 
 
 def g_for_single_arm_mean(mu: float) -> float:
     """Gain producing single-crystal mean pair number ``mu``."""
-    if mu < 0:
-        raise ValueError(f"mean pair number must be >= 0, got {mu!r}")
+    MEAN.require(mu=mu)
     return math.sqrt(mu / (1.0 + mu))
 
 
@@ -139,7 +177,6 @@ def pair_distribution(params: SourceParams) -> PairDistribution:
     if params.scheme is not Scheme.ENTANGLED_PAIRS:
         raise ValueError("pair_distribution requires the entangled-pair scheme")
     g = params.g
-    _check_gain(g)
     trunc = params.truncation_order
     xi4 = (1.0 - g * g) ** 2
     configs = []

@@ -180,6 +180,11 @@ class TestAttackOracle:
         oracle = ep_pns_oracle(0.6, 0.6, pass_probability=0.0)
         assert oracle.error_rate == pytest.approx(0.4 / 3.6, abs=1e-12)
 
+    @pytest.mark.parametrize("truncation", [1, -1])
+    def test_rejects_truncation_below_two(self, truncation):
+        with pytest.raises(ValueError, match="^truncation"):
+            ep_pns_oracle(0.3, 0.6, 0.5, truncation)
+
     def test_quantities_branching(self):
         q = ep_pns_quantities(0.6, 0.6, 0.1)
         assert q.saturated

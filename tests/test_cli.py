@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +388,7 @@ class TestMain:
               "--block-probability", "abc"], "attack.block_probability"),
             (["sweep", "--scheme", "ep", "--trials", "0", "--sweep", "g:a:0.3:3"], "sweep.start"),
             (["sweep", "--scheme", "ep", "--trials", "0", "--sweep", "g:0.1:0.3:x"], "sweep.steps"),
+            (["simulate", "--scheme", "ep", "--g", "abc"], "g"),
         ],
     )
     def test_unparsable_flag_exits_2_naming_the_field(self, args, field, capsys):
@@ -509,6 +511,16 @@ class TestMain:
         expected = 0.0715 if block == "auto" else 0.0733
         assert row["i_ae_oracle"] == pytest.approx(expected, abs=5e-5)
 
+    def test_attacked_ep_formula_columns_follow_truncation(self, capsys):
+        code = main(
+            ["analytic", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--attack", "pns",
+             "--truncation", "4", "--format", "json"]
+        )
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["r_exp"] == analytics.exact_rates_oracle(0.3, 0.6, 1.0, 4).r_key
+        assert row["r_multi"] == analytics.ep_pns_oracle(0.3, 0.6, 0.0, 4).delivered_rate
+
     @pytest.mark.parametrize(
         "args, field",
         [
@@ -516,6 +528,15 @@ class TestMain:
             (["--scheme", "wcs", "--mu-prime", "1001"], "mu_prime"),
             (["--scheme", "pdc", "--mu", "1001"], "mu"),
             (["--scheme", "pdc", "--g", "0.9999"], "g"),
+            (["--scheme", "ep", "--g", "0.3", "--attack", "pns", "--block-probability", "1.5"],
+             "attack.block_probability"),
+            (["--scheme", "ep", "--g", "0.3", "--attack", "pns", "--block-probability", "nan"],
+             "attack.block_probability"),
+            (["--scheme", "ep", "--mu", "nan"], "mu"),
+            (["--scheme", "ep", "--mu", "inf"], "mu"),
+            (["--scheme", "pdc", "--mu", "nan"], "mu"),
+            (["-c", str(Path(__file__).with_name("block_probability_1.5.ini"))],
+             "attack.block_probability"),
         ],
     )
     def test_out_of_range_source_exits_2(self, args, field, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from pdcqkd import fock
 from pdcqkd.analytics import (
+    binary_information,
     ep_pns_oracle,
     exact_rates_oracle,
     pdc_leakage,
@@ -498,6 +499,16 @@ class TestRunExperiments:
         configs = self.configs(workers)
         singles = [run_experiment(dataclasses.replace(c, workers=1)) for c in configs]
         assert list(run_experiments(configs)) == singles
+
+    def test_information_is_eq10_of_the_touched_group(self):
+        # the untouched group is guessed at p = 1/2 and adds exactly 0, so
+        # Eq. 10 gives the touched fraction times f(p) bit for bit
+        attacked = [r for r in run_experiments(self.configs(1)) if r.p_ae_hat is not None]
+        assert len(attacked) == 2
+        for report in attacked:
+            touched = report.eve_touched_fraction
+            assert report.i_ae == touched * binary_information(report.p_ae_hat)
+            assert report.i_eb == touched * binary_information(report.p_eb_hat)
 
     def test_invalid_config_raises_before_any_run(self, monkeypatch):
         from pdcqkd import engine
