@@ -190,6 +190,17 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     errors: list[str] = []
     attack = None
     raw_attack = merged.get("attack")
+    # a --block-probability flag overrides the blocking probability of the
+    # attack a flag or the file enables, and is an error without one
+    block = merged.pop("block_probability", None)
+    if block is not None:
+        if raw_attack is None:
+            errors.append(
+                "attack.block_probability: applies only when the attack is enabled "
+                "(--attack pns, or an enabled [attack] section)"
+            )
+        else:
+            raw_attack = {**raw_attack, "block_probability": block}
     if raw_attack is not None:
         try:
             attack = PnsConfig(
@@ -511,13 +522,12 @@ def _flags_to_values(args: argparse.Namespace) -> dict:
     keys = (*_SECTION_KEYS["experiment"], *_SECTION_KEYS["output"])
     given = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     values = _parse_numbers(given, errors)
+    block = getattr(args, "block_probability", None)
+    if block is not None:
+        # ``build_config`` applies it to whichever attack is enabled
+        values.update(_parse_numbers({"block_probability": block}, errors, "attack"))
     if getattr(args, "attack", None) == "pns":
-        block = getattr(args, "block_probability", None)
-        attack = {
-            "block_probability": AUTO if block is None else block,
-            "guarantee_delivery": True,
-        }
-        values["attack"] = _parse_numbers(attack, errors, "attack")
+        values["attack"] = {"block_probability": AUTO, "guarantee_delivery": True}
     elif getattr(args, "attack", None) == "none":
         values["attack"] = None
     if getattr(args, "sweep", None):

@@ -96,16 +96,15 @@ def validate(config: ExperimentConfig) -> list[str]:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
         elif config.g is None and config.mu is None and not sweeps_gain:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
-        # the triggered source's signal arm has mean g^2/(1-g^2) = mu
+        # the triggered source's signal arm has mean g^2/(1-g^2) = mu; an ep
+        # pair mean mu within the same bound keeps its gain below 1
         pdc = scheme is Scheme.TRIGGERED_PDC
         if config.g is not None:
             errors += GAIN.violations(g=config.g) or (
                 MEAN_PHOTONS.violations(g=single_arm_mean(config.g)) if pdc else []
             )
         if config.mu is not None:
-            errors += MEAN.violations(mu=config.mu) or (
-                MEAN_PHOTONS.violations(mu=config.mu) if pdc else []
-            )
+            errors += MEAN.violations(mu=config.mu) or MEAN_PHOTONS.violations(mu=config.mu)
     else:
         if config.mu_prime is None:
             errors.append("mu_prime: required for the weak-coherent scheme")

@@ -15,17 +15,20 @@ configuration, where the classical per-photon model is exact because the
 source state keeps its form under an identical basis change on both sides;
 and each mismatched basis combo with each occupation of each per-side-total
 sector, drawn from the sector-conditioned Fock distributions, which carry
-the two-photon interference the classical model misses.  Every detector
-then fires on its own uniform against a per-count table 1 - (1 - eta)^n.
+the two-photon interference the classical model misses.  Each side's two
+detectors then fire on one uniform in ``_two_detectors``, against thresholds
+per count pair that make them independent yes/no detectors, each firing with
+probability 1 - (1 - eta)^n.  Under attack Bob's arm first passes through
+``_intercept`` on one more uniform, which decides the stored photon of a
+multi-photon arm or the block of a single photon, never both.
 The prepare-and-measure kernel draws the photon number with Alice's bit and
 both bases from one alias table in the same way; the ``pdc`` herald fires on
-a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors on one uniform
-against per-count thresholds that give the yes/no detector law in the
-matched basis and binomial loss followed by a 50:50 split in the other.
-Both kernels draw only uniforms and share the sift and tally stage,
-``_tally``; under attack the ``ep`` kernel passes Bob's arm through
-``_intercept``, and the prepared kernel applies the same rule to photon
-totals.
+a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors go through
+``_two_detectors`` against per-count thresholds that give the yes/no
+detector law in the matched basis and binomial loss followed by a 50:50
+split in the other.  Both kernels draw only uniforms, all of a batch's with
+one call, and share the sift and tally stage, ``_tally``; under attack the
+prepared kernel applies ``_intercept``'s rule to photon totals.
 
 ``run_experiments`` schedules a list of runs -- the points of a sweep -- on
 one process pool.  Each run's batches are split into ``min(workers,
@@ -62,8 +65,10 @@ from .source import (
 BATCH_SIZE = 1 << 16
 # 1: per-sector inverse-CDF draws and binomial detectors in the ep kernel;
 # 2: one joint-table draw and per-count detector thresholds;
-# 3: the same for the wcs/pdc kernel (ep streams as in 2).
-STREAM_VERSION = 3
+# 3: the same for the wcs/pdc kernel (ep streams as in 2);
+# 4: each ep side's two detectors on one uniform, one interposer uniform
+#    (wcs/pdc streams as in 3).
+STREAM_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +126,29 @@ def _fire_table(eta: float, max_count: int) -> np.ndarray:
     return 1.0 - (1.0 - eta) ** np.arange(max_count + 1, dtype=np.float64)
 
 
+def _pair_index(n0: np.ndarray, n1: np.ndarray, width: int) -> np.ndarray:
+    """Flat index ``n0 * width + n1`` of the count pairs (n0, n1), computed in
+    ``intp``: past a truncation of 10 it no longer fits the int8 counts."""
+    return n0.astype(np.intp) * width + n1
+
+
+def _pair_thresholds(fire: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thresholds of ``_two_detectors`` for two independent yes/no detectors
+    with per-count fire table ``fire``, over the ``_pair_index`` of
+    (n0, n1) with width ``len(fire)``: D0 fires on [0, f0) and D1 on
+    [f0 (1 - f1), f0 (1 - f1) + f1), which overlap on a length f0 f1."""
+    f0, f1 = fire[:, None], fire[None, :]
+    d1_lo = f0 * (1.0 - f1)
+    return np.broadcast_to(f0, d1_lo.shape).ravel(), d1_lo.ravel(), (d1_lo + f1).ravel()
+
+
+def _two_detectors(u, index, d0, d1_lo, d1_hi):
+    """Which of a side's two detectors fire, both on the uniforms ``u``: D0
+    when ``u < d0``, D1 when ``d1_lo <= u < d1_hi``, with the thresholds taken
+    at ``index``."""
+    return u < d0.take(index), (u >= d1_lo.take(index)) & (u < d1_hi.take(index))
+
+
 def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker alias table of a categorical distribution, padded with empty
     entries to a power-of-two length ``k``.
@@ -167,6 +195,8 @@ class _JointTable:
     entries are the truncation-exceeded event (no photons), each matched
     basis pair with pair configuration (m, n) and counts (m, n, m, n), and
     each mismatched basis combo with each occupation of each sector total.
+    ``pair_a`` and ``pair_b`` are the ``_pair_index`` of each side's counts
+    at ``width``, the truncation plus one.
     """
 
     probabilities: np.ndarray
@@ -177,9 +207,11 @@ class _JointTable:
     b1: np.ndarray
     cut: np.ndarray
     alias: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
 
     @classmethod
-    def build(cls, dist: PairDistribution, sector_tables: dict) -> "_JointTable":
+    def build(cls, dist: PairDistribution, sector_tables: dict, width: int) -> "_JointTable":
         totals = np.array([c.total for c in dist.configs])
         rows = [(dist.tail, _EXCEEDED, 0, 0, 0, 0)]
         rows += [
@@ -199,8 +231,11 @@ class _JointTable:
                 q = np.diff(cdf[:-1], prepend=0.0, append=1.0)
                 rows += [(weight * qj, kind, *occ) for qj, occ in zip(q, zip(*occupations))]
         probabilities = np.array([r[0] for r in rows])
-        columns = np.array([r[1:] for r in rows], dtype=np.int8).T
-        return cls(probabilities, *columns, *_alias_table(probabilities))
+        kind, a0, a1, b0, b1 = np.array([r[1:] for r in rows], dtype=np.int8).T
+        return cls(
+            probabilities, kind, a0, a1, b0, b1, *_alias_table(probabilities),
+            _pair_index(a0, a1, width), _pair_index(b0, b1, width),
+        )
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Entry indices for uniforms ``u`` in [0, 1)."""
@@ -214,6 +249,8 @@ class _EpContext:
     table ``(cdf, a0, a1, b0, b1)`` of the mismatched-basis occupations;
     combo 0 is Alice at + and Bob at x.  The joint table is derived from it
     on first use, so it always reflects the sector tables the kernel sees.
+    ``fire_a``/``fire_b`` are each side's per-count fire tables, and
+    ``alice``/``bob`` their ``_pair_thresholds``.
     """
 
     def __init__(self, params: _RunParams):
@@ -239,10 +276,12 @@ class _EpContext:
         # no mode holds more photons than the truncation allows pairs
         self.fire_a = _fire_table(params.eta_a, params.truncation)
         self.fire_b = _fire_table(params.bob_eta, params.truncation)
+        self.alice = _pair_thresholds(self.fire_a)
+        self.bob = _pair_thresholds(self.fire_b)
 
     @cached_property
     def joint(self) -> _JointTable:
-        return _JointTable.build(self.dist, self.sector_tables)
+        return _JointTable.build(self.dist, self.sector_tables, len(self.fire_a))
 
 
 # A prepared trial's combo c = bit | basis_a << 1 | basis_b << 2; all eight
@@ -281,8 +320,8 @@ class _PreparedContext:
     c, with probability ``law[n] / 8``: only ``law`` goes through
     ``_alias_table``, and each of its slots is split into eight, which keeps
     the build linear in the table length.  ``trigger`` is the ``pdc``
-    herald's fire table over n, and ``d0``/``d1_lo``/``d1_hi`` are Bob's
-    thresholds of ``_bob_thresholds`` over the same flat index.
+    herald's fire table over n, and ``bob`` holds Bob's thresholds of
+    ``_bob_thresholds`` over the same flat index.
     """
 
     def __init__(self, params: _RunParams):
@@ -296,7 +335,7 @@ class _PreparedContext:
         self.alias = (8 * alias[:, None] + _COMBOS).ravel()
         self.matched = np.tile(_COMBO_MATCHED, n_max + 1)
         self.trigger = _fire_table(params.eta_a, n_max)
-        self.d0, self.d1_lo, self.d1_hi = _bob_thresholds(params.bob_eta, n_max)
+        self.bob = _bob_thresholds(params.bob_eta, n_max)
 
 
 def _intercept(u_store, u_block, b0, b1, valid, p_block: float):
@@ -356,26 +395,26 @@ def _tally(present, announced, matched, a_single, bit_a, fb0, fb1, eve=None) -> 
 
 def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContext) -> _Counts:
     table = ctx.joint
-    entry = table.draw(rng.random(size))
+    attacked = p.block_probability is not None
+    # rows: joint entry, then the interposer, then Alice's and Bob's detectors
+    u = rng.random((3 + attacked, size))
+    entry = table.draw(u[0])
     kind = table.kind.take(entry)
-    a0 = table.a0.take(entry)
-    a1 = table.a1.take(entry)
-    b0 = table.b0.take(entry)
-    b1 = table.b1.take(entry)
     valid = kind != _EXCEEDED
 
     eve = None
-    if p.block_probability is not None:
-        u_store = rng.random(size)
-        u_block = rng.random(size)
-        b0, b1, *eve = _intercept(u_store, u_block, b0, b1, valid, p.block_probability)
+    if attacked:
+        # the store choice (two photons or more) and the block (exactly one)
+        # never apply to the same event, so one uniform serves both
+        b0, b1, *eve = _intercept(
+            u[1], u[1], table.b0.take(entry), table.b1.take(entry), valid, p.block_probability
+        )
+        pair_b = _pair_index(b0, b1, len(ctx.fire_b))
+    else:
+        pair_b = table.pair_b.take(entry)
 
-    # one uniform per detector and event, against the per-count fire tables
-    u_fire = rng.random((4, size))
-    fa0 = u_fire[0] < ctx.fire_a.take(a0)
-    fa1 = u_fire[1] < ctx.fire_a.take(a1)
-    fb0 = u_fire[2] < ctx.fire_b.take(b0)
-    fb1 = u_fire[3] < ctx.fire_b.take(b1)
+    fa0, fa1 = _two_detectors(u[-2], table.pair_a.take(entry), *ctx.alice)
+    fb0, fb1 = _two_detectors(u[-1], pair_b, *ctx.bob)
     return _tally(valid, valid, kind == _MATCHED, fa0 ^ fa1, fa1, fb0, fb1, eve)
 
 
@@ -403,9 +442,7 @@ def _prepared_batch(
         row = np.where(multi | blocked, entry - 8, entry)  # one photon fewer
         eve = (multi, bit_a, blocked)
 
-    u_bob = u[-1]
-    fb0 = u_bob < ctx.d0.take(row)
-    fb1 = (u_bob >= ctx.d1_lo.take(row)) & (u_bob < ctx.d1_hi.take(row))
+    fb0, fb1 = _two_detectors(u[-1], row, *ctx.bob)
     counts = _tally(present, triggered, matched, True, bit_a, fb0, fb1, eve)
     counts.triggered = int(np.count_nonzero(triggered))
     return counts

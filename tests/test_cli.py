@@ -537,12 +537,34 @@ class TestMain:
             (["--scheme", "pdc", "--mu", "nan"], "mu"),
             (["-c", str(Path(__file__).with_name("block_probability_1.5.ini"))],
              "attack.block_probability"),
+            # a blocking probability without an attack would go unused
+            (["--scheme", "ep", "--g", "0.3", "--block-probability", "2"],
+             "attack.block_probability"),
+            (["--scheme", "ep", "--g", "0.3", "--attack", "none", "--block-probability", "0.3"],
+             "attack.block_probability"),
+            # an ep pair mean past the bound would round its gain up to 1
+            (["--scheme", "ep", "--mu", "1e17"], "mu"),
         ],
     )
     def test_out_of_range_source_exits_2(self, args, field, capsys):
         assert main(["simulate", "--trials", "10", *args]) == 2
         err = json.loads(capsys.readouterr().err)
         assert any(msg.startswith(field + ":") for msg in err["messages"])
+
+    @pytest.mark.parametrize("enabled, code", [("true", 0), ("false", 2)])
+    def test_block_probability_flag_needs_an_enabled_attack(self, enabled, code, tmp_path, capsys):
+        path = tmp_path / "attack.ini"
+        path.write_text(f"[experiment]\nscheme = ep\ng = 0.3\n\n[attack]\nenabled = {enabled}\n")
+        args = ["analytic", "-c", str(path), "--block-probability", "0.3", "--format", "json"]
+        assert main(args) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            # the flag overrides the file's (default auto) blocking probability
+            (row,) = json.loads(out)["rows"]
+            assert row["block_probability"] == 0.3
+        else:
+            messages = json.loads(err)["messages"]
+            assert any(msg.startswith("attack.block_probability:") for msg in messages)
 
     def test_invalid_config_exits_2(self, capsys):
         code = main(["analytic", "--scheme", "ep", "--g", "1.5"])

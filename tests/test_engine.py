@@ -23,6 +23,8 @@ from pdcqkd.engine import (
     _PreparedContext,
     _RunParams,
     _bob_thresholds,
+    _pair_index,
+    _two_detectors,
     run_experiment,
     run_experiments,
 )
@@ -120,6 +122,51 @@ class TestEpJointTable:
             counts = np.arange(len(fire))
             np.testing.assert_allclose(fire, 1.0 - (1.0 - eta) ** counts, rtol=0, atol=1e-12)
             assert max(mode.max() for mode in modes) < len(fire)
+
+
+class TestTwoDetectors:
+    """Each ep side's two detectors on one uniform are two independent yes/no
+    detectors, at any count pair and past the int8 range of the counts."""
+
+    GRID = 1 << 12
+
+    @staticmethod
+    def context(truncation, eta):
+        return _EpContext(_RunParams(Scheme.ENTANGLED_PAIRS, 0.3, 0.0, eta, eta, 1.0, truncation, None))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("truncation", [2, 12])
+    def test_outcome_regions_are_independent_detectors(self, truncation, eta):
+        ctx = self.context(truncation, eta)
+        # a sorted grid spanning [0, 1): every region is one interval, so its
+        # share of the grid is its length to within one grid step
+        u = np.arange(self.GRID) / self.GRID
+        width = truncation + 1
+        for fire, thresholds in ((ctx.fire_a, ctx.alice), (ctx.fire_b, ctx.bob)):
+            for n0 in range(width):
+                for n1 in range(width):
+                    index = np.full(self.GRID, n0 * width + n1)
+                    d0, d1 = _two_detectors(u, index, *thresholds)
+                    f0, f1 = fire[n0], fire[n1]
+                    got = [np.count_nonzero(~d0 & ~d1), np.count_nonzero(d0 & ~d1),
+                           np.count_nonzero(~d0 & d1), np.count_nonzero(d0 & d1)]
+                    want = [(1 - f0) * (1 - f1), f0 * (1 - f1), (1 - f0) * f1, f0 * f1]
+                    np.testing.assert_allclose(
+                        np.array(got) / self.GRID, want, rtol=0, atol=1.0 / self.GRID
+                    )
+
+    def test_pair_index_past_int8(self):
+        ctx = self.context(12, 0.6)
+        twelve = np.array([12], dtype=np.int8)
+        (index,) = _pair_index(twelve, twelve, 13)
+        assert index == 168
+        d0, d1_lo, d1_hi = (t[index] for t in ctx.alice)
+        assert d0 == ctx.fire_a[12]
+        assert d1_hi - d1_lo == pytest.approx(ctx.fire_a[12], abs=1e-15)
+        table = ctx.joint
+        for pair, n0, n1 in ((table.pair_a, table.a0, table.a1), (table.pair_b, table.b0, table.b1)):
+            np.testing.assert_array_equal(pair, n0.astype(int) * 13 + n1.astype(int))
+        assert table.pair_a.max() == 12 * 13
 
 
 class TestRunExperiment:
@@ -523,14 +570,14 @@ class TestRunExperiments:
 
 class TestStreams:
     """Exact counts of four runs: the ep rows recorded when STREAM_VERSION
-    was 2, the wcs/pdc rows when it was 3."""
+    was 4, the wcs/pdc rows when it was 3."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
     # triggered, blocked
     PINNED = {
-        "ep": (65659, 65503, 156, 3923, 7, 201, 0, 0),
-        "ep-pns": (65659, 65482, 177, 3773, 131, 142, 0, 7461),
+        "ep": (65659, 65503, 156, 3983, 15, 195, 0, 0),
+        "ep-pns": (65659, 65482, 177, 3735, 140, 142, 0, 7356),
         "wcs-pns": (65659, 65659, 0, 9984, 0, 0, 65659, 5844),
         "pdc": (65659, 65659, 0, 1191, 0, 0, 3657, 0),
     }

@@ -119,6 +119,25 @@ class TestIntercept:
         assert params.block_probability == block == 0.25
 
 
+class TestSharedInterposerUniform:
+    """The ep kernel passes one uniform row as both ``u_store`` and
+    ``u_block``: the store choice and the block never apply to one event."""
+
+    GRID = np.arange(1 << 12) / (1 << 12)
+
+    @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
+    def test_no_event_is_both_multi_and_blocked(self, p_block):
+        for counts in [(n0, n1) for n0 in range(4) for n1 in range(4)]:
+            _, _, multi, _, blocked = intercept(counts, p_block, self.GRID, self.GRID)
+            assert not (multi & blocked).any()
+
+    def test_store_choice_on_the_shared_uniform(self):
+        b0, b1, multi, stored, blocked = intercept((2, 1), 1.0, self.GRID, self.GRID)
+        assert multi.all() and not blocked.any()
+        np.testing.assert_array_equal(stored, self.GRID < 1.0 / 3.0)
+        np.testing.assert_array_equal(b1, np.where(self.GRID < 1.0 / 3.0, 0, 1))
+
+
 class TestBlockSolver:
     def test_lossless_line_needs_no_blocking(self):
         # with no downstream loss the pass-everything attack matches exactly
