@@ -35,7 +35,6 @@ __all__ = [
     "EpAttackOracle",
     "wcs_attack_delivered",
     "pdc_attack_delivered",
-    "ep_attack_delivered",
 ]
 
 
@@ -115,6 +114,76 @@ def _pair_weights(g: float, truncation: int) -> tuple[list[tuple[int, int, float
     return rows, retained
 
 
+def _bob_arm(m: int, n: int, pass_probability: Optional[float]):
+    """(weight, b0, b1, stored mode) for each way the interposer can treat
+    Bob's arm of ``m`` and ``n`` photons; one untouched branch without it.
+
+    A single photon is passed with ``pass_probability`` or blocked; a
+    multi-photon arm loses one photon, each equally likely, to the stored
+    mode and forwards the rest.
+    """
+    total = m + n
+    if pass_probability is None or total == 0:
+        yield 1.0, m, n, None
+    elif total == 1:
+        yield pass_probability, m, n, None
+        yield 1.0 - pass_probability, 0, 0, None
+    else:
+        for stored, count in ((0, m), (1, n)):
+            if count:
+                yield count / total, m - (stored == 0), n - (stored == 1), stored
+
+
+@dataclass
+class _MatchedSums:
+    """Sums over the matched-basis rounds, before normalizing by the
+    retained mass."""
+
+    retained: float
+    sift: float = 0.0
+    err: float = 0.0
+    dc: float = 0.0
+    no_click: float = 0.0
+    touched: float = 0.0
+    hits_a: float = 0.0
+    hits_b: float = 0.0
+
+
+def _matched_basis(
+    g: float, eta_a: float, eta_b: float, truncation: int, pass_probability: Optional[float] = None
+) -> _MatchedSums:
+    """Enumerate every retained pair configuration of the matched-basis
+    rounds, each way the interposer (when ``pass_probability`` is given) can
+    treat Bob's arm, and every click pattern, with Bob's per-photon
+    efficiency ``eta_b``.
+
+    Per-photon thinning of the pair counts is exact by basis invariance of
+    the source state.  A round is touched when the interposer stored a
+    photon; a hit is a stored mode equal to that side's sifted bit.
+    """
+    rows, retained = _pair_weights(g, truncation)
+    s = _MatchedSums(retained)
+    for m, n, w in rows:
+        pa0, pa1 = _fire(eta_a, m), _fire(eta_a, n)
+        a_only = (pa0 * (1.0 - pa1), pa1 * (1.0 - pa0))
+        a_single = a_only[0] + a_only[1]
+        for p, b0, b1, stored in _bob_arm(m, n, pass_probability):
+            wp = w * p
+            pb0, pb1 = _fire(eta_b, b0), _fire(eta_b, b1)
+            b_only = (pb0 * (1.0 - pb1), pb1 * (1.0 - pb0))
+            b_single = b_only[0] + b_only[1]
+            sifted = wp * a_single * b_single
+            s.sift += sifted
+            s.err += wp * (a_only[0] * b_only[1] + a_only[1] * b_only[0])
+            s.dc += wp * pb0 * pb1
+            s.no_click += wp * (1.0 - pb0) * (1.0 - pb1)
+            if stored is not None:
+                s.touched += sifted
+                s.hits_a += wp * a_only[stored] * b_single
+                s.hits_b += wp * a_single * b_only[stored]
+    return s
+
+
 @dataclass(frozen=True)
 class OracleRates:
     """Exact per-emitted-event rates of the unattacked entangled-pair scheme,
@@ -123,7 +192,6 @@ class OracleRates:
     r_key: float
     r_err: float
     epsilon: Optional[float]
-    r_double: float
     dc_matched: float
     dc_mismatched: float
     bob_no_click: float
@@ -135,26 +203,15 @@ def exact_rates_oracle(
 ) -> OracleRates:
     """Enumerate every retained pair configuration and click pattern exactly.
 
-    Matched-basis rounds use per-photon thinning of the pair counts (exact by
-    basis invariance of the source state); mismatched-basis statistics come
-    from the sector-conditioned Fock count distributions.  The 1/2 basis
-    coincidence factor is included in every rate.
+    Matched-basis rounds come from ``_matched_basis``; mismatched-basis
+    statistics come from the sector-conditioned Fock count distributions.
+    The 1/2 basis coincidence factor is included in every rate.
     """
     GAIN.require(g=g)
     UNIT.require(eta_a=eta_a, eta_bl=eta_bl)
     TRUNCATION.require(truncation=truncation)
-    rows, retained = _pair_weights(g, truncation)
-
-    sift = err = dc_m = bob_none_m = 0.0
-    for m, n, w in rows:
-        pa0, pa1 = _fire(eta_a, m), _fire(eta_a, n)
-        pb0, pb1 = _fire(eta_bl, m), _fire(eta_bl, n)
-        a_only0, a_only1 = pa0 * (1.0 - pa1), pa1 * (1.0 - pa0)
-        b_only0, b_only1 = pb0 * (1.0 - pb1), pb1 * (1.0 - pb0)
-        sift += w * (a_only0 + a_only1) * (b_only0 + b_only1)
-        err += w * (a_only0 * b_only1 + a_only1 * b_only0)
-        dc_m += w * pb0 * pb1
-        bob_none_m += w * (1.0 - pb0) * (1.0 - pb1)
+    matched = _matched_basis(g, eta_a, eta_bl, truncation)
+    retained = matched.retained
 
     xi4 = (1.0 - g * g) ** 2
     dc_x = bob_none_x = 0.0
@@ -167,21 +224,15 @@ def exact_rates_oracle(
                 dc_x += 0.5 * sector_w * q * pb0 * pb1
                 bob_none_x += 0.5 * sector_w * q * (1.0 - pb0) * (1.0 - pb1)
 
-    r_key = 0.5 * sift / retained
-    r_err = 0.5 * err / retained
-    dc_matched = 0.5 * dc_m / retained
-    dc_mismatched = 0.5 * dc_x / retained
-    bob_no_click = (0.5 * bob_none_m + 0.5 * bob_none_x) / retained
-    epsilon = (r_err / r_key) if r_key > 0.0 else None
-    r_double = ep_attack_delivered(g, eta_a, 0.0, truncation)
+    r_key = 0.5 * matched.sift / retained
+    r_err = 0.5 * matched.err / retained
     return OracleRates(
         r_key=r_key,
         r_err=r_err,
-        epsilon=epsilon,
-        r_double=r_double,
-        dc_matched=dc_matched,
-        dc_mismatched=dc_mismatched,
-        bob_no_click=bob_no_click,
+        epsilon=(r_err / r_key) if r_key > 0.0 else None,
+        dc_matched=0.5 * matched.dc / retained,
+        dc_mismatched=0.5 * dc_x / retained,
+        bob_no_click=(0.5 * matched.no_click + 0.5 * bob_none_x) / retained,
         retained_mass=retained,
     )
 
@@ -309,55 +360,16 @@ def ep_pns_oracle(
     GAIN.require(g=g)
     UNIT.require(eta_a=eta_a, pass_probability=pass_probability)
     TRUNCATION.require(truncation=truncation)
-    rows, retained = _pair_weights(g, truncation)
+    s = _matched_basis(g, eta_a, 1.0, truncation, pass_probability)
 
-    sift = err = touched = hits_a = hits_b = dc = 0.0
-    for m, n, w in rows:
-        total = m + n
-        pa0, pa1 = _fire(eta_a, m), _fire(eta_a, n)
-        a_only0, a_only1 = pa0 * (1.0 - pa1), pa1 * (1.0 - pa0)
-        a_single = a_only0 + a_only1
-        if total == 0:
-            continue
-        if total == 1:
-            # passed untouched; exactly one Bob mode is occupied
-            bit_b = 0 if m == 1 else 1
-            p = w * pass_probability * a_single
-            sift += p
-            wrong = a_only1 if bit_b == 0 else a_only0
-            err += w * pass_probability * wrong
-            continue
-        # multi-photon arm: enumerate the stored mode
-        for stored, p_store in ((0, m / total), (1, n / total)):
-            if p_store == 0.0:
-                continue
-            f0 = m - (stored == 0)
-            f1 = n - (stored == 1)
-            b_fire0, b_fire1 = f0 > 0, f1 > 0
-            if b_fire0 and b_fire1:
-                dc += w * p_store
-                continue
-            if not (b_fire0 or b_fire1):
-                continue
-            bit_b = 0 if b_fire0 else 1
-            p_sift = w * p_store * a_single
-            sift += p_sift
-            touched += p_sift
-            wrong = a_only1 if bit_b == 0 else a_only0
-            err += w * p_store * wrong
-            hit_a = a_only0 if stored == 0 else a_only1
-            hits_a += w * p_store * hit_a
-            if bit_b == stored:
-                hits_b += p_sift
-
-    delivered = 0.5 * sift / retained
-    dc_matched = 0.5 * dc / retained
+    delivered = 0.5 * s.sift / s.retained
+    dc_matched = 0.5 * s.dc / s.retained
     if delivered <= 0.0:
         return EpAttackOracle(delivered, None, None, None, None, None, None, dc_matched)
-    error_rate = (0.5 * err / retained) / delivered
-    touched_fraction = touched / sift
-    p_ae = hits_a / touched if touched > 0 else None
-    p_eb = hits_b / touched if touched > 0 else None
+    error_rate = (0.5 * s.err / s.retained) / delivered
+    touched_fraction = s.touched / s.sift
+    p_ae = s.hits_a / s.touched if s.touched > 0 else None
+    p_eb = s.hits_b / s.touched if s.touched > 0 else None
     i_ae = touched_fraction * binary_information(p_ae) if p_ae is not None else None
     i_eb = touched_fraction * binary_information(p_eb) if p_eb is not None else None
     return EpAttackOracle(
@@ -370,14 +382,6 @@ def ep_pns_oracle(
         i_eb=i_eb,
         dc_matched=dc_matched,
     )
-
-
-def ep_attack_delivered(
-    g: float, eta_a: float, pass_probability: float, truncation: int = 2
-) -> float:
-    """Delivered sifted rate of the attacked entangled-pair scheme as a
-    function of the single-photon pass probability (monotone increasing)."""
-    return ep_pns_oracle(g, eta_a, pass_probability, truncation).delivered_rate
 
 
 def wcs_attack_delivered(mu_prime: float, pass_probability: float) -> float:
@@ -454,9 +458,8 @@ def ep_pns_quantities(
         i_ae = ratio * binary_information(p_ae)
         i_eb = ratio * binary_information(p_eb)
         # delivered errors come only from the split one-of-each-pair signals
-        _, retained = _pair_weights(g, truncation)
         xi4 = (1.0 - g * g) ** 2
-        attack_err = 0.5 * xi4 * g**4 * eta_a * (1.0 - eta_a) / retained
+        attack_err = 0.5 * xi4 * g**4 * eta_a * (1.0 - eta_a) / oracle.retained_mass
         eps_prime = attack_err / r_exp
     i_ab = binary_information(eps_prime)
     return EpPnsQuantities(

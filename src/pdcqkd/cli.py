@@ -42,7 +42,8 @@ from .source import Scheme
 
 # 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
 # printed leading-order values moved to *_formula, i_ab_oracle is gone
-SCHEMA_VERSION = 2
+# 3: every row, CSV or JSON, has exactly the CSV_COLUMNS keys
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = [
     "sweep_param",
@@ -69,12 +70,25 @@ CSV_COLUMNS = [
     "double_click_matched_mc",
     "double_click_matched_oracle",
     "double_click_mismatched_mc",
+    "double_click_mismatched_oracle",
     "bob_no_click_mc",
+    "bob_no_click_oracle",
     "eve_touched_fraction",
     "p_ae_hat",
+    "p_ae_oracle",
+    "p_ae_formula",
     "p_eb_hat",
+    "p_eb_oracle",
+    "p_eb_formula",
     "i_ae_mc",
+    "i_ae_oracle",
+    "i_ae_formula",
     "i_eb_mc",
+    "i_eb_oracle",
+    "i_eb_formula",
+    "eps_prime_oracle",
+    "eps_prime_formula",
+    "i_ab_formula",
     "block_probability",
     "truncation_exceeded",
     "sifted_count",
@@ -258,87 +272,71 @@ def parse_config(
 def analytic_row(
     config: ExperimentConfig, block_probability: Optional[float] = None
 ) -> dict:
-    """Closed-form / oracle quantities for one parameter point.
+    """Closed-form / oracle quantities for one parameter point, in a row of
+    every ``CSV_COLUMNS`` key.
 
     Under attack, ``block_probability`` is the run's resolved blocking
     probability; it is solved here only when not given, and the row records
     it.  The attacked oracle rows hold the exact delivered statistics at that
     probability, and are empty without guaranteed delivery.
     """
-    row: dict = {}
+    row = dict.fromkeys(CSV_COLUMNS)
     eta_bl = compose_bob_efficiency(ChannelParams(config.eta_a, config.eta_b, config.eta_l))
     pass_probability = None
     if config.attack is not None:
         if block_probability is None:
             try:
                 block_probability = _resolve_run_params(config)[1]
-            except ValueError:  # the rate-matched attack has no rate to match
+            except ConfigError:  # the rate-matched attack has no rate to match
                 pass
         row["block_probability"] = block_probability
         if block_probability is not None and config.attack.guarantee_delivery:
             pass_probability = 1.0 - block_probability
     if config.scheme is Scheme.ENTANGLED_PAIRS:
         g = config.resolved_gain()
-        oracle = analytics.exact_rates_oracle(
-            g, config.eta_a, eta_bl, config.truncation_order
-        )
         fk, fe, feps = analytics.ep_rates_approx(g, config.eta_a, eta_bl)
-        row.update(
-            r_key_oracle=oracle.r_key,
-            r_err_oracle=oracle.r_err,
-            epsilon_oracle=oracle.epsilon,
-            r_key_formula=fk,
-            r_err_formula=fe,
-            epsilon_formula=feps,
-            double_click_matched_oracle=oracle.dc_matched,
-            double_click_mismatched_oracle=oracle.dc_mismatched,
-            bob_no_click_oracle=oracle.bob_no_click,
-        )
-        if config.attack is not None:
-            q = analytics.ep_pns_quantities(
+        row.update(r_key_formula=fk, r_err_formula=fe, epsilon_formula=feps)
+        if config.attack is None:
+            oracle = analytics.exact_rates_oracle(
                 g, config.eta_a, eta_bl, config.truncation_order
             )
             row.update(
-                r_exp=q.r_exp,
-                r_multi=q.r_double,
-                i_e=q.i_ae,
-                i_ae_formula=q.i_ae,
-                i_eb_formula=q.i_eb,
-                p_ae_formula=q.p_ae,
-                p_eb_formula=q.p_eb,
-                eps_prime_formula=q.eps_prime,
-                i_ab_formula=q.i_ab,
-                i_e_saturated=q.saturated,
+                r_key_oracle=oracle.r_key,
+                r_err_oracle=oracle.r_err,
+                epsilon_oracle=oracle.epsilon,
+                double_click_matched_oracle=oracle.dc_matched,
+                double_click_mismatched_oracle=oracle.dc_mismatched,
+                bob_no_click_oracle=oracle.bob_no_click,
             )
-            # the unattacked oracle does not describe an attacked run
+            return row
+        q = analytics.ep_pns_quantities(g, config.eta_a, eta_bl, config.truncation_order)
+        row.update(
+            r_exp=q.r_exp,
+            r_multi=q.r_double,
+            i_e=q.i_ae,
+            i_ae_formula=q.i_ae,
+            i_eb_formula=q.i_eb,
+            p_ae_formula=q.p_ae,
+            p_eb_formula=q.p_eb,
+            eps_prime_formula=q.eps_prime,
+            i_ab_formula=q.i_ab,
+            i_e_saturated=q.saturated,
+        )
+        if pass_probability is not None:
+            attack = analytics.ep_pns_oracle(
+                g, config.eta_a, pass_probability, config.truncation_order
+            )
             row.update(
-                r_key_oracle=None,
-                r_err_oracle=None,
-                epsilon_oracle=None,
-                double_click_matched_oracle=None,
-                double_click_mismatched_oracle=None,
-                bob_no_click_oracle=None,
-                p_ae_oracle=None,
-                p_eb_oracle=None,
-                i_ae_oracle=None,
-                i_eb_oracle=None,
-                eps_prime_oracle=None,
+                r_key_oracle=attack.delivered_rate,
+                r_err_oracle=attack.delivered_rate * (attack.error_rate or 0.0),
+                epsilon_oracle=attack.error_rate,
+                double_click_matched_oracle=attack.dc_matched,
+                p_ae_oracle=attack.p_ae,
+                p_eb_oracle=attack.p_eb,
+                i_ae_oracle=attack.i_ae,
+                i_eb_oracle=attack.i_eb,
+                eps_prime_oracle=attack.error_rate,
             )
-            if pass_probability is not None:
-                attack = analytics.ep_pns_oracle(
-                    g, config.eta_a, pass_probability, config.truncation_order
-                )
-                row.update(
-                    r_key_oracle=attack.delivered_rate,
-                    r_err_oracle=attack.delivered_rate * (attack.error_rate or 0.0),
-                    epsilon_oracle=attack.error_rate,
-                    double_click_matched_oracle=attack.dc_matched,
-                    p_ae_oracle=attack.p_ae,
-                    p_eb_oracle=attack.p_eb,
-                    i_ae_oracle=attack.i_ae,
-                    i_eb_oracle=attack.i_eb,
-                    eps_prime_oracle=attack.error_rate,
-                )
         return row
     if config.scheme is Scheme.WEAK_COHERENT:
         leak = analytics.wcs_leakage(config.mu_prime, eta_bl)
@@ -384,12 +382,11 @@ def point_row(
     ``run_experiments`` over the sweep's points) when given, otherwise this
     point is run on its own.
     """
-    row = {"sweep_param": sweep_param, "sweep_value": sweep_value}
     if config.trials <= 0:
-        row.update(analytic_row(config))
+        row = analytic_row(config)
     else:
         report = next(reports) if reports is not None else run_experiment(config)
-        row.update(analytic_row(config, report.block_probability))
+        row = analytic_row(config, report.block_probability)
         row.update(
             r_key_mc=report.r_key,
             r_key_se=report.r_key_se,
@@ -410,19 +407,19 @@ def point_row(
             sifted_count=report.sifted_count,
             trials=report.trials,
         )
-        row["r_key_z"] = _z_score(report.r_key, report.r_key_se, row.get("r_key_oracle"))
-        row["r_err_z"] = _z_score(report.r_err, report.r_err_se, row.get("r_err_oracle"))
-        row["epsilon_z"] = _z_score(
-            report.epsilon, report.epsilon_se, row.get("epsilon_oracle")
-        )
+        row["r_key_z"] = _z_score(report.r_key, report.r_key_se, row["r_key_oracle"])
+        row["r_err_z"] = _z_score(report.r_err, report.r_err_se, row["r_err_oracle"])
+        row["epsilon_z"] = _z_score(report.epsilon, report.epsilon_se, row["epsilon_oracle"])
+    row.update(sweep_param=sweep_param, sweep_value=sweep_value)
     return row
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
     """Evaluate every sweep point, ordered by swept value.
 
-    Every point is validated before any Monte Carlo runs; then all points'
-    batches are scheduled on one pool and each row takes its report in turn.
+    Every point is validated, and a rate-matched attack's blocking
+    probability solved, before any Monte Carlo runs; then all points' batches
+    are scheduled on one pool and each row takes its report in turn.
     """
     if config.sweep is None:
         return [point_row(config)]
@@ -436,7 +433,14 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
         elif param == "mu":
             point = dataclasses.replace(point, g=None)
         try:
-            points.append(point.validated())
+            point = point.validated()
+            attack = point.attack
+            # an analytic row leaves a blocking probability it cannot solve empty
+            if point.trials and attack is not None and attack.block_probability == AUTO:
+                block = _resolve_run_params(point)[1]
+                attack = dataclasses.replace(attack, block_probability=block)
+                point = dataclasses.replace(point, attack=attack)
+            points.append(point)
         except ConfigError as exc:
             raise ConfigError(
                 [f"sweep point {param}={value!r}: {e}" for e in exc.errors]
@@ -478,7 +482,7 @@ def emit(rows: list[dict], fmt: str, path: Optional[str], config: ExperimentConf
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -570,25 +574,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = parse_config(getattr(args, "config", None), flags)
         if args.command == "analytic":
             config = dataclasses.replace(config, trials=0).validated()
-            rows = run_sweep(config)
-            print(emit(rows, config.out_format, config.out_path, config), end="")
-            return 0
-        if args.command in ("simulate", "sweep"):
-            rows = run_sweep(config)
-            print(emit(rows, config.out_format, config.out_path, config), end="")
-            return 0
-        # compare
+        elif args.command == "compare" and config.trials == 0:
+            raise ConfigError(["trials: compare needs Monte Carlo trials, got 0"])
         rows = run_sweep(config)
         failed = False
-        for row in rows:
+        for row in rows if args.command == "compare" else ():
             for key in ("r_key_z", "r_err_z", "epsilon_z"):
-                z = row.get(key)
+                z = row[key]
                 status = "n/a"
                 if z is not None:
                     ok = abs(z) <= args.sigma
                     failed = failed or not ok
                     status = f"{'PASS' if ok else 'FAIL'} z={z:+.3f}"
-                label = f"{row.get('sweep_param') or 'point'}={row.get('sweep_value')}"
+                label = f"{row['sweep_param'] or 'point'}={row['sweep_value']}"
                 print(f"{label} {key[:-2]}: {status}")
         print(emit(rows, config.out_format, config.out_path, config), end="")
         return 1 if failed else 0

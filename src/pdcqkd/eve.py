@@ -6,7 +6,8 @@ stores one photon from multi-photon signals, forwards the rest over a
 lossless line with guaranteed detection, and blocks single-photon signals
 with a tunable probability, chosen by default so that the delivered sifted
 rate matches the unattacked one.  The Monte Carlo kernels apply it as
-``engine._intercept``; this module solves the blocking probability.
+``engine._intercept``; this module solves the blocking probability in closed
+form.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Union
 
 from . import analytics
 from .detection import ChannelParams, compose_bob_efficiency
-from .source import AUTO, BLOCK_PROBABILITY, Scheme, SourceParams
+from .source import AUTO, BLOCK_PROBABILITY, ConfigError, Scheme, SourceParams
 
 
 class _Saturated:
@@ -56,9 +57,9 @@ def _delivered_rate(
     source: SourceParams, channel: ChannelParams, pass_probability: float
 ) -> float:
     if source.scheme is Scheme.ENTANGLED_PAIRS:
-        return analytics.ep_attack_delivered(
+        return analytics.ep_pns_oracle(
             source.g, channel.eta_a, pass_probability, source.truncation_order
-        )
+        ).delivered_rate
     if source.scheme is Scheme.WEAK_COHERENT:
         return analytics.wcs_attack_delivered(source.mu_prime, pass_probability)
     return analytics.pdc_attack_delivered(source.g, channel.eta_a, pass_probability)
@@ -70,24 +71,21 @@ def solve_block_probability(
     """Blocking probability that matches the delivered sifted rate to the
     unattacked one, or SATURATED when blocking all singles still over-delivers.
 
-    The delivered rate is monotone decreasing in the blocking probability, so
-    plain bisection converges; it is run to 1e-10.
+    Only single-photon signals depend on the pass probability p, so the
+    delivered rate is affine in it, D(p) = D(0) + p (D(1) - D(0)), and the
+    match is one division.  A rate that rounds past D(1) gives blocking 0.
     """
     target = _unattacked_rate(source, channel)
     if target <= 0.0:
-        raise ValueError("unattacked sifted rate is zero; nothing to match")
-    if _delivered_rate(source, channel, 0.0) >= target:
+        raise ConfigError(
+            ["attack.block_probability: auto has no rate to match, "
+             "as the unattacked sifted rate is zero"]
+        )
+    floor = _delivered_rate(source, channel, 0.0)
+    if floor >= target:
         return SATURATED
-    lo, hi = 0.0, 1.0  # pass probability bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _delivered_rate(source, channel, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return 1.0 - 0.5 * (lo + hi)
+    full = _delivered_rate(source, channel, 1.0)
+    return 1.0 - min(1.0, (target - floor) / (full - floor))
 
 
 def resolve_block_probability(

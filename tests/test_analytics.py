@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 
 from pdcqkd.analytics import (
     binary_information,
-    ep_attack_delivered,
     ep_pns_oracle,
     ep_pns_quantities,
     ep_rates_approx,
@@ -146,8 +147,8 @@ class TestAttackDeliveredRates:
     @given(q=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
     def test_ep_monotone_in_pass_probability(self, q):
-        base = ep_attack_delivered(0.2, 0.7, 0.0)
-        assert ep_attack_delivered(0.2, 0.7, q) >= base - 1e-15
+        base = ep_pns_oracle(0.2, 0.7, 0.0).delivered_rate
+        assert ep_pns_oracle(0.2, 0.7, q).delivered_rate >= base - 1e-15
 
     def test_wcs_blocked_singles_leave_multi_rate(self):
         mu = 0.1
@@ -165,7 +166,7 @@ class TestAttackDeliveredRates:
         # a lossless forwarding line always over-delivers versus a lossy one
         g, eta_a = 0.2, 0.7
         lossy = exact_rates_oracle(g, eta_a, 0.3).r_key
-        assert ep_attack_delivered(g, eta_a, 1.0) > lossy
+        assert ep_pns_oracle(g, eta_a, 1.0).delivered_rate > lossy
 
 
 class TestAttackOracle:
@@ -199,3 +200,38 @@ class TestAttackOracle:
         assert not q.saturated
         assert q.eps_prime == pytest.approx(q.eps_prime_leading, rel=0.1)
         assert q.i_ae < binary_information(q.p_ae)
+
+
+class TestPinnedOracles:
+    """Every field of both oracles, bit for bit, on a grid recorded from the
+    two separate matched-basis enumerations that ``_matched_basis`` replaced.
+
+    Keys are "g eta_a eta_bl truncation" for ``exact_rates_oracle`` and
+    "g eta_a pass_probability truncation" for ``ep_pns_oracle``; values are
+    ``float.hex`` strings (null for None) in the order of ``FIELDS``.
+    """
+
+    PINS = json.loads(Path(__file__).with_name("oracle_pins.json").read_text())
+    FIELDS = {
+        "exact_rates_oracle": (
+            "r_key", "r_err", "epsilon", "dc_matched", "dc_mismatched",
+            "bob_no_click", "retained_mass",
+        ),
+        "ep_pns_oracle": (
+            "delivered_rate", "error_rate", "p_ae", "p_eb", "touched_fraction",
+            "i_ae", "i_eb", "dc_matched",
+        ),
+    }
+
+    @pytest.mark.parametrize("oracle", [exact_rates_oracle, ep_pns_oracle])
+    def test_fields_match_the_pinned_values(self, oracle):
+        pins = self.PINS[oracle.__name__]
+        assert len(pins) == 4 * 3 * 3 * 3
+        for key, expected in pins.items():
+            g, eta_a, third, truncation = key.split()
+            result = oracle(float(g), float(eta_a), float(third), int(truncation))
+            got = [
+                None if value is None else value.hex()
+                for value in (getattr(result, f) for f in self.FIELDS[oracle.__name__])
+            ]
+            assert got == expected, key

@@ -167,7 +167,7 @@ class TestRows:
         assert 0.0 < row["block_probability"] < 1.0
         assert analytic_row(config, 0.25)["block_probability"] == 0.25
         unattacked = dataclasses.replace(config, attack=None)
-        assert "block_probability" not in analytic_row(unattacked)
+        assert analytic_row(unattacked)["block_probability"] is None
 
     def test_attacked_prepared_rows_follow_block_probability(self):
         wcs = ExperimentConfig(
@@ -380,6 +380,46 @@ class TestAttackedCompare:
         assert out.count("n/a") == 3 and "PASS" not in out
 
 
+class TestRowSchema:
+    """Every row, CSV or JSON, has exactly the ``CSV_COLUMNS`` keys, whatever
+    the command, scheme or attack."""
+
+    SOURCES = {
+        "ep": ["--g", "0.3", "--eta-a", "0.6"],
+        "wcs": ["--mu-prime", "0.5", "--eta-l", "0.4"],
+        "pdc": ["--g", "0.3", "--eta-a", "0.6", "--eta-l", "0.4"],
+    }
+    ATTACKS = {
+        "none": [],
+        "auto": ["--attack", "pns"],
+        "explicit": ["--attack", "pns", "--block-probability", "0.3"],
+    }
+    COMMANDS = {
+        "analytic": [],
+        "simulate": [],
+        "sweep": ["--sweep", "eta_b:0.5:1:2"],
+        "compare": ["--sigma", "1e9"],
+    }
+
+    def test_columns_are_unique(self):
+        assert len(set(CSV_COLUMNS)) == len(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("scheme", SOURCES)
+    @pytest.mark.parametrize("attack", ATTACKS)
+    def test_every_row_has_every_column(self, command, scheme, attack, capsys):
+        args = [command, "--scheme", scheme, *self.SOURCES[scheme], *self.ATTACKS[attack],
+                *self.COMMANDS[command], "--trials", "2000"]
+        assert main([*args, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out[out.index("{"):])["rows"]  # after compare's verdicts
+        assert rows and all(sorted(row) == sorted(CSV_COLUMNS) for row in rows)
+        assert main([*args, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(csv.reader(lines[lines.index(",".join(CSV_COLUMNS)):]))
+        assert header == CSV_COLUMNS
+
+
 class TestMain:
     @pytest.mark.parametrize(
         "args, field",
@@ -501,7 +541,7 @@ class TestMain:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        assert payload["schema_version"] == SCHEMA_VERSION == 3
         (row,) = payload["rows"]
         exact = analytics.ep_pns_oracle(0.3, 0.6, 1.0 - row["block_probability"], 2)
         assert row["i_ae_oracle"] == exact.i_ae
@@ -592,6 +632,40 @@ class TestMain:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert any("g=1.2" in msg for msg in err["messages"])
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "source",
+        [["--scheme", "ep", "--g", "0"], ["--scheme", "wcs", "--mu-prime", "0.5", "--eta-l", "0"]],
+    )
+    def test_auto_without_a_rate_to_match_exits_2(self, command, source, capsys):
+        assert main([command, *source, "--attack", "pns", "--trials", "10"]) == 2
+        (message,) = json.loads(capsys.readouterr().err)["messages"]
+        assert message.startswith("attack.block_probability: ")
+
+    def test_auto_sweep_without_a_rate_names_the_point(self, monkeypatch, capsys):
+        def no_run(*args):
+            raise AssertionError("a batch range ran")
+
+        monkeypatch.setattr(engine, "_run_batch_range", no_run)
+        args = ["sweep", "--scheme", "ep", "--eta-a", "0.6", "--attack", "pns", "--trials", "10",
+                "--workers", "2", "--sweep", "g:0:0.3:3"]
+        assert main(args) == 2
+        (message,) = json.loads(capsys.readouterr().err)["messages"]
+        assert message.startswith("sweep point g=0.0: attack.block_probability: ")
+
+    def test_analytic_auto_without_a_rate_leaves_the_probability_empty(self, capsys):
+        args = ["analytic", "--scheme", "ep", "--g", "0", "--attack", "pns", "--format", "json"]
+        assert main(args) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["block_probability"] is None
+
+    def test_compare_without_trials_exits_2(self, capsys):
+        assert main(["compare", "--scheme", "ep", "--g", "0.3", "--trials", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (message,) = json.loads(err)["messages"]
+        assert message.startswith("trials: ")
 
     def test_output_file_written(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"

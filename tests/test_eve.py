@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pdcqkd.analytics import binary_information, wcs_attack_delivered, wcs_leakage
-from pdcqkd.config import ExperimentConfig
+from pdcqkd import eve
+from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.detection import ChannelParams
 from pdcqkd.engine import _build_report, _Counts, _intercept, _resolve_run_params
 from pdcqkd.eve import (
@@ -166,15 +169,86 @@ class TestBlockSolver:
         assert resolve_block_probability(PnsConfig(0.25), source, channel) == 0.25
 
     def test_ep_solver_matches_oracle_target(self):
-        from pdcqkd.analytics import ep_attack_delivered, exact_rates_oracle
+        from pdcqkd.analytics import ep_pns_oracle, exact_rates_oracle
 
         source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.0863)
         channel = ChannelParams(eta_a=0.5, eta_b=0.5, eta_l=0.2)
         solved = solve_block_probability(source, channel)
         assert isinstance(solved, float)
         target = exact_rates_oracle(0.0863, 0.5, 0.1).r_key
-        delivered = ep_attack_delivered(0.0863, 0.5, 1.0 - solved)
+        delivered = ep_pns_oracle(0.0863, 0.5, 1.0 - solved).delivered_rate
         assert delivered == pytest.approx(target, abs=1e-9)
+
+
+def bisected_block_probability(source, channel):
+    """The rate match by bisection on the pass probability, to 1e-10: the
+    reference for the closed-form solve."""
+    target = eve._unattacked_rate(source, channel)
+    if eve._delivered_rate(source, channel, 0.0) >= target:
+        return SATURATED
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if eve._delivered_rate(source, channel, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    return 1.0 - 0.5 * (lo + hi)
+
+
+ETAS = (0.1, 0.5, 1.0)
+SOLVER_POINTS = [
+    (SourceParams(scheme, truncation_order=t, **{name: value}), ChannelParams(*etas))
+    for scheme, name, values, truncations in (
+        (Scheme.ENTANGLED_PAIRS, "g", (0.01, 0.1, 0.3, 0.6), (2, 3)),
+        (Scheme.WEAK_COHERENT, "mu_prime", (0.01, 0.1, 0.5, 2.0), (2,)),
+        (Scheme.TRIGGERED_PDC, "g", (0.01, 0.1, 0.3, 0.6), (2,)),
+    )
+    for value, t, etas in itertools.product(values, truncations, itertools.product(ETAS, repeat=3))
+]
+
+
+class TestClosedFormSolve:
+    def test_agrees_with_bisection(self):
+        verdicts = set()
+        for source, channel in SOLVER_POINTS:
+            solved = solve_block_probability(source, channel)
+            reference = bisected_block_probability(source, channel)
+            verdicts.add(reference is SATURATED)
+            if reference is SATURATED:
+                assert solved is SATURATED, (source, channel)
+            else:
+                assert solved == pytest.approx(reference, abs=1e-10), (source, channel)
+        assert verdicts == {True, False}
+
+    def test_delivered_rate_is_affine_in_pass_probability(self):
+        for source, channel in SOLVER_POINTS:
+            d0, d_half, d1 = (eve._delivered_rate(source, channel, p) for p in (0.0, 0.5, 1.0))
+            assert d_half == pytest.approx(0.5 * (d0 + d1), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("eta_l, calls", [(0.05, 1), (0.5, 2)])
+    def test_at_most_two_delivered_rates(self, eta_l, calls, monkeypatch):
+        seen = []
+        real = eve._delivered_rate
+        monkeypatch.setattr(eve, "_delivered_rate", lambda *a: seen.append(a) or real(*a))
+        source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5)
+        solved = solve_block_probability(source, ChannelParams(eta_l=eta_l))
+        assert (solved is SATURATED) == (calls == 1)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            (SourceParams(Scheme.ENTANGLED_PAIRS, g=0.0), ChannelParams()),
+            (SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5), ChannelParams(eta_l=0.0)),
+            (SourceParams(Scheme.TRIGGERED_PDC, g=0.3), ChannelParams(eta_a=0.0)),
+        ],
+    )
+    def test_no_rate_to_match_names_the_field(self, source, channel):
+        with pytest.raises(ConfigError, match="^attack.block_probability: "):
+            solve_block_probability(source, channel)
 
 
 def report(attacked=True, **counts):
