@@ -90,7 +90,8 @@ class ExperimentConfig:
 def validate(config: ExperimentConfig) -> list[str]:
     errors: list[str] = []
     scheme = config.scheme
-    sweeps_gain = config.sweep is not None and config.sweep.param in ("g", "mu")
+    swept = config.sweep.param if config.sweep is not None else None
+    sweeps_gain = swept in ("g", "mu")
     if scheme in (Scheme.ENTANGLED_PAIRS, Scheme.TRIGGERED_PDC):
         if config.g is not None and config.mu is not None:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
@@ -106,12 +107,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         if config.mu is not None:
             errors += MEAN.violations(mu=config.mu) or MEAN_PHOTONS.violations(mu=config.mu)
     else:
-        if config.mu_prime is None:
-            errors.append("mu_prime: required for the weak-coherent scheme")
-        else:
+        if config.mu_prime is not None:
             errors += MEAN.violations(mu_prime=config.mu_prime) or MEAN_PHOTONS.violations(
                 mu_prime=config.mu_prime
             )
+        elif swept != "mu_prime":
+            errors.append("mu_prime: required for the weak-coherent scheme")
         if config.g is not None or config.mu is not None:
             errors.append("g/mu: not applicable to the weak-coherent scheme")
     errors += UNIT.violations(eta_a=config.eta_a, eta_b=config.eta_b, eta_l=config.eta_l)

@@ -30,6 +30,18 @@ split in the other.  Both kernels draw only uniforms, all of a batch's with
 one call, and share the sift and tally stage, ``_tally``; under attack the
 prepared kernel applies ``_intercept``'s rule to photon totals.
 
+That call goes through the run context's ``uniforms`` into one float64
+buffer, which every batch of a batch range reuses.  The kernel then runs its
+stages (``_ep_chunk``, ``_prepared_chunk``) on column slices of at most
+``CHUNK_SIZE`` trials and sums their counts.  Every stage is elementwise and
+every tally a sum, and the buffer holds the same doubles in the same order as
+``rng.random((rows, size))``, so the chunking changes no count and no stream.
+At 2^13 trials a float64 temporary is 64 KiB, under glibc's default 128 KiB
+mmap threshold, so the temporaries come from reused heap memory instead of
+fresh pages handed back to the operating system after every batch: a
+2^16-trial batch took about 1,000 minor page faults with whole-batch
+temporaries, and fewer than one with the chunks.
+
 ``run_experiments`` schedules a list of runs -- the points of a sweep -- on
 one process pool.  Each run's batches are split into ``min(workers,
 n_batches)`` contiguous ranges, and every range of every run is submitted as
@@ -63,6 +75,8 @@ from .source import (
 )
 
 BATCH_SIZE = 1 << 16
+# trials per kernel pass over a batch's uniforms (see the module docstring)
+CHUNK_SIZE = 1 << 13
 # 1: per-sector inverse-CDF draws and binomial detectors in the ep kernel;
 # 2: one joint-table draw and per-count detector thresholds;
 # 3: the same for the wcs/pdc kernel (ep streams as in 2);
@@ -242,7 +256,24 @@ class _JointTable:
         return _alias_draw(self.cut, self.alias, u)
 
 
-class _EpContext:
+class _BatchContext:
+    """A float64 buffer for a batch's uniforms, reused by every batch a run
+    context serves; empty until the first batch."""
+
+    _buffer = np.empty(0)
+
+    def uniforms(self, rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
+        """A batch's ``(rows, size)`` uniforms from one ``rng.random`` call:
+        the same doubles, in the same order, as ``rng.random((rows, size))``,
+        in a view of the buffer that the next call overwrites."""
+        if self._buffer.size < rows * size:
+            self._buffer = np.empty(rows * size)
+        u = self._buffer[: rows * size].reshape(rows, size)
+        rng.random(out=u)
+        return u
+
+
+class _EpContext(_BatchContext):
     """Per-run tables of the entangled-pair kernel.
 
     ``sector_tables`` maps (basis combo, sector total) to the inverse-CDF
@@ -312,7 +343,7 @@ def _bob_thresholds(eta: float, max_count: int) -> tuple[np.ndarray, np.ndarray,
     return d0.ravel(), d1_lo.ravel(), d1_hi.ravel()
 
 
-class _PreparedContext:
+class _PreparedContext(_BatchContext):
     """Per-run tables of the prepare-and-measure kernel.
 
     ``law`` is the photon-number law of ``source.photon_number_law``.  Entry
@@ -393,17 +424,19 @@ def _tally(present, announced, matched, a_single, bit_a, fb0, fb1, eve=None) -> 
     return counts
 
 
-def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContext) -> _Counts:
+def _chunks(u: np.ndarray) -> Iterator[np.ndarray]:
+    """Column slices of at most ``CHUNK_SIZE`` trials of a batch's uniforms."""
+    return (u[:, lo : lo + CHUNK_SIZE] for lo in range(0, u.shape[1], CHUNK_SIZE))
+
+
+def _ep_chunk(u: np.ndarray, p: _RunParams, ctx: _EpContext) -> _Counts:
     table = ctx.joint
-    attacked = p.block_probability is not None
-    # rows: joint entry, then the interposer, then Alice's and Bob's detectors
-    u = rng.random((3 + attacked, size))
     entry = table.draw(u[0])
     kind = table.kind.take(entry)
     valid = kind != _EXCEEDED
 
     eve = None
-    if attacked:
+    if p.block_probability is not None:
         # the store choice (two photons or more) and the block (exactly one)
         # never apply to the same event, so one uniform serves both
         b0, b1, *eve = _intercept(
@@ -418,23 +451,23 @@ def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContex
     return _tally(valid, valid, kind == _MATCHED, fa0 ^ fa1, fa1, fb0, fb1, eve)
 
 
-def _prepared_batch(
-    rng: np.random.Generator, size: int, p: _RunParams, ctx: _PreparedContext
-) -> _Counts:
-    pdc = p.scheme is Scheme.TRIGGERED_PDC
-    attacked = p.block_probability is not None
-    # rows: joint entry, then the pdc herald, then the interposer, then Bob
-    u = rng.random((2 + pdc + attacked, size))
+def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContext) -> _Counts:
+    # rows: joint entry, then the interposer, then Alice's and Bob's detectors
+    u = ctx.uniforms(rng, 3 + (p.block_probability is not None), size)
+    return sum((_ep_chunk(chunk, p, ctx) for chunk in _chunks(u)), _Counts())
+
+
+def _prepared_chunk(u: np.ndarray, p: _RunParams, ctx: _PreparedContext) -> _Counts:
     entry = _alias_draw(ctx.cut, ctx.alias, u[0])
     photons = entry >> 3
     bit_a = entry & 1
     matched = ctx.matched.take(entry)
-    present = np.ones(size, dtype=bool)
-    triggered = u[1] < ctx.trigger.take(photons) if pdc else present
+    present = np.ones(len(entry), dtype=bool)
+    triggered = u[1] < ctx.trigger.take(photons) if p.scheme is Scheme.TRIGGERED_PDC else present
 
     eve = None
     row = entry
-    if attacked:
+    if p.block_probability is not None:
         # the interposer of ``_intercept`` on photon totals: every photon is
         # in Alice's mode, so the stored one carries her bit
         multi = photons >= 2
@@ -446,6 +479,16 @@ def _prepared_batch(
     counts = _tally(present, triggered, matched, True, bit_a, fb0, fb1, eve)
     counts.triggered = int(np.count_nonzero(triggered))
     return counts
+
+
+def _prepared_batch(
+    rng: np.random.Generator, size: int, p: _RunParams, ctx: _PreparedContext
+) -> _Counts:
+    pdc = p.scheme is Scheme.TRIGGERED_PDC
+    attacked = p.block_probability is not None
+    # rows: joint entry, then the pdc herald, then the interposer, then Bob
+    u = ctx.uniforms(rng, 2 + pdc + attacked, size)
+    return sum((_prepared_chunk(chunk, p, ctx) for chunk in _chunks(u)), _Counts())
 
 
 def _batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:

@@ -461,6 +461,19 @@ class TestMain:
         assert payload["config"]["scheme"] == "ep"
         assert payload["rows"][0]["r_key_oracle"] > 0
 
+    def test_wcs_mu_prime_sweep_needs_no_base_mu_prime(self, capsys):
+        args = ["sweep", "--scheme", "wcs", "--eta-l", "0.3", "--trials", "0",
+                "--sweep", "mu_prime:0.1:0.8:3"]
+        assert main(args) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row["sweep_value"]) for row in rows] == pytest.approx([0.1, 0.45, 0.8])
+
+    def test_wcs_sweep_over_another_param_still_requires_mu_prime(self, capsys):
+        args = ["sweep", "--scheme", "wcs", "--trials", "0", "--sweep", "eta_l:0.1:0.8:3"]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any(msg.startswith("mu_prime:") for msg in err["messages"])
+
     def test_analytic_csv_header(self, capsys):
         code = main(["analytic", "--scheme", "wcs", "--mu-prime", "0.1"])
         assert code == 0

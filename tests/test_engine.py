@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdcqkd import fock
+from pdcqkd import engine, fock
 from pdcqkd.analytics import (
     binary_information,
     ep_pns_oracle,
@@ -22,8 +22,11 @@ from pdcqkd.engine import (
     _EpContext,
     _PreparedContext,
     _RunParams,
+    _batch_rng,
     _bob_thresholds,
+    _ep_batch,
     _pair_index,
+    _prepared_batch,
     _two_detectors,
     run_experiment,
     run_experiments,
@@ -566,6 +569,53 @@ class TestRunExperiments:
         monkeypatch.setattr(engine, "_run_batch_range", no_run)
         with pytest.raises(ConfigError):
             next(run_experiments(self.configs(1) + [ep_config(g=None)]))
+
+
+class TestChunks:
+    """A kernel's column chunks and its context's reused uniform buffer change
+    no count."""
+
+    # scheme, g, mu_prime, eta_a, eta_b, eta_l, truncation, block probability
+    PARAMS = {
+        "ep": (Scheme.ENTANGLED_PAIRS, 0.3, 0.0, 0.6, 0.8, 0.5, 2, None),
+        "ep-pns-t3": (Scheme.ENTANGLED_PAIRS, 0.4, 0.0, 0.6, 0.8, 0.5, 3, 0.5),
+        "wcs-pns": (Scheme.WEAK_COHERENT, 0.0, 0.5, 1.0, 0.8, 0.5, 2, 0.3),
+        "pdc": (Scheme.TRIGGERED_PDC, 0.3, 0.0, 0.6, 0.7, 0.9, 2, None),
+        "pdc-pns": (Scheme.TRIGGERED_PDC, 0.3, 0.0, 0.6, 0.7, 0.9, 2, 0.4),
+    }
+
+    @staticmethod
+    def batch(params, size, batch_index, ctx=None):
+        ep = params.scheme is Scheme.ENTANGLED_PAIRS
+        if ctx is None:
+            ctx = _EpContext(params) if ep else _PreparedContext(params)
+        kernel = _ep_batch if ep else _prepared_batch
+        return kernel(_batch_rng(71, batch_index), size, params, ctx)
+
+    @pytest.mark.parametrize("size", [BATCH_SIZE, 5_123])
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_chunk_size_does_not_change_counts(self, name, size, monkeypatch):
+        params = _RunParams(*self.PARAMS[name])
+        chunked = self.batch(params, size, 0)
+        assert chunked.trials == size
+        for chunk in (BATCH_SIZE, 1_000):
+            monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
+            assert self.batch(params, size, 0) == chunked, f"CHUNK_SIZE {chunk}"
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_reused_buffer_carries_nothing_between_batches(self, name):
+        params = _RunParams(*self.PARAMS[name])
+        ep = params.scheme is Scheme.ENTANGLED_PAIRS
+        ctx = _EpContext(params) if ep else _PreparedContext(params)
+        for b, size in enumerate((BATCH_SIZE, 5_123, BATCH_SIZE)):
+            assert self.batch(params, size, b, ctx) == self.batch(params, size, b)
+
+    def test_buffer_holds_the_stream_of_one_random_call(self):
+        ctx = _EpContext(_RunParams(*self.PARAMS["ep"]))
+        ctx.uniforms(_batch_rng(5, 0), 4, 2 * BATCH_SIZE)
+        u = ctx.uniforms(_batch_rng(5, 1), 3, 5_123)
+        assert u.flags.c_contiguous
+        np.testing.assert_array_equal(u, _batch_rng(5, 1).random((3, 5_123)))
 
 
 class TestStreams:
