@@ -13,7 +13,7 @@ from .source import (
 from .detection import ChannelParams, compose_bob_efficiency
 from .config import ExperimentConfig, SweepSpec, ConfigError
 from .engine import RateReport, run_experiment
-from .eve import AUTO, SATURATED, PnsConfig, solve_block_probability
+from .eve import AUTO, PnsConfig, attack_rates, solve_block_probability
 
 __all__ = [
     "AUTO",
@@ -24,10 +24,10 @@ __all__ = [
     "PairDistribution",
     "PnsConfig",
     "RateReport",
-    "SATURATED",
     "Scheme",
     "SourceParams",
     "SweepSpec",
+    "attack_rates",
     "compose_bob_efficiency",
     "g_for_mean",
     "mean_pairs",

@@ -26,6 +26,7 @@ __all__ = [
     "ep_rates_approx",
     "exact_rates_oracle",
     "OracleRates",
+    "AttackRates",
     "wcs_leakage",
     "pdc_leakage",
     "pdc_rates_closed",
@@ -243,12 +244,38 @@ def exact_rates_oracle(
 
 
 @dataclass(frozen=True)
-class LeakageReport:
+class AttackRates:
+    """The two rates that fix the attack: Bob's unattacked sifted rate
+    ``r_exp`` and the rate ``r_multi`` that the multi-photon signals deliver
+    alone, with every single-photon signal blocked."""
+
     r_exp: float
     r_multi: float
-    i_e: Optional[float]
+
+    @property
+    def saturated(self) -> bool:
+        """Blocking every single-photon signal still delivers the unattacked
+        rate, so the attack hides with all singles blocked."""
+        return 0.0 < self.r_exp <= self.r_multi
+
+    def information(self, known: float) -> Optional[float]:
+        """Eq. 10 branch: Eve's information on a sifted bit when she has
+        ``known`` on each bit she stored a photon of.  That is every bit when
+        saturated, otherwise the multi-photon fraction; None without a rate."""
+        if self.r_exp <= 0.0:
+            return None
+        return known if self.saturated else self.r_multi / self.r_exp * known
+
+
+@dataclass(frozen=True)
+class LeakageReport(AttackRates):
+    """The rates, with the printed leading-order information."""
+
     i_e_leading: float
-    saturated: bool
+
+    @property
+    def i_e(self) -> Optional[float]:
+        return self.information(1.0)
 
 
 def wcs_leakage(mu_prime: float, eta_lb: float) -> LeakageReport:
@@ -256,14 +283,11 @@ def wcs_leakage(mu_prime: float, eta_lb: float) -> LeakageReport:
     the resulting adversary information branch."""
     MEAN.require(mu_prime=mu_prime)
     UNIT.require(eta_lb=eta_lb)
-    r_exp = 0.5 * (1.0 - math.exp(-eta_lb * mu_prime))
-    r_multi = 0.5 * (1.0 - (1.0 + mu_prime) * math.exp(-mu_prime))
-    leading = mu_prime / (2.0 * eta_lb) if eta_lb > 0 else math.inf
-    if r_exp <= 0.0:
-        return LeakageReport(r_exp, r_multi, None, leading, False)
-    saturated = r_exp <= r_multi
-    i_e = 1.0 if saturated else r_multi / r_exp
-    return LeakageReport(r_exp, r_multi, i_e, leading, saturated)
+    return LeakageReport(
+        r_exp=0.5 * (1.0 - math.exp(-eta_lb * mu_prime)),
+        r_multi=0.5 * (1.0 - (1.0 + mu_prime) * math.exp(-mu_prime)),
+        i_e_leading=mu_prime / (2.0 * eta_lb) if eta_lb > 0 else math.inf,
+    )
 
 
 def pdc_rates_closed(g: float, eta_a: float, eta_lb: float) -> tuple[float, float]:
@@ -318,11 +342,7 @@ def pdc_leakage(g: float, eta_a: float, eta_lb: float) -> LeakageReport:
     r_exp, r_multi = pdc_rates_closed(g, eta_a, eta_lb)
     mu2 = g * g / (1.0 - g * g)
     leading = (2.0 - eta_a) / eta_lb * mu2 if eta_lb > 0 else math.inf
-    if r_exp <= 0.0:
-        return LeakageReport(r_exp, r_multi, None, leading, False)
-    saturated = r_exp <= r_multi
-    i_e = 1.0 if saturated else r_multi / r_exp
-    return LeakageReport(r_exp, r_multi, i_e, leading, saturated)
+    return LeakageReport(r_exp, r_multi, leading)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +427,6 @@ class EpPnsQuantities:
     """Printed-formula symbols of the entangled-pair attack, with the branch
     chosen by the exact oracle rates."""
 
-    r_exp: float
-    r_double: float
     p_ae: float
     p_eb: float
     i_ae: Optional[float]
@@ -416,61 +434,39 @@ class EpPnsQuantities:
     eps_prime: Optional[float]
     eps_prime_leading: float
     i_ab: Optional[float]
-    saturated: bool
 
 
 def ep_pns_quantities(
-    g: float, eta_a: float, eta_bl: float, truncation: int = 2
+    g: float, eta_a: float, eta_bl: float, rates: AttackRates, truncation: int = 2
 ) -> EpPnsQuantities:
     """Evaluate the attack-side quantities of the entangled-pair scheme:
     hit probabilities, information branches and the attack-raised error rate.
-    The branch rates come from the oracles at ``truncation``."""
+    The branch comes from ``rates``, the point's oracle rates at
+    ``truncation``."""
     GAIN.require(g=g)
     UNIT.require(eta_a=eta_a, eta_bl=eta_bl)
+    TRUNCATION.require(truncation=truncation)
     p_ae = (5.0 - 3.0 * eta_a) / (6.0 - 4.0 * eta_a)
     p_eb = (2.0 - eta_a) / (3.0 - 2.0 * eta_a)
     eps_prime_leading = (
         (1.0 - eta_a) * mean_pairs(g) / (4.0 * eta_bl) if eta_bl > 0 else math.inf
     )
-    oracle = exact_rates_oracle(g, eta_a, eta_bl, truncation) if g > 0 else None
-    if oracle is None or oracle.r_key <= 0.0:
-        return EpPnsQuantities(
-            r_exp=0.0,
-            r_double=0.0,
-            p_ae=p_ae,
-            p_eb=p_eb,
-            i_ae=None,
-            i_eb=None,
-            eps_prime=None,
-            eps_prime_leading=eps_prime_leading,
-            i_ab=None,
-            saturated=False,
-        )
-    r_exp = oracle.r_key
-    r_double = ep_pns_oracle(g, eta_a, 0.0, truncation).delivered_rate
-    saturated = r_exp <= r_double
-    if saturated:
-        i_ae = binary_information(p_ae)
-        i_eb = binary_information(p_eb)
+    if rates.r_exp <= 0.0:
+        return EpPnsQuantities(p_ae, p_eb, None, None, None, eps_prime_leading, None)
+    if rates.saturated:
         eps_prime = (1.0 - eta_a) / (6.0 - 4.0 * eta_a)
     else:
-        ratio = r_double / r_exp
-        i_ae = ratio * binary_information(p_ae)
-        i_eb = ratio * binary_information(p_eb)
         # delivered errors come only from the split one-of-each-pair signals
         xi4 = (1.0 - g * g) ** 2
-        attack_err = 0.5 * xi4 * g**4 * eta_a * (1.0 - eta_a) / oracle.retained_mass
-        eps_prime = attack_err / r_exp
-    i_ab = binary_information(eps_prime)
+        retained = _pair_weights(g, truncation)[1]
+        attack_err = 0.5 * xi4 * g**4 * eta_a * (1.0 - eta_a) / retained
+        eps_prime = attack_err / rates.r_exp
     return EpPnsQuantities(
-        r_exp=r_exp,
-        r_double=r_double,
         p_ae=p_ae,
         p_eb=p_eb,
-        i_ae=i_ae,
-        i_eb=i_eb,
+        i_ae=rates.information(binary_information(p_ae)),
+        i_eb=rates.information(binary_information(p_eb)),
         eps_prime=eps_prime,
         eps_prime_leading=eps_prime_leading,
-        i_ab=i_ab,
-        saturated=saturated,
+        i_ab=binary_information(eps_prime),
     )

@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterator
 from typing import Optional
 
-from . import analytics
+from . import analytics, eve
 from .config import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -30,15 +30,9 @@ from .config import (
     validate,
 )
 from .detection import ChannelParams, compose_bob_efficiency
-from .engine import (
-    STREAM_VERSION,
-    RateReport,
-    _resolve_run_params,
-    run_experiment,
-    run_experiments,
-)
+from .engine import STREAM_VERSION, RateReport, run_experiment, run_experiments
 from .eve import AUTO, PnsConfig
-from .source import Scheme
+from .source import Scheme, SourceParams
 
 # 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
 # printed leading-order values moved to *_formula, i_ab_oracle is gone
@@ -165,16 +159,12 @@ def read_config_file(path: str) -> dict:
     values = _parse_numbers(dict(exp), errors)
     if parser.has_section("attack"):
         sec = parser["attack"]
-        if _parse_bool(sec.get("enabled", "true"), "attack.enabled", errors):
-            attack = {
-                "block_probability": sec.get("block_probability", AUTO),
-                "guarantee_delivery": _parse_bool(
-                    sec.get("guarantee_delivery", "true"),
-                    "attack.guarantee_delivery",
-                    errors,
-                ),
-            }
-            values["attack"] = _parse_numbers(attack, errors, "attack")
+        attack = {
+            key: _parse_bool(sec.get(key, "true"), f"attack.{key}", errors)
+            for key in ("enabled", "guarantee_delivery")
+        }
+        attack["block_probability"] = sec.get("block_probability", AUTO)
+        values["attack"] = _parse_numbers(attack, errors, "attack")
     if parser.has_section("sweep"):
         sec = parser["sweep"]
         missing = [k for k in ("param", "start", "stop", "steps") if k not in sec]
@@ -203,19 +193,14 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
         raise ConfigError([f"scheme: must be one of {sorted(_SCHEME_NAMES)}, got {scheme_name!r}"])
     errors: list[str] = []
     attack = None
-    raw_attack = merged.get("attack")
-    # a --block-probability flag overrides the blocking probability of the
-    # attack a flag or the file enables, and is an error without one
+    # --attack sets the file's [attack] enabled alone; a --block-probability
+    # flag overrides the blocking probability of an enabled attack, and is an
+    # error without one
+    raw_attack = {**file_values.get("attack", {}), **flag_values.get("attack", {})}
     block = merged.pop("block_probability", None)
     if block is not None:
-        if raw_attack is None:
-            errors.append(
-                "attack.block_probability: applies only when the attack is enabled "
-                "(--attack pns, or an enabled [attack] section)"
-            )
-        else:
-            raw_attack = {**raw_attack, "block_probability": block}
-    if raw_attack is not None:
+        raw_attack["block_probability"] = block
+    if raw_attack.get("enabled"):
         try:
             attack = PnsConfig(
                 block_probability=raw_attack.get("block_probability", AUTO),
@@ -223,6 +208,11 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
             )
         except ConfigError as exc:
             errors += [f"attack.{message}" for message in exc.errors]
+    elif block is not None:
+        errors.append(
+            "attack.block_probability: applies only when the attack is enabled "
+            "(--attack pns, or an enabled [attack] section)"
+        )
     sweep = None
     raw_sweep = merged.get("sweep")
     if raw_sweep is not None:
@@ -269,31 +259,59 @@ def parse_config(
 # ---------------------------------------------------------------------------
 
 
-def analytic_row(
-    config: ExperimentConfig, block_probability: Optional[float] = None
-) -> dict:
+def _source_channel(config: ExperimentConfig) -> tuple[SourceParams, ChannelParams]:
+    """The point's source and channel, as the solve and the oracles take them."""
+    g = config.resolved_gain() if config.scheme is not Scheme.WEAK_COHERENT else 0.0
+    source = SourceParams(config.scheme, g, config.truncation_order, config.mu_prime or 0.0)
+    return source, ChannelParams(config.eta_a, config.eta_b, config.eta_l)
+
+
+def _resolve(config: ExperimentConfig) -> tuple[ExperimentConfig, Optional[analytics.AttackRates]]:
+    """The point with its rate-matched blocking probability solved, and its
+    attack rates (None for an unattacked ``ep`` point, whose row shows none).
+
+    Without Monte Carlo trials, an attack with no rate to match keeps
+    ``auto``, and its row leaves the blocking probability empty.
+    """
+    attack = config.attack
+    if config.scheme is Scheme.ENTANGLED_PAIRS and attack is None:
+        return config, None
+    source, channel = _source_channel(config)
+    rates = eve.attack_rates(source, channel)
+    if attack is not None and attack.block_probability == AUTO:
+        try:
+            block = eve.solve_block_probability(source, channel, rates)
+            attack = dataclasses.replace(attack, block_probability=block)
+            config = dataclasses.replace(config, attack=attack)
+        except ConfigError:
+            if config.trials:
+                raise
+    return config, rates
+
+
+def analytic_row(config: ExperimentConfig, rates: Optional[analytics.AttackRates] = None) -> dict:
     """Closed-form / oracle quantities for one parameter point, in a row of
     every ``CSV_COLUMNS`` key.
 
-    Under attack, ``block_probability`` is the run's resolved blocking
-    probability; it is solved here only when not given, and the row records
-    it.  The attacked oracle rows hold the exact delivered statistics at that
-    probability, and are empty without guaranteed delivery.
+    ``config`` and ``rates`` are a point as ``_resolve`` returns it; a point
+    given without its rates is resolved here.  Under attack the row records
+    the blocking probability, and the attacked oracle rows hold the exact
+    delivered statistics at it; they are empty without guaranteed delivery.
     """
+    if rates is None:
+        config, rates = _resolve(config)
     row = dict.fromkeys(CSV_COLUMNS)
-    eta_bl = compose_bob_efficiency(ChannelParams(config.eta_a, config.eta_b, config.eta_l))
+    source, channel = _source_channel(config)
+    eta_bl = compose_bob_efficiency(channel)
     pass_probability = None
-    if config.attack is not None:
-        if block_probability is None:
-            try:
-                block_probability = _resolve_run_params(config)[1]
-            except ConfigError:  # the rate-matched attack has no rate to match
-                pass
-        row["block_probability"] = block_probability
-        if block_probability is not None and config.attack.guarantee_delivery:
-            pass_probability = 1.0 - block_probability
+    if config.attack is not None and config.attack.block_probability != AUTO:
+        row["block_probability"] = block = float(config.attack.block_probability)
+        if config.attack.guarantee_delivery:
+            pass_probability = 1.0 - block
+    if rates is not None:
+        row.update(r_exp=rates.r_exp, r_multi=rates.r_multi, i_e_saturated=rates.saturated)
     if config.scheme is Scheme.ENTANGLED_PAIRS:
-        g = config.resolved_gain()
+        g = source.g
         fk, fe, feps = analytics.ep_rates_approx(g, config.eta_a, eta_bl)
         row.update(r_key_formula=fk, r_err_formula=fe, epsilon_formula=feps)
         if config.attack is None:
@@ -309,10 +327,8 @@ def analytic_row(
                 bob_no_click_oracle=oracle.bob_no_click,
             )
             return row
-        q = analytics.ep_pns_quantities(g, config.eta_a, eta_bl, config.truncation_order)
+        q = analytics.ep_pns_quantities(g, config.eta_a, eta_bl, rates, config.truncation_order)
         row.update(
-            r_exp=q.r_exp,
-            r_multi=q.r_double,
             i_e=q.i_ae,
             i_ae_formula=q.i_ae,
             i_eb_formula=q.i_eb,
@@ -320,7 +336,6 @@ def analytic_row(
             p_eb_formula=q.p_eb,
             eps_prime_formula=q.eps_prime,
             i_ab_formula=q.i_ab,
-            i_e_saturated=q.saturated,
         )
         if pass_probability is not None:
             attack = analytics.ep_pns_oracle(
@@ -338,25 +353,15 @@ def analytic_row(
                 eps_prime_oracle=attack.error_rate,
             )
         return row
-    if config.scheme is Scheme.WEAK_COHERENT:
-        leak = analytics.wcs_leakage(config.mu_prime, eta_bl)
-    else:
-        g = config.resolved_gain()
-        leak = analytics.pdc_leakage(g, config.eta_a, eta_bl)
     if config.attack is None:
-        rate = leak.r_exp
+        rate = rates.r_exp
     elif pass_probability is None:
         rate = None
-    elif config.scheme is Scheme.WEAK_COHERENT:
-        rate = analytics.wcs_attack_delivered(config.mu_prime, pass_probability)
     else:
-        rate = analytics.pdc_attack_delivered(g, config.eta_a, pass_probability)
+        rate = eve._delivered_rate(source, channel, pass_probability)
     # every delivered photon is in Alice's mode, so no sifted bit is wrong
     row.update(
-        r_exp=leak.r_exp,
-        r_multi=leak.r_multi,
-        i_e=leak.i_e,
-        i_e_saturated=leak.saturated,
+        i_e=rates.information(1.0),
         r_key_oracle=rate,
         r_err_oracle=None if rate is None else 0.0,
         epsilon_oracle=0.0 if rate else None,
@@ -375,18 +380,17 @@ def point_row(
     sweep_param: str = "",
     sweep_value=None,
     reports: Optional[Iterator[RateReport]] = None,
+    rates: Optional[analytics.AttackRates] = None,
 ) -> dict:
     """One result row: analytics always, Monte Carlo when trials > 0.
 
-    The Monte Carlo report is the next one of ``reports`` (a
-    ``run_experiments`` over the sweep's points) when given, otherwise this
-    point is run on its own.
+    ``config`` and ``rates`` go to ``analytic_row``.  The Monte Carlo report
+    is the next one of ``reports`` (a ``run_experiments`` over the sweep's
+    points) when given, otherwise this point is run on its own.
     """
-    if config.trials <= 0:
-        row = analytic_row(config)
-    else:
+    row = analytic_row(config, rates)
+    if config.trials > 0:
         report = next(reports) if reports is not None else run_experiment(config)
-        row = analytic_row(config, report.block_probability)
         row.update(
             r_key_mc=report.r_key,
             r_key_se=report.r_key_se,
@@ -402,7 +406,6 @@ def point_row(
             p_eb_hat=report.p_eb_hat,
             i_ae_mc=report.i_ae,
             i_eb_mc=report.i_eb,
-            block_probability=report.block_probability,
             truncation_exceeded=report.truncation_exceeded_count,
             sifted_count=report.sifted_count,
             trials=report.trials,
@@ -415,40 +418,34 @@ def point_row(
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
-    """Evaluate every sweep point, ordered by swept value.
+    """Evaluate the point, or every sweep point ordered by swept value.
 
-    Every point is validated, and a rate-matched attack's blocking
-    probability solved, before any Monte Carlo runs; then all points' batches
-    are scheduled on one pool and each row takes its report in turn.
+    Every point is validated and resolved (``_resolve``) before any Monte
+    Carlo runs; then all points' batches are scheduled on one pool and each
+    row takes its report in turn.
     """
-    if config.sweep is None:
-        return [point_row(config)]
-    param = config.sweep.param
-    values = sorted(config.sweep.values())
+    sweep = config.sweep
+    param = sweep.param if sweep is not None else ""
+    values = sorted(sweep.values()) if sweep is not None else [None]
     points = []
     for value in values:
-        point = dataclasses.replace(config, sweep=None, **{param: value})
-        if param == "g":
-            point = dataclasses.replace(point, mu=None)
-        elif param == "mu":
-            point = dataclasses.replace(point, g=None)
+        point = config
+        if sweep is not None:
+            # a swept gain or mean pair number replaces the other one
+            cleared = {"g": {"mu": None}, "mu": {"g": None}}.get(param, {})
+            point = dataclasses.replace(config, sweep=None, **{param: value}, **cleared)
         try:
-            point = point.validated()
-            attack = point.attack
-            # an analytic row leaves a blocking probability it cannot solve empty
-            if point.trials and attack is not None and attack.block_probability == AUTO:
-                block = _resolve_run_params(point)[1]
-                attack = dataclasses.replace(attack, block_probability=block)
-                point = dataclasses.replace(point, attack=attack)
-            points.append(point)
+            points.append(_resolve(point.validated()))
         except ConfigError as exc:
+            if sweep is None:
+                raise
             raise ConfigError(
                 [f"sweep point {param}={value!r}: {e}" for e in exc.errors]
             ) from exc
-    with contextlib.closing(run_experiments(points)) as reports:
+    with contextlib.closing(run_experiments(point for point, _ in points)) as reports:
         return [
-            point_row(point, sweep_param=param, sweep_value=value, reports=reports)
-            for point, value in zip(points, values)
+            point_row(point, sweep_param=param, sweep_value=value, reports=reports, rates=rates)
+            for (point, rates), value in zip(points, values)
         ]
 
 
@@ -530,10 +527,8 @@ def _flags_to_values(args: argparse.Namespace) -> dict:
     if block is not None:
         # ``build_config`` applies it to whichever attack is enabled
         values.update(_parse_numbers({"block_probability": block}, errors, "attack"))
-    if getattr(args, "attack", None) == "pns":
-        values["attack"] = {"block_probability": AUTO, "guarantee_delivery": True}
-    elif getattr(args, "attack", None) == "none":
-        values["attack"] = None
+    if getattr(args, "attack", None) is not None:
+        values["attack"] = {"enabled": args.attack == "pns"}
     if getattr(args, "sweep", None):
         parts = args.sweep.split(":")
         if len(parts) not in (4, 5):
@@ -586,8 +581,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     ok = abs(z) <= args.sigma
                     failed = failed or not ok
                     status = f"{'PASS' if ok else 'FAIL'} z={z:+.3f}"
-                label = f"{row['sweep_param'] or 'point'}={row['sweep_value']}"
-                print(f"{label} {key[:-2]}: {status}")
+                label = row["sweep_param"] and f"{row['sweep_param']}={row['sweep_value']}"
+                print(f"{label or 'point'} {key[:-2]}: {status}", file=sys.stderr)
         print(emit(rows, config.out_format, config.out_path, config), end="")
         return 1 if failed else 0
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:

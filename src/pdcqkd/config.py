@@ -106,6 +106,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             )
         if config.mu is not None:
             errors += MEAN.violations(mu=config.mu) or MEAN_PHOTONS.violations(mu=config.mu)
+        if config.mu_prime is not None:
+            errors.append("mu_prime: applies only to the weak-coherent scheme")
     else:
         if config.mu_prime is not None:
             errors += MEAN.violations(mu_prime=config.mu_prime) or MEAN_PHOTONS.violations(

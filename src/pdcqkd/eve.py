@@ -12,22 +12,11 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from . import analytics
 from .detection import ChannelParams, compose_bob_efficiency
 from .source import AUTO, BLOCK_PROBABILITY, ConfigError, Scheme, SourceParams
-
-
-class _Saturated:
-    """Sentinel: even blocking every single-photon signal cannot push the
-    delivered rate down to the unattacked one."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "SATURATED"
-
-
-SATURATED = _Saturated()
 
 
 @dataclass(frozen=True)
@@ -40,6 +29,12 @@ class PnsConfig:
 
     def __post_init__(self) -> None:
         BLOCK_PROBABILITY.require(block_probability=self.block_probability)
+        # the solve assumes forwarding with no loss and sure detection
+        if self.block_probability == AUTO and not self.guarantee_delivery:
+            raise ConfigError(
+                ["block_probability: auto needs guaranteed delivery, as no rate "
+                 "covers lossy forwarding; give a probability in [0, 1]"]
+            )
 
 
 def _unattacked_rate(source: SourceParams, channel: ChannelParams) -> float:
@@ -65,35 +60,43 @@ def _delivered_rate(
     return analytics.pdc_attack_delivered(source.g, channel.eta_a, pass_probability)
 
 
+def attack_rates(source: SourceParams, channel: ChannelParams) -> analytics.AttackRates:
+    """The point's unattacked sifted rate and the rate that the attack
+    delivers with every single-photon signal blocked."""
+    return analytics.AttackRates(
+        _unattacked_rate(source, channel), _delivered_rate(source, channel, 0.0)
+    )
+
+
 def solve_block_probability(
-    source: SourceParams, channel: ChannelParams
-) -> Union[float, _Saturated]:
+    source: SourceParams, channel: ChannelParams, rates: Optional[analytics.AttackRates] = None
+) -> float:
     """Blocking probability that matches the delivered sifted rate to the
-    unattacked one, or SATURATED when blocking all singles still over-delivers.
+    unattacked one, or 1.0 when the attack saturates.  ``rates`` are the
+    point's ``attack_rates``, evaluated here when not given.
 
     Only single-photon signals depend on the pass probability p, so the
     delivered rate is affine in it, D(p) = D(0) + p (D(1) - D(0)), and the
     match is one division.  A rate that rounds past D(1) gives blocking 0.
     """
-    target = _unattacked_rate(source, channel)
-    if target <= 0.0:
+    if rates is None:
+        rates = attack_rates(source, channel)
+    if rates.r_exp <= 0.0:
         raise ConfigError(
             ["attack.block_probability: auto has no rate to match, "
              "as the unattacked sifted rate is zero"]
         )
-    floor = _delivered_rate(source, channel, 0.0)
-    if floor >= target:
-        return SATURATED
+    if rates.saturated:
+        return 1.0
     full = _delivered_rate(source, channel, 1.0)
-    return 1.0 - min(1.0, (target - floor) / (full - floor))
+    return 1.0 - min(1.0, (rates.r_exp - rates.r_multi) / (full - rates.r_multi))
 
 
 def resolve_block_probability(
     cfg: PnsConfig, source: SourceParams, channel: ChannelParams
 ) -> float:
     """Concrete blocking probability for a run: explicit value, or the solved
-    rate-matching one (1.0 when saturated)."""
+    rate-matching one."""
     if cfg.block_probability == AUTO:
-        solved = solve_block_probability(source, channel)
-        return 1.0 if solved is SATURATED else float(solved)
+        return solve_block_probability(source, channel)
     return float(cfg.block_probability)

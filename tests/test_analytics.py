@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcqkd.analytics import (
+    AttackRates,
     binary_information,
     ep_pns_oracle,
     ep_pns_quantities,
@@ -169,6 +170,32 @@ class TestAttackDeliveredRates:
         assert ep_pns_oracle(g, eta_a, 1.0).delivered_rate > lossy
 
 
+class TestAttackRates:
+    def test_saturation_rule(self):
+        assert AttackRates(0.1, 0.1).saturated
+        assert not AttackRates(0.1, 0.05).saturated
+        # no unattacked rate: nothing to hide behind, so never saturated
+        assert not AttackRates(0.0, 0.05).saturated
+
+    def test_eq10_branch(self):
+        assert AttackRates(0.1, 0.2).information(0.75) == 0.75
+        assert AttackRates(0.2, 0.05).information(0.8) == pytest.approx(0.2)
+        assert AttackRates(0.0, 0.05).information(0.8) is None
+
+    def test_leakage_reports_are_rates(self):
+        report = wcs_leakage(0.1, 0.1)
+        assert isinstance(report, AttackRates)
+        assert report.i_e == report.information(1.0)
+
+
+def ep_rates(g, eta_a, eta_bl, truncation=2):
+    """The attack rates of an entangled-pair point, from its two oracles."""
+    return AttackRates(
+        exact_rates_oracle(g, eta_a, eta_bl, truncation).r_key,
+        ep_pns_oracle(g, eta_a, 0.0, truncation).delivered_rate,
+    )
+
+
 class TestAttackOracle:
     def test_saturated_hit_probabilities(self):
         oracle = ep_pns_oracle(0.6, 0.6, pass_probability=0.0)
@@ -187,8 +214,9 @@ class TestAttackOracle:
             ep_pns_oracle(0.3, 0.6, 0.5, truncation)
 
     def test_quantities_branching(self):
-        q = ep_pns_quantities(0.6, 0.6, 0.1)
-        assert q.saturated
+        rates = ep_rates(0.6, 0.6, 0.1)
+        q = ep_pns_quantities(0.6, 0.6, 0.1, rates)
+        assert rates.saturated
         assert q.p_ae == pytest.approx(8.0 / 9.0, abs=1e-12)
         assert q.p_eb == pytest.approx(7.0 / 9.0, abs=1e-12)
         assert q.eps_prime == pytest.approx(0.4 / 3.6, abs=1e-12)
@@ -196,8 +224,9 @@ class TestAttackOracle:
 
     def test_rate_matched_branch_small_gain(self):
         # at small gain the singles rate dominates, so blocking can match it
-        q = ep_pns_quantities(0.0863, 0.5, 0.1)
-        assert not q.saturated
+        rates = ep_rates(0.0863, 0.5, 0.1)
+        q = ep_pns_quantities(0.0863, 0.5, 0.1, rates)
+        assert not rates.saturated
         assert q.eps_prime == pytest.approx(q.eps_prime_leading, rel=0.1)
         assert q.i_ae < binary_information(q.p_ae)
 

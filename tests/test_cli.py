@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pdcqkd import analytics, cli, engine
+from pdcqkd import analytics, cli, engine, eve
 from pdcqkd.cli import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -19,9 +19,10 @@ from pdcqkd.cli import (
     run_sweep,
 )
 from pdcqkd.config import ConfigError, ExperimentConfig, SweepSpec, validate
+from pdcqkd.detection import ChannelParams
 from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION
 from pdcqkd.eve import AUTO, PnsConfig
-from pdcqkd.source import Scheme
+from pdcqkd.source import Scheme, SourceParams
 
 
 class TestSweepSpec:
@@ -165,7 +166,8 @@ class TestRows:
         row = analytic_row(config)
         assert row["block_probability"] == engine._resolve_run_params(config)[1]
         assert 0.0 < row["block_probability"] < 1.0
-        assert analytic_row(config, 0.25)["block_probability"] == 0.25
+        explicit = dataclasses.replace(config, attack=PnsConfig(0.25))
+        assert analytic_row(explicit)["block_probability"] == 0.25
         unattacked = dataclasses.replace(config, attack=None)
         assert analytic_row(unattacked)["block_probability"] is None
 
@@ -174,28 +176,29 @@ class TestRows:
             scheme=Scheme.WEAK_COHERENT, mu_prime=0.5, eta_b=0.8, eta_l=0.5,
             attack=PnsConfig(block_probability=0.5),
         ).validated()
-        row = analytic_row(wcs, 0.5)
+        row = analytic_row(wcs)
         assert row["r_key_oracle"] == analytics.wcs_attack_delivered(0.5, 0.5)
         assert row["r_err_oracle"] == 0.0 and row["epsilon_oracle"] == 0.0
         pdc = ExperimentConfig(
             scheme=Scheme.TRIGGERED_PDC, g=0.3, eta_a=0.6,
             attack=PnsConfig(block_probability=0.0),
         ).validated()
-        row = analytic_row(pdc, 0.0)
+        row = analytic_row(pdc)
         assert row["r_key_oracle"] == analytics.pdc_attack_delivered(0.3, 0.6, 1.0)
         undelivered = dataclasses.replace(
             pdc, attack=PnsConfig(block_probability=0.0, guarantee_delivery=False)
         )
-        row = analytic_row(undelivered, 0.0)
+        row = analytic_row(undelivered)
         assert row["r_key_oracle"] is row["r_err_oracle"] is row["epsilon_oracle"] is None
 
     def test_attacked_ep_row_separates_oracle_and_formula(self):
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(), trials=0
         ).validated()
-        row = analytic_row(config, 0.25)
+        row = analytic_row(dataclasses.replace(config, attack=PnsConfig(0.25)))
         exact = analytics.ep_pns_oracle(0.3, 0.6, 0.75, 2)
-        printed = analytics.ep_pns_quantities(0.3, 0.6, 1.0)
+        rates = eve.attack_rates(SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3), ChannelParams(0.6))
+        printed = analytics.ep_pns_quantities(0.3, 0.6, 1.0, rates)
         for key in ("p_ae", "p_eb", "i_ae", "i_eb"):
             assert row[f"{key}_oracle"] == getattr(exact, key)
             assert row[f"{key}_formula"] == getattr(printed, key)
@@ -205,7 +208,7 @@ class TestRows:
         undelivered = dataclasses.replace(
             config, attack=PnsConfig(block_probability=0.25, guarantee_delivery=False)
         )
-        row = analytic_row(undelivered, 0.25)
+        row = analytic_row(undelivered)
         for key in ("p_ae", "p_eb", "i_ae", "i_eb", "eps_prime"):
             assert row[f"{key}_oracle"] is None and row[f"{key}_formula"] is not None
 
@@ -339,9 +342,9 @@ class TestAttackedCompare:
             + ["--trials", "1000000", "--seed", str(seed), "--sigma", "4.5"]
             + extra
         )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert out.count("PASS") == 3
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert err.count("PASS") == 3
 
     @pytest.mark.parametrize(
         "scheme, block, seed",
@@ -364,9 +367,9 @@ class TestAttackedCompare:
             + ["--block-probability", block, "--trials", "1000000"]
             + ["--seed", str(seed), "--sigma", "4.5"]
         )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert out.count("PASS") == 1
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert err.count("PASS") == 1
 
     def test_undelivered_attack_has_no_oracle(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -375,9 +378,9 @@ class TestAttackedCompare:
             "[attack]\nblock_probability = 0.5\nguarantee_delivery = false\n"
         )
         code = main(["compare", "-c", str(path)])
-        out = capsys.readouterr().out
+        err = capsys.readouterr().err
         assert code == 0
-        assert out.count("n/a") == 3 and "PASS" not in out
+        assert err.count("n/a") == 3 and "PASS" not in err
 
 
 class TestRowSchema:
@@ -411,12 +414,10 @@ class TestRowSchema:
         args = [command, "--scheme", scheme, *self.SOURCES[scheme], *self.ATTACKS[attack],
                 *self.COMMANDS[command], "--trials", "2000"]
         assert main([*args, "--format", "json"]) == 0
-        out = capsys.readouterr().out
-        rows = json.loads(out[out.index("{"):])["rows"]  # after compare's verdicts
+        rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows and all(sorted(row) == sorted(CSV_COLUMNS) for row in rows)
         assert main([*args, "--format", "csv"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        header = next(csv.reader(lines[lines.index(",".join(CSV_COLUMNS)):]))
+        header = next(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert header == CSV_COLUMNS
 
 
@@ -542,9 +543,12 @@ class TestMain:
                 "5",
             ]
         )
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 0
-        assert "PASS" in out and "FAIL" not in out
+        assert "PASS" in err and "FAIL" not in err
+        # stdout is the data alone; a lone point's verdicts are labelled point
+        assert next(csv.reader(io.StringIO(out))) == CSV_COLUMNS
+        assert err.startswith("point r_key: PASS z=")
 
     @pytest.mark.parametrize("block", ["auto", "0.064"])
     def test_attacked_ep_oracle_keys_hold_the_exact_oracle(self, block, capsys):
@@ -738,3 +742,122 @@ class TestMain:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["block_probability"] == 1.0
         assert row["double_click_matched_mc"] == 0.0
+
+
+class TestResolvedOnce:
+    """Each point is resolved once: its rates, its blocking probability and
+    its row come from one pass over the oracles."""
+
+    ROW_PINS = json.loads(Path(__file__).with_name("row_pins.json").read_text())
+
+    def test_rows_match_the_pins(self, capsys):
+        # every value as float.hex, recorded before the rates record
+        assert len(self.ROW_PINS) == 175
+        changed = []
+        for argv, pinned in self.ROW_PINS.items():
+            assert main(argv.split()) == 0, argv
+            (row,) = json.loads(capsys.readouterr().out)["rows"]
+            if {k: v.hex() if isinstance(v, float) else v for k, v in row.items()} != pinned:
+                changed.append(argv)
+        assert changed == []
+
+    def test_attacked_ep_row_without_a_sifted_rate_shows_the_multi_pair_rate(self, capsys):
+        args = ["analytic", "--scheme", "ep", "--g", "0.3", "--eta-l", "0", "--attack", "pns",
+                "--format", "json"]
+        assert main(args) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["r_exp"] == 0.0 and row["i_e"] is None and row["i_e_saturated"] is False
+        assert row["r_multi"] == analytics.ep_pns_oracle(0.3, 1.0, 0.0, 2).delivered_rate > 0
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls = []
+        for name in ("exact_rates_oracle", "ep_pns_oracle"):
+            real = getattr(analytics, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(analytics, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command, extra, points",
+        [
+            ("analytic", [], 1),
+            ("simulate", ["--trials", "2000"], 1),
+            ("sweep", ["--trials", "2000", "--sweep", "g:0.1:0.4:4"], 4),
+        ],
+    )
+    def test_four_oracle_calls_per_attacked_ep_point(
+        self, command, extra, points, oracle_calls, capsys
+    ):
+        # the two rates, the solve's all-pass rate and the row's attack oracle
+        args = [command, "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.8",
+                "--eta-l", "0.5", "--attack", "pns", "--format", "json", *extra]
+        assert main(args) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == points and not any(row["i_e_saturated"] for row in rows)
+        assert len(oracle_calls) == 4 * points
+        assert oracle_calls.count("exact_rates_oracle") == points
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("scheme", ["ep", "pdc"])
+    def test_mu_prime_applies_only_to_wcs(self, scheme, capsys):
+        assert main(["analytic", "--scheme", scheme, "--g", "0.3", "--mu-prime", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert any(m.startswith("mu_prime: ") for m in json.loads(err)["messages"])
+
+    def test_mu_prime_sweep_names_the_point(self, capsys):
+        args = ["sweep", "--scheme", "ep", "--g", "0.3", "--trials", "0",
+                "--sweep", "mu_prime:0.1:0.5:2"]
+        assert main(args) == 2
+        messages = json.loads(capsys.readouterr().err)["messages"]
+        assert messages == ["sweep point mu_prime=0.1: mu_prime: "
+                            "applies only to the weak-coherent scheme"]
+
+    ATTACK_FILE = (
+        "[experiment]\nscheme = wcs\nmu_prime = 0.5\neta_b = 0.5\neta_l = 0.5\n"
+        "[attack]\nenabled = {enabled}\nblock_probability = {block}\n"
+        "guarantee_delivery = false\n"
+    )
+
+    @pytest.mark.parametrize("enabled", ["true", "false"])
+    def test_attack_flag_sets_enabled_alone(self, enabled, tmp_path, capsys):
+        path = tmp_path / "attack.ini"
+        path.write_text(self.ATTACK_FILE.format(enabled=enabled, block=0.3))
+        args = ["analytic", "-c", str(path), "--format", "json"]
+        assert main([*args, "--attack", "pns"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["attack"] == {
+            "block_probability": 0.3, "guarantee_delivery": False
+        }
+        (row,) = payload["rows"]
+        assert row["block_probability"] == 0.3 and row["r_key_oracle"] is None
+        assert main([*args, "--attack", "none"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["attack"] is None
+        assert payload["rows"][0]["block_probability"] is None
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_auto_without_guaranteed_delivery_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "attack.ini"
+        path.write_text(self.ATTACK_FILE.format(enabled="true", block="auto"))
+        assert main([command, "-c", str(path), "--trials", "2000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (message,) = json.loads(err)["messages"]
+        assert message.startswith("attack.block_probability: auto needs guaranteed delivery")
+
+    def test_compare_stdout_is_data_only(self, capsys):
+        args = ["compare", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.8",
+                "--eta-l", "0.5", "--trials", "100000", "--sigma", "1e9", "--format", "json"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        (row,) = json.loads(out)["rows"]
+        assert err.splitlines() == [
+            f"point {key}: PASS z={row[key + '_z']:+.3f}" for key in ("r_key", "r_err", "epsilon")
+        ]

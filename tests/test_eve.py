@@ -10,8 +10,8 @@ from pdcqkd.detection import ChannelParams
 from pdcqkd.engine import _build_report, _Counts, _intercept, _resolve_run_params
 from pdcqkd.eve import (
     AUTO,
-    SATURATED,
     PnsConfig,
+    attack_rates,
     resolve_block_probability,
     solve_block_probability,
 )
@@ -31,6 +31,12 @@ class TestPnsConfig:
             PnsConfig(block_probability=1.5)
         with pytest.raises(ValueError):
             PnsConfig(block_probability="half")
+
+    def test_auto_needs_guaranteed_delivery(self):
+        # the rate match assumes a lossless line with sure detection
+        with pytest.raises(ConfigError, match="^block_probability: auto needs guaranteed"):
+            PnsConfig(AUTO, guarantee_delivery=False)
+        assert not PnsConfig(0.3, guarantee_delivery=False).guarantee_delivery
 
 
 def intercept(counts, p_block, u_store=0.5, u_block=0.5):
@@ -160,7 +166,8 @@ class TestBlockSolver:
     def test_saturation_detected(self):
         source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5)
         channel = ChannelParams(eta_a=1.0, eta_b=1.0, eta_l=0.05)
-        assert solve_block_probability(source, channel) is SATURATED
+        assert attack_rates(source, channel).saturated
+        assert solve_block_probability(source, channel) == 1.0
 
     def test_resolve_handles_all_cases(self):
         source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5)
@@ -181,11 +188,11 @@ class TestBlockSolver:
 
 
 def bisected_block_probability(source, channel):
-    """The rate match by bisection on the pass probability, to 1e-10: the
-    reference for the closed-form solve."""
+    """The rate match by bisection on the pass probability, to 1e-10, or None
+    when saturated: the reference for the closed-form solve."""
     target = eve._unattacked_rate(source, channel)
     if eve._delivered_rate(source, channel, 0.0) >= target:
-        return SATURATED
+        return None
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -216,9 +223,10 @@ class TestClosedFormSolve:
         for source, channel in SOLVER_POINTS:
             solved = solve_block_probability(source, channel)
             reference = bisected_block_probability(source, channel)
-            verdicts.add(reference is SATURATED)
-            if reference is SATURATED:
-                assert solved is SATURATED, (source, channel)
+            verdicts.add(reference is None)
+            if reference is None:
+                assert attack_rates(source, channel).saturated, (source, channel)
+                assert solved == 1.0, (source, channel)
             else:
                 assert solved == pytest.approx(reference, abs=1e-10), (source, channel)
         assert verdicts == {True, False}
@@ -235,8 +243,27 @@ class TestClosedFormSolve:
         monkeypatch.setattr(eve, "_delivered_rate", lambda *a: seen.append(a) or real(*a))
         source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5)
         solved = solve_block_probability(source, ChannelParams(eta_l=eta_l))
-        assert (solved is SATURATED) == (calls == 1)
         assert len(seen) == calls
+        assert (solved == 1.0) == (calls == 1)
+        assert attack_rates(source, ChannelParams(eta_l=eta_l)).saturated == (calls == 1)
+
+    @pytest.mark.parametrize("eta_l, calls", [(0.05, 0), (0.5, 1)])
+    def test_given_rates_are_not_evaluated_again(self, eta_l, calls, monkeypatch):
+        source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5)
+        channel = ChannelParams(eta_l=eta_l)
+        rates = attack_rates(source, channel)
+        expected = solve_block_probability(source, channel)
+        seen = []
+        real = eve._delivered_rate
+        monkeypatch.setattr(eve, "_delivered_rate", lambda *a: seen.append(a) or real(*a))
+        assert solve_block_probability(source, channel, rates) == expected
+        assert len(seen) == calls
+
+    def test_rates_are_the_unattacked_and_all_blocked_rates(self):
+        for source, channel in SOLVER_POINTS:
+            rates = attack_rates(source, channel)
+            assert rates.r_exp == eve._unattacked_rate(source, channel)
+            assert rates.r_multi == eve._delivered_rate(source, channel, 0.0)
 
     @pytest.mark.parametrize(
         "source, channel",
