@@ -4,8 +4,10 @@ versus closed-form comparison reports.
 Configuration comes from an INI-style file (sections ``[experiment]``,
 ``[attack]``, ``[sweep]``, ``[output]``) and/or long-name flags; flags
 override file values.  Output is data-only CSV or JSON for external
-plotting; every result file echoes the fully resolved configuration so it is
-self-describing and reproducible.
+plotting.  JSON output echoes the configuration as given (an ``auto``
+blocking probability stays ``auto``, and ``g`` stays null when ``mu`` was
+given), and each row holds the values its point resolved to, such as its
+``block_probability``, so a result file is self-describing and reproducible.
 """
 from __future__ import annotations
 
@@ -15,11 +17,12 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 from collections.abc import Iterator
 from typing import Optional
 
-from . import analytics, eve
+from . import analytics, engine, eve
 from .config import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -29,10 +32,10 @@ from .config import (
     SweepSpec,
     validate,
 )
-from .detection import ChannelParams, compose_bob_efficiency
+from .detection import compose_bob_efficiency
 from .engine import STREAM_VERSION, RateReport, run_experiment, run_experiments
 from .eve import AUTO, PnsConfig
-from .source import Scheme, SourceParams
+from .source import Rule, Scheme
 
 # 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
 # printed leading-order values moved to *_formula, i_ab_oracle is gone
@@ -92,7 +95,8 @@ CSV_COLUMNS = [
 _SCHEME_NAMES = {s.value: s for s in Scheme}
 
 # The type of every number a config file or a flag gives, by field; a key of
-# the [attack] or [sweep] section is named after its section.
+# the [attack] or [sweep] section is named after its section, and ``sigma``
+# is a flag of ``compare`` alone.
 _NUMBERS = {
     **dict.fromkeys(("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l"), float),
     **dict.fromkeys(("trials", "seed", "truncation", "workers"), int),
@@ -100,13 +104,15 @@ _NUMBERS = {
     "sweep.start": float,
     "sweep.stop": float,
     "sweep.steps": int,
+    "sigma": float,
 }
 _SECTION_KEYS = {
-    "experiment": ("scheme", *(field for field in _NUMBERS if "." not in field)),
+    "experiment": ("scheme", *(f for f in _NUMBERS if "." not in f and f != "sigma")),
     "attack": ("enabled", "block_probability", "guarantee_delivery"),
     "sweep": ("param", "start", "stop", "steps", "scale"),
     "output": ("format", "path"),
 }
+_SIGMA = Rule(lambda sigma: 0.0 < sigma < math.inf, "must be finite and > 0")
 
 
 def _parse_bool(raw: str, field: str, errors: list[str]) -> bool:
@@ -259,53 +265,20 @@ def parse_config(
 # ---------------------------------------------------------------------------
 
 
-def _source_channel(config: ExperimentConfig) -> tuple[SourceParams, ChannelParams]:
-    """The point's source and channel, as the solve and the oracles take them."""
-    g = config.resolved_gain() if config.scheme is not Scheme.WEAK_COHERENT else 0.0
-    source = SourceParams(config.scheme, g, config.truncation_order, config.mu_prime or 0.0)
-    return source, ChannelParams(config.eta_a, config.eta_b, config.eta_l)
-
-
-def _resolve(config: ExperimentConfig) -> tuple[ExperimentConfig, Optional[analytics.AttackRates]]:
-    """The point with its rate-matched blocking probability solved, and its
-    attack rates (None for an unattacked ``ep`` point, whose row shows none).
-
-    Without Monte Carlo trials, an attack with no rate to match keeps
-    ``auto``, and its row leaves the blocking probability empty.
-    """
-    attack = config.attack
-    if config.scheme is Scheme.ENTANGLED_PAIRS and attack is None:
-        return config, None
-    source, channel = _source_channel(config)
-    rates = eve.attack_rates(source, channel)
-    if attack is not None and attack.block_probability == AUTO:
-        try:
-            block = eve.solve_block_probability(source, channel, rates)
-            attack = dataclasses.replace(attack, block_probability=block)
-            config = dataclasses.replace(config, attack=attack)
-        except ConfigError:
-            if config.trials:
-                raise
-    return config, rates
-
-
-def analytic_row(config: ExperimentConfig, rates: Optional[analytics.AttackRates] = None) -> dict:
-    """Closed-form / oracle quantities for one parameter point, in a row of
+def analytic_row(point: engine._RunParams) -> dict:
+    """Closed-form / oracle quantities for one resolved point, in a row of
     every ``CSV_COLUMNS`` key.
 
-    ``config`` and ``rates`` are a point as ``_resolve`` returns it; a point
-    given without its rates is resolved here.  Under attack the row records
-    the blocking probability, and the attacked oracle rows hold the exact
-    delivered statistics at it; they are empty without guaranteed delivery.
+    Under attack the row records the blocking probability, and the attacked
+    oracle rows hold the exact delivered statistics at it; they are empty
+    without guaranteed delivery.
     """
-    if rates is None:
-        config, rates = _resolve(config)
+    config, source, channel, rates = point.config, point.source, point.channel, point.rates
     row = dict.fromkeys(CSV_COLUMNS)
-    source, channel = _source_channel(config)
     eta_bl = compose_bob_efficiency(channel)
     pass_probability = None
-    if config.attack is not None and config.attack.block_probability != AUTO:
-        row["block_probability"] = block = float(config.attack.block_probability)
+    if point.block_probability is not None:
+        row["block_probability"] = block = point.block_probability
         if config.attack.guarantee_delivery:
             pass_probability = 1.0 - block
     if rates is not None:
@@ -376,21 +349,21 @@ def _z_score(mc: Optional[float], se: Optional[float], oracle: Optional[float]):
 
 
 def point_row(
-    config: ExperimentConfig,
+    point: engine._RunParams,
     sweep_param: str = "",
     sweep_value=None,
     reports: Optional[Iterator[RateReport]] = None,
-    rates: Optional[analytics.AttackRates] = None,
 ) -> dict:
-    """One result row: analytics always, Monte Carlo when trials > 0.
+    """One result row of a resolved point: analytics always, Monte Carlo
+    when trials > 0.
 
-    ``config`` and ``rates`` go to ``analytic_row``.  The Monte Carlo report
-    is the next one of ``reports`` (a ``run_experiments`` over the sweep's
-    points) when given, otherwise this point is run on its own.
+    The Monte Carlo report is the next one of ``reports`` (a
+    ``run_experiments`` over the sweep's points) when given, otherwise this
+    point is run on its own.
     """
-    row = analytic_row(config, rates)
-    if config.trials > 0:
-        report = next(reports) if reports is not None else run_experiment(config)
+    row = analytic_row(point)
+    if point.config.trials > 0:
+        report = next(reports) if reports is not None else run_experiment(point.config)
         row.update(
             r_key_mc=report.r_key,
             r_key_se=report.r_key_se,
@@ -420,11 +393,11 @@ def point_row(
 def run_sweep(config: ExperimentConfig) -> list[dict]:
     """Evaluate the point, or every sweep point ordered by swept value.
 
-    Every point is validated and resolved (``_resolve``) before any Monte
-    Carlo runs; then all points' batches are scheduled on one pool and each
-    row takes its report in turn.
+    Every point is validated and resolved (``engine._resolve_run_params``)
+    before any Monte Carlo runs; then all points' batches are scheduled on
+    one pool and each row takes its report in turn.
     """
-    sweep = config.sweep
+    sweep = config.validated().sweep
     param = sweep.param if sweep is not None else ""
     values = sorted(sweep.values()) if sweep is not None else [None]
     points = []
@@ -435,17 +408,17 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             cleared = {"g": {"mu": None}, "mu": {"g": None}}.get(param, {})
             point = dataclasses.replace(config, sweep=None, **{param: value}, **cleared)
         try:
-            points.append(_resolve(point.validated()))
+            points.append(engine._resolve_run_params(point))
         except ConfigError as exc:
             if sweep is None:
                 raise
             raise ConfigError(
                 [f"sweep point {param}={value!r}: {e}" for e in exc.errors]
             ) from exc
-    with contextlib.closing(run_experiments(point for point, _ in points)) as reports:
+    with contextlib.closing(run_experiments(points)) as reports:
         return [
-            point_row(point, sweep_param=param, sweep_value=value, reports=reports, rates=rates)
-            for (point, rates), value in zip(points, values)
+            point_row(point, sweep_param=param, sweep_value=value, reports=reports)
+            for point, value in zip(points, values)
         ]
 
 
@@ -561,14 +534,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         p = sub.add_parser(name, help=desc)
         _add_common_flags(p)
         if name == "compare":
-            p.add_argument("--sigma", type=float, default=3.0, help="z-score threshold")
+            p.add_argument("--sigma", default="3.0", help="z-score threshold")
     args = parser.parse_args(argv)
 
     try:
+        if args.command == "compare":
+            errors: list[str] = []
+            sigma = _parse_numbers({"sigma": args.sigma}, errors)["sigma"]
+            if errors:
+                raise ConfigError(errors)
+            _SIGMA.require(sigma=sigma)
         flags = _flags_to_values(args)
         config = parse_config(getattr(args, "config", None), flags)
         if args.command == "analytic":
-            config = dataclasses.replace(config, trials=0).validated()
+            config = dataclasses.replace(config, trials=0)
         elif args.command == "compare" and config.trials == 0:
             raise ConfigError(["trials: compare needs Monte Carlo trials, got 0"])
         rows = run_sweep(config)
@@ -578,7 +557,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 z = row[key]
                 status = "n/a"
                 if z is not None:
-                    ok = abs(z) <= args.sigma
+                    ok = abs(z) <= sigma
                     failed = failed or not ok
                     status = f"{'PASS' if ok else 'FAIL'} z={z:+.3f}"
                 label = row["sweep_param"] and f"{row['sweep_param']}={row['sweep_value']}"

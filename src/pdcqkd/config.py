@@ -8,6 +8,7 @@ from typing import Optional
 from .eve import PnsConfig
 from .source import (
     GAIN,
+    INTEGER,
     MEAN,
     MEAN_PHOTONS,
     TRUNCATION,
@@ -118,6 +119,28 @@ def validate(config: ExperimentConfig) -> list[str]:
         if config.g is not None or config.mu is not None:
             errors.append("g/mu: not applicable to the weak-coherent scheme")
     errors += UNIT.violations(eta_a=config.eta_a, eta_b=config.eta_b, eta_l=config.eta_l)
+    if config.out_format not in ("csv", "json"):
+        errors.append(f"out_format: must be 'csv' or 'json', got {config.out_format!r}")
+    sw = config.sweep
+    if sw is not None:
+        if sw.param not in SWEEPABLE:
+            errors.append(
+                f"sweep.param: must be one of {SWEEPABLE}, got {sw.param!r}"
+            )
+        if sw.scale not in ("linear", "log"):
+            errors.append(f"sweep.scale: must be 'linear' or 'log', got {sw.scale!r}")
+        elif sw.scale == "log" and (sw.start <= 0 or sw.stop <= 0):
+            errors.append("sweep: log scale requires positive start and stop")
+    # the ranges below are checked only on integers
+    not_integers = INTEGER.violations(
+        trials=config.trials,
+        master_seed=config.master_seed,
+        truncation_order=config.truncation_order,
+        workers=config.workers,
+        **({"sweep.steps": sw.steps} if sw is not None else {}),
+    )
+    if not_integers:
+        return errors + not_integers
     if not 0 <= config.master_seed < 1 << 64:
         errors.append(f"master_seed: must lie in [0, 2**64), got {config.master_seed!r}")
     if config.trials < 0:
@@ -125,18 +148,6 @@ def validate(config: ExperimentConfig) -> list[str]:
     errors += TRUNCATION.violations(truncation_order=config.truncation_order)
     if config.workers < 1:
         errors.append(f"workers: must be >= 1, got {config.workers!r}")
-    if config.out_format not in ("csv", "json"):
-        errors.append(f"out_format: must be 'csv' or 'json', got {config.out_format!r}")
-    if config.sweep is not None:
-        sw = config.sweep
-        if sw.param not in SWEEPABLE:
-            errors.append(
-                f"sweep.param: must be one of {SWEEPABLE}, got {sw.param!r}"
-            )
-        if sw.steps < 1:
-            errors.append(f"sweep.steps: must be >= 1, got {sw.steps!r}")
-        if sw.scale not in ("linear", "log"):
-            errors.append(f"sweep.scale: must be 'linear' or 'log', got {sw.scale!r}")
-        elif sw.scale == "log" and (sw.start <= 0 or sw.stop <= 0):
-            errors.append("sweep: log scale requires positive start and stop")
+    if sw is not None and sw.steps < 1:
+        errors.append(f"sweep.steps: must be >= 1, got {sw.steps!r}")
     return errors

@@ -42,13 +42,15 @@ fresh pages handed back to the operating system after every batch: a
 2^16-trial batch took about 1,000 minor page faults with whole-batch
 temporaries, and fewer than one with the chunks.
 
-``run_experiments`` schedules a list of runs -- the points of a sweep -- on
+A run's inputs are one ``_RunParams`` record, which ``_resolve_run_params``
+alone builds from a config: the source, the channel, the attack rates and
+the blocking probability.  ``run_experiments`` schedules a list of these
+records -- the points of a sweep, all resolved before any batch runs -- on
 one process pool.  Each run's batches are split into ``min(workers,
-n_batches)`` contiguous ranges, and every range of every run is submitted as
-soon as that run's parameters are resolved, so workers start on the first
-points while the parent still solves the later ones.  Reports come back in
-order, each folded from its own ranges' integer counts, so a run's report is
-the same whether it runs alone, in a sweep, or on any number of workers.
+n_batches)`` contiguous ranges, and every range of every run is submitted
+before the first report is folded.  Reports come back in order, each folded
+from its own ranges' integer counts, so a run's report is the same whether
+it runs alone, in a sweep, or on any number of workers.
 """
 from __future__ import annotations
 
@@ -62,11 +64,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import analytics, eve, fock
 from .config import ExperimentConfig
 from .detection import ChannelParams, compose_bob_efficiency
-from .eve import resolve_block_probability
-from . import fock
 from .source import (
+    AUTO,
+    ConfigError,
     PairDistribution,
     Scheme,
     SourceParams,
@@ -113,26 +116,31 @@ class _Counts:
 
 @dataclass(frozen=True)
 class _RunParams:
-    """Picklable, fully resolved parameters of one Monte Carlo run."""
+    """One resolved point, as ``_resolve_run_params`` builds it: picklable,
+    and all that a run, its report and its analytic row read.
 
-    scheme: Scheme
-    g: float
-    mu_prime: float
-    eta_a: float
-    eta_b: float
-    eta_l: float
-    truncation: int
-    block_probability: Optional[float]  # None means no attack
-    guarantee_delivery: bool = True
+    ``config`` is the point as given.  ``block_probability`` is the attack's
+    blocking probability, solved when the config says ``auto``; it is None
+    without an attack, and for an ``auto`` attack with no rate to match at a
+    point without trials.  ``rates`` are the point's ``eve.attack_rates``,
+    None for an unattacked ``ep`` point.
+    """
+
+    config: ExperimentConfig
+    source: SourceParams
+    channel: ChannelParams
+    block_probability: Optional[float]
+    rates: Optional[analytics.AttackRates]
 
     @property
     def bob_eta(self) -> float:
         """Probability that one photon on Bob's arm is detected: line and
         detector loss, or under attack the interceptor's lossless line (with
         guaranteed detection unless ``guarantee_delivery`` is off)."""
-        if self.block_probability is None:
-            return compose_bob_efficiency(ChannelParams(self.eta_a, self.eta_b, self.eta_l))
-        return 1.0 if self.guarantee_delivery else self.eta_b
+        attack = self.config.attack
+        if attack is None:
+            return compose_bob_efficiency(self.channel)
+        return 1.0 if attack.guarantee_delivery else self.channel.eta_b
 
 
 def _fire_table(eta: float, max_count: int) -> np.ndarray:
@@ -285,16 +293,14 @@ class _EpContext(_BatchContext):
     """
 
     def __init__(self, params: _RunParams):
-        source = SourceParams(
-            Scheme.ENTANGLED_PAIRS, params.g, params.truncation
-        )
-        self.dist = pair_distribution(source)
+        truncation = params.source.truncation_order
+        self.dist = pair_distribution(params.source)
         self.sector_tables = {}
         for combo, pair in (
             (0, (fock.Basis.PLUS, fock.Basis.CROSS)),
             (1, (fock.Basis.CROSS, fock.Basis.PLUS)),
         ):
-            for total in range(1, params.truncation + 1):
+            for total in range(1, truncation + 1):
                 occs, probs = fock.sector_distribution(total, *pair)
                 arr = np.array(occs, dtype=np.int64)
                 self.sector_tables[(combo, total)] = (
@@ -305,8 +311,8 @@ class _EpContext(_BatchContext):
                     arr[:, 3],
                 )
         # no mode holds more photons than the truncation allows pairs
-        self.fire_a = _fire_table(params.eta_a, params.truncation)
-        self.fire_b = _fire_table(params.bob_eta, params.truncation)
+        self.fire_a = _fire_table(params.channel.eta_a, truncation)
+        self.fire_b = _fire_table(params.bob_eta, truncation)
         self.alice = _pair_thresholds(self.fire_a)
         self.bob = _pair_thresholds(self.fire_b)
 
@@ -356,16 +362,14 @@ class _PreparedContext(_BatchContext):
     """
 
     def __init__(self, params: _RunParams):
-        self.law = photon_number_law(
-            SourceParams(params.scheme, params.g, mu_prime=params.mu_prime)
-        )
+        self.law = photon_number_law(params.source)
         n_max = len(self.law) - 1
         cut, alias = _alias_table(self.law)
         slots = np.arange(len(cut))[:, None]
         self.cut = (8 * slots + _COMBOS + (cut[:, None] - slots)).ravel()
         self.alias = (8 * alias[:, None] + _COMBOS).ravel()
         self.matched = np.tile(_COMBO_MATCHED, n_max + 1)
-        self.trigger = _fire_table(params.eta_a, n_max)
+        self.trigger = _fire_table(params.channel.eta_a, n_max)
         self.bob = _bob_thresholds(params.bob_eta, n_max)
 
 
@@ -463,7 +467,8 @@ def _prepared_chunk(u: np.ndarray, p: _RunParams, ctx: _PreparedContext) -> _Cou
     bit_a = entry & 1
     matched = ctx.matched.take(entry)
     present = np.ones(len(entry), dtype=bool)
-    triggered = u[1] < ctx.trigger.take(photons) if p.scheme is Scheme.TRIGGERED_PDC else present
+    pdc = p.source.scheme is Scheme.TRIGGERED_PDC
+    triggered = u[1] < ctx.trigger.take(photons) if pdc else present
 
     eve = None
     row = entry
@@ -484,7 +489,7 @@ def _prepared_chunk(u: np.ndarray, p: _RunParams, ctx: _PreparedContext) -> _Cou
 def _prepared_batch(
     rng: np.random.Generator, size: int, p: _RunParams, ctx: _PreparedContext
 ) -> _Counts:
-    pdc = p.scheme is Scheme.TRIGGERED_PDC
+    pdc = p.source.scheme is Scheme.TRIGGERED_PDC
     attacked = p.block_probability is not None
     # rows: joint entry, then the pdc herald, then the interposer, then Bob
     u = ctx.uniforms(rng, 2 + pdc + attacked, size)
@@ -492,19 +497,18 @@ def _prepared_batch(
 
 
 def _batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
-    key = (master_seed << 64) | batch_index
+    # a numpy integer seed would shift out of its 64 bits
+    key = (int(master_seed) << 64) | batch_index
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_batch_range(
-    params: _RunParams, master_seed: int, trials: int, start: int, stop: int
-) -> _Counts:
-    ep = params.scheme is Scheme.ENTANGLED_PAIRS
+def _run_batch_range(params: _RunParams, start: int, stop: int) -> _Counts:
+    ep = params.source.scheme is Scheme.ENTANGLED_PAIRS
     ctx = _EpContext(params) if ep else _PreparedContext(params)
     counts = _Counts()
     for b in range(start, stop):
-        size = min(BATCH_SIZE, trials - b * BATCH_SIZE)
-        rng = _batch_rng(master_seed, b)
+        size = min(BATCH_SIZE, params.config.trials - b * BATCH_SIZE)
+        rng = _batch_rng(params.config.master_seed, b)
         if ep:
             counts = counts + _ep_batch(rng, size, params, ctx)
         else:
@@ -553,11 +557,7 @@ class RateReport:
         return {**asdict(self), "scheme": self.scheme.value, "stream_version": STREAM_VERSION}
 
 
-def _build_report(
-    counts: _Counts, config: ExperimentConfig, block_probability: Optional[float]
-) -> RateReport:
-    from .analytics import eq10_information
-
+def _build_report(counts: _Counts, point: _RunParams) -> RateReport:
     valid = counts.trials - counts.excluded
     if valid > 0:
         r_key = counts.sifted / valid
@@ -582,13 +582,13 @@ def _build_report(
         p_eb = counts.eve_bob_hits / counts.touched_sifted
         # Eq. 10: Eve knows a touched bit with her hit probability and guesses
         # every other one
-        i_ae = eq10_information([(touched, p_ae), (1.0 - touched, 0.5)])
-        i_eb = eq10_information([(touched, p_eb), (1.0 - touched, 0.5)])
+        i_ae = analytics.eq10_information([(touched, p_ae), (1.0 - touched, 0.5)])
+        i_eb = analytics.eq10_information([(touched, p_eb), (1.0 - touched, 0.5)])
     else:
         p_ae = p_eb = None
-        i_ae = i_eb = (0.0 if counts.sifted > 0 and block_probability is not None else None)
+        i_ae = i_eb = 0.0 if counts.sifted > 0 and point.block_probability is not None else None
     return RateReport(
-        scheme=config.scheme,
+        scheme=point.source.scheme,
         trials=counts.trials,
         valid_trials=valid,
         truncation_exceeded_count=counts.excluded,
@@ -611,38 +611,37 @@ def _build_report(
         i_ae=i_ae,
         i_eb=i_eb,
         eve_blocked_count=counts.blocked,
-        block_probability=block_probability,
-        master_seed=config.master_seed,
+        block_probability=point.block_probability,
+        master_seed=point.config.master_seed,
     )
 
 
-def _resolve_run_params(config: ExperimentConfig) -> tuple[_RunParams, Optional[float]]:
-    scheme = config.scheme
+def _resolve_run_params(config: ExperimentConfig) -> _RunParams:
+    """The one map from a config to its run inputs: validates ``config``,
+    builds its source and channel, evaluates its attack rates and solves an
+    ``auto`` blocking probability.
+
+    Without trials, an ``auto`` attack with no rate to match stays unsolved,
+    so the point's analytic row can still be shown; with trials it raises.
+    """
+    config = config.validated()
+    scheme, attack = config.scheme, config.attack
     g = config.resolved_gain() if scheme is not Scheme.WEAK_COHERENT else 0.0
-    source = SourceParams(
-        scheme,
-        g=g,
-        truncation_order=config.truncation_order,
-        mu_prime=config.mu_prime or 0.0,
-    )
+    source = SourceParams(scheme, g, config.truncation_order, config.mu_prime or 0.0)
     channel = ChannelParams(config.eta_a, config.eta_b, config.eta_l)
+    rates = None
+    if attack is not None or scheme is not Scheme.ENTANGLED_PAIRS:
+        rates = eve.attack_rates(source, channel)
     block = None
-    guarantee = True
-    if config.attack is not None:
-        block = resolve_block_probability(config.attack, source, channel)
-        guarantee = config.attack.guarantee_delivery
-    params = _RunParams(
-        scheme=scheme,
-        g=g,
-        mu_prime=config.mu_prime or 0.0,
-        eta_a=config.eta_a,
-        eta_b=config.eta_b,
-        eta_l=config.eta_l,
-        truncation=config.truncation_order,
-        block_probability=block,
-        guarantee_delivery=guarantee,
-    )
-    return params, block
+    if attack is not None and attack.block_probability != AUTO:
+        block = float(attack.block_probability)
+    elif attack is not None:
+        try:
+            block = eve.solve_block_probability(source, channel, rates)
+        except ConfigError:
+            if config.trials:
+                raise
+    return _RunParams(config, source, channel, block, rates)
 
 
 def _batch_ranges(config: ExperimentConfig) -> list[tuple[int, int]]:
@@ -654,51 +653,38 @@ def _batch_ranges(config: ExperimentConfig) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def run_experiments(configs: Iterable[ExperimentConfig]) -> Iterator[RateReport]:
-    """Yield one RateReport per config, in order, all run on one pool.
+def run_experiments(points: Iterable[_RunParams]) -> Iterator[RateReport]:
+    """Yield one RateReport per resolved point, in order, all run on one pool.
 
-    Every config is validated before the first run starts.  A pool of as many
-    processes as the largest run has batch ranges is opened on the first
-    ``next()``; each run's ranges are submitted as soon as its blocking
-    probability is solved, and its report is folded from their counts.
-    Without a pool (one worker, or one range per run) each run executes in
-    this process when its report is asked for.  Closing the generator early
-    cancels the ranges not yet started and shuts the pool down.
+    The points come from ``_resolve_run_params``, so nothing is validated or
+    solved here.  A pool of as many processes as the largest run has batch
+    ranges is opened on the first ``next()``; every range of every run is
+    submitted before the first report is folded from its counts.  Without a
+    pool (one worker, or one range per run) each run executes in this process
+    when its report is asked for.  Closing the generator early cancels the
+    ranges not yet started and shuts the pool down.
     """
-    configs = [config.validated() for config in configs]
-    ranges = [_batch_ranges(config) for config in configs]
+    points = list(points)
+    ranges = [_batch_ranges(point.config) for point in points]
     pool_size = max(map(len, ranges), default=0)
     if pool_size <= 1:
-        for config, parts in zip(configs, ranges):
-            params, block = _resolve_run_params(config)
-            counts = sum(
-                (
-                    _run_batch_range(params, config.master_seed, config.trials, lo, hi)
-                    for lo, hi in parts
-                ),
-                _Counts(),
-            )
-            yield _build_report(counts, config, block)
+        for point, parts in zip(points, ranges):
+            counts = sum((_run_batch_range(point, lo, hi) for lo, hi in parts), _Counts())
+            yield _build_report(counts, point)
         return
     runs = []
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         try:
-            for config, parts in zip(configs, ranges):
-                params, block = _resolve_run_params(config)
-                futures = [
-                    pool.submit(
-                        _run_batch_range, params, config.master_seed, config.trials, lo, hi
-                    )
-                    for lo, hi in parts
-                ]
-                runs.append((config, block, futures))
-            for config, block, futures in runs:
+            for point, parts in zip(points, ranges):
+                futures = [pool.submit(_run_batch_range, point, lo, hi) for lo, hi in parts]
+                runs.append((point, futures))
+            for point, futures in runs:
                 counts = sum((f.result() for f in futures), _Counts())
-                yield _build_report(counts, config, block)
+                yield _build_report(counts, point)
         except BaseException:
             # an error here or in a worker, or the caller closed the generator:
             # the pool's exit then waits only for ranges already running
-            for _, _, futures in runs:
+            for _, futures in runs:
                 for future in futures:
                     future.cancel()
             raise
@@ -706,9 +692,10 @@ def run_experiments(configs: Iterable[ExperimentConfig]) -> Iterator[RateReport]
 
 def run_experiment(config: ExperimentConfig) -> RateReport:
     """Aggregate ``config.trials`` rounds into a RateReport: a one-point
-    ``run_experiments``, with the same batch ranges and at most one pool.
+    ``run_experiments`` of the resolved config, with the same batch ranges
+    and at most one pool.
 
     Bit-identical for a fixed master seed regardless of worker count.
     """
-    with contextlib.closing(run_experiments([config])) as reports:
+    with contextlib.closing(run_experiments([_resolve_run_params(config)])) as reports:
         return next(reports)

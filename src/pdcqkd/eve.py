@@ -91,12 +91,3 @@ def solve_block_probability(
     full = _delivered_rate(source, channel, 1.0)
     return 1.0 - min(1.0, (rates.r_exp - rates.r_multi) / (full - rates.r_multi))
 
-
-def resolve_block_probability(
-    cfg: PnsConfig, source: SourceParams, channel: ChannelParams
-) -> float:
-    """Concrete blocking probability for a run: explicit value, or the solved
-    rate-matching one."""
-    if cfg.block_probability == AUTO:
-        return solve_block_probability(source, channel)
-    return float(cfg.block_probability)

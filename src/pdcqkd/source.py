@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -73,6 +74,10 @@ MEAN_PHOTONS = Rule(
 TRUNCATION = Rule(
     lambda t: MIN_TRUNCATION <= t <= MAX_TRUNCATION,
     f"must lie in [{MIN_TRUNCATION}, {MAX_TRUNCATION}]",
+)
+# a numpy integer is an integer, a bool is not
+INTEGER = Rule(
+    lambda n: isinstance(n, numbers.Integral) and not isinstance(n, bool), "must be an integer"
 )
 BLOCK_PROBABILITY = Rule(
     lambda p: p == AUTO or (not isinstance(p, str) and UNIT.holds(p)),

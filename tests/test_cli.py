@@ -5,6 +5,7 @@ import json
 import multiprocessing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdcqkd import analytics, cli, engine, eve
@@ -20,7 +21,7 @@ from pdcqkd.cli import (
 )
 from pdcqkd.config import ConfigError, ExperimentConfig, SweepSpec, validate
 from pdcqkd.detection import ChannelParams
-from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION
+from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION, _resolve_run_params
 from pdcqkd.eve import AUTO, PnsConfig
 from pdcqkd.source import Scheme, SourceParams
 
@@ -61,6 +62,35 @@ class TestValidation:
         errors = validate(config)
         joined = " ".join(errors)
         assert "eta_a" in joined and "trials" in joined and "workers" in joined
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            (dict(truncation_order=2.5), "truncation_order"),
+            (dict(trials=1e5), "trials"),
+            (dict(trials=True), "trials"),
+            (dict(workers=2.0), "workers"),
+            (dict(master_seed=1.0), "master_seed"),
+            (dict(sweep=SweepSpec("g", 0.1, 0.3, 2.0)), "sweep.steps"),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, fields, field):
+        config = ExperimentConfig(
+            **{"scheme": Scheme.ENTANGLED_PAIRS, "g": 0.1, "trials": 10, **fields}
+        )
+        (message,) = validate(config)
+        assert message.startswith(f"{field}: must be an integer, got ")
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            engine.run_experiment(config)
+
+    def test_numpy_integers_are_integers(self):
+        config = ExperimentConfig(scheme=Scheme.ENTANGLED_PAIRS, g=0.3, trials=3000, master_seed=7)
+        as_numpy = dataclasses.replace(
+            config, trials=np.int64(3000), master_seed=np.uint64(7),
+            truncation_order=np.int64(2), workers=np.int64(1),
+        )
+        assert validate(as_numpy) == []
+        assert engine.run_experiment(as_numpy) == engine.run_experiment(config)
 
     @pytest.mark.parametrize("truncation", [1, 128])
     def test_truncation_range(self, truncation):
@@ -147,7 +177,7 @@ class TestRows:
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.1, eta_a=0.5, eta_b=0.5, eta_l=0.2
         ).validated()
-        row = analytic_row(config)
+        row = analytic_row(_resolve_run_params(config))
         assert row["r_key_oracle"] > 0
         assert row["epsilon_oracle"] == pytest.approx(row["epsilon_formula"], abs=1e-14)
 
@@ -155,7 +185,7 @@ class TestRows:
         config = ExperimentConfig(
             scheme=Scheme.WEAK_COHERENT, mu_prime=0.1, eta_b=0.5, eta_l=0.2
         ).validated()
-        row = analytic_row(config)
+        row = analytic_row(_resolve_run_params(config))
         assert row["i_e"] == pytest.approx(row["r_multi"] / row["r_exp"], abs=1e-12)
         assert row["i_e_saturated"] is False
 
@@ -163,39 +193,40 @@ class TestRows:
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(), trials=0
         ).validated()
-        row = analytic_row(config)
-        assert row["block_probability"] == engine._resolve_run_params(config)[1]
+        row = analytic_row(_resolve_run_params(config))
+        assert row["block_probability"] == _resolve_run_params(config).block_probability
         assert 0.0 < row["block_probability"] < 1.0
         explicit = dataclasses.replace(config, attack=PnsConfig(0.25))
-        assert analytic_row(explicit)["block_probability"] == 0.25
+        assert analytic_row(_resolve_run_params(explicit))["block_probability"] == 0.25
         unattacked = dataclasses.replace(config, attack=None)
-        assert analytic_row(unattacked)["block_probability"] is None
+        assert analytic_row(_resolve_run_params(unattacked))["block_probability"] is None
 
     def test_attacked_prepared_rows_follow_block_probability(self):
         wcs = ExperimentConfig(
             scheme=Scheme.WEAK_COHERENT, mu_prime=0.5, eta_b=0.8, eta_l=0.5,
             attack=PnsConfig(block_probability=0.5),
         ).validated()
-        row = analytic_row(wcs)
+        row = analytic_row(_resolve_run_params(wcs))
         assert row["r_key_oracle"] == analytics.wcs_attack_delivered(0.5, 0.5)
         assert row["r_err_oracle"] == 0.0 and row["epsilon_oracle"] == 0.0
         pdc = ExperimentConfig(
             scheme=Scheme.TRIGGERED_PDC, g=0.3, eta_a=0.6,
             attack=PnsConfig(block_probability=0.0),
         ).validated()
-        row = analytic_row(pdc)
+        row = analytic_row(_resolve_run_params(pdc))
         assert row["r_key_oracle"] == analytics.pdc_attack_delivered(0.3, 0.6, 1.0)
         undelivered = dataclasses.replace(
             pdc, attack=PnsConfig(block_probability=0.0, guarantee_delivery=False)
         )
-        row = analytic_row(undelivered)
+        row = analytic_row(_resolve_run_params(undelivered))
         assert row["r_key_oracle"] is row["r_err_oracle"] is row["epsilon_oracle"] is None
 
     def test_attacked_ep_row_separates_oracle_and_formula(self):
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(), trials=0
         ).validated()
-        row = analytic_row(dataclasses.replace(config, attack=PnsConfig(0.25)))
+        explicit = dataclasses.replace(config, attack=PnsConfig(0.25))
+        row = analytic_row(_resolve_run_params(explicit))
         exact = analytics.ep_pns_oracle(0.3, 0.6, 0.75, 2)
         rates = eve.attack_rates(SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3), ChannelParams(0.6))
         printed = analytics.ep_pns_quantities(0.3, 0.6, 1.0, rates)
@@ -208,7 +239,7 @@ class TestRows:
         undelivered = dataclasses.replace(
             config, attack=PnsConfig(block_probability=0.25, guarantee_delivery=False)
         )
-        row = analytic_row(undelivered)
+        row = analytic_row(_resolve_run_params(undelivered))
         for key in ("p_ae", "p_eb", "i_ae", "i_eb", "eps_prime"):
             assert row[f"{key}_oracle"] is None and row[f"{key}_formula"] is not None
 
@@ -235,6 +266,18 @@ class TestRows:
         with pytest.raises(ConfigError) as exc:
             run_sweep(config)
         assert "eta_a=2.0" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "sweep, field",
+        [
+            (SweepSpec("g", 0.1, 0.3, 2.0), "sweep.steps"),
+            (SweepSpec("bogus", 0.1, 0.3, 2), "sweep.param"),
+        ],
+    )
+    def test_sweep_is_validated_before_its_points_are_built(self, sweep, field):
+        config = ExperimentConfig(scheme=Scheme.ENTANGLED_PAIRS, g=0.1, trials=0, sweep=sweep)
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            run_sweep(config)
 
 
 def attacked_sweep(workers, sweep=None):
@@ -280,7 +323,9 @@ class TestSweepScheduler:
         assert rows[0] == rows[1] == rows[2]
         alone = [
             point_row(
-                dataclasses.replace(attacked_sweep(2), sweep=None, g=row["sweep_value"]),
+                _resolve_run_params(
+                    dataclasses.replace(attacked_sweep(2), sweep=None, g=row["sweep_value"])
+                ),
                 sweep_param="g",
                 sweep_value=row["sweep_value"],
             )
@@ -436,6 +481,19 @@ class TestMain:
         assert main(args) == 2
         err = json.loads(capsys.readouterr().err)
         assert any(msg.startswith(field) for msg in err["messages"])
+
+    @pytest.mark.parametrize("sigma", ["abc", "nan", "-1", "0", "inf"])
+    def test_compare_sigma_is_checked_before_any_trial(self, sigma, monkeypatch, capsys):
+        def no_run(*args):
+            raise AssertionError("a batch range ran")
+
+        monkeypatch.setattr(engine, "_run_batch_range", no_run)
+        args = ["compare", "--scheme", "ep", "--g", "0.3", "--trials", "1000", "--sigma", sigma]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (message,) = json.loads(err)["messages"]
+        assert message.startswith("sigma: ")
 
     def test_analytic_json(self, capsys):
         code = main(

@@ -21,18 +21,20 @@ from pdcqkd.engine import (
     STREAM_VERSION,
     _EpContext,
     _PreparedContext,
-    _RunParams,
     _batch_rng,
     _bob_thresholds,
     _ep_batch,
     _pair_index,
     _prepared_batch,
+    _resolve_run_params,
     _two_detectors,
     run_experiment,
     run_experiments,
 )
 from pdcqkd.eve import PnsConfig
 from pdcqkd.source import Scheme, SourceParams, pair_distribution
+
+from conftest import resolved_point
 
 
 def ep_config(**overrides):
@@ -57,10 +59,10 @@ class TestEpJointTable:
 
     @staticmethod
     def context(g, truncation, block=None):
-        params = _RunParams(
-            Scheme.ENTANGLED_PAIRS, g, 0.0, 0.6, 0.8, 0.5, truncation, block
-        )
-        return _EpContext(params)
+        return _EpContext(resolved_point(
+            Scheme.ENTANGLED_PAIRS, block, g=g, eta_a=0.6, eta_b=0.8, eta_l=0.5,
+            truncation_order=truncation,
+        ))
 
     @pytest.mark.parametrize("g, truncation", CASES)
     def test_entries_match_source_and_sectors(self, g, truncation):
@@ -135,7 +137,9 @@ class TestTwoDetectors:
 
     @staticmethod
     def context(truncation, eta):
-        return _EpContext(_RunParams(Scheme.ENTANGLED_PAIRS, 0.3, 0.0, eta, eta, 1.0, truncation, None))
+        return _EpContext(resolved_point(
+            Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=eta, eta_b=eta, truncation_order=truncation
+        ))
 
     @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("truncation", [2, 12])
@@ -340,8 +344,8 @@ class TestPreparedTable:
 
     @staticmethod
     def context(scheme, x, eta_a=0.6, bob_eta=0.4):
-        g, mu = (0.0, x) if scheme is Scheme.WEAK_COHERENT else (x, 0.0)
-        return _PreparedContext(_RunParams(scheme, g, mu, eta_a, bob_eta, 1.0, 2, None))
+        mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
+        return _PreparedContext(resolved_point(scheme, eta_a=eta_a, eta_b=bob_eta, **mean))
 
     @staticmethod
     def exact_law(scheme, x, count):
@@ -548,12 +552,13 @@ class TestRunExperiments:
     def test_reports_equal_single_runs_in_order(self, workers):
         configs = self.configs(workers)
         singles = [run_experiment(dataclasses.replace(c, workers=1)) for c in configs]
-        assert list(run_experiments(configs)) == singles
+        assert list(run_experiments(map(_resolve_run_params, configs))) == singles
 
     def test_information_is_eq10_of_the_touched_group(self):
         # the untouched group is guessed at p = 1/2 and adds exactly 0, so
         # Eq. 10 gives the touched fraction times f(p) bit for bit
-        attacked = [r for r in run_experiments(self.configs(1)) if r.p_ae_hat is not None]
+        reports = run_experiments(map(_resolve_run_params, self.configs(1)))
+        attacked = [r for r in reports if r.p_ae_hat is not None]
         assert len(attacked) == 2
         for report in attacked:
             touched = report.eve_touched_fraction
@@ -561,32 +566,40 @@ class TestRunExperiments:
             assert report.i_eb == touched * binary_information(report.p_eb_hat)
 
     def test_invalid_config_raises_before_any_run(self, monkeypatch):
-        from pdcqkd import engine
-
         def no_run(*args):
             raise AssertionError("a batch range ran")
 
         monkeypatch.setattr(engine, "_run_batch_range", no_run)
+        # the points are taken, and so resolved, before the first run
+        points = map(_resolve_run_params, self.configs(1) + [ep_config(g=None)])
         with pytest.raises(ConfigError):
-            next(run_experiments(self.configs(1) + [ep_config(g=None)]))
+            next(run_experiments(points))
 
 
 class TestChunks:
     """A kernel's column chunks and its context's reused uniform buffer change
     no count."""
 
-    # scheme, g, mu_prime, eta_a, eta_b, eta_l, truncation, block probability
+    # scheme, block probability and config fields of each point
     PARAMS = {
-        "ep": (Scheme.ENTANGLED_PAIRS, 0.3, 0.0, 0.6, 0.8, 0.5, 2, None),
-        "ep-pns-t3": (Scheme.ENTANGLED_PAIRS, 0.4, 0.0, 0.6, 0.8, 0.5, 3, 0.5),
-        "wcs-pns": (Scheme.WEAK_COHERENT, 0.0, 0.5, 1.0, 0.8, 0.5, 2, 0.3),
-        "pdc": (Scheme.TRIGGERED_PDC, 0.3, 0.0, 0.6, 0.7, 0.9, 2, None),
-        "pdc-pns": (Scheme.TRIGGERED_PDC, 0.3, 0.0, 0.6, 0.7, 0.9, 2, 0.4),
+        "ep": (Scheme.ENTANGLED_PAIRS, None, dict(g=0.3, eta_a=0.6, eta_b=0.8, eta_l=0.5)),
+        "ep-pns-t3": (
+            Scheme.ENTANGLED_PAIRS, 0.5,
+            dict(g=0.4, eta_a=0.6, eta_b=0.8, eta_l=0.5, truncation_order=3),
+        ),
+        "wcs-pns": (Scheme.WEAK_COHERENT, 0.3, dict(mu_prime=0.5, eta_b=0.8, eta_l=0.5)),
+        "pdc": (Scheme.TRIGGERED_PDC, None, dict(g=0.3, eta_a=0.6, eta_b=0.7, eta_l=0.9)),
+        "pdc-pns": (Scheme.TRIGGERED_PDC, 0.4, dict(g=0.3, eta_a=0.6, eta_b=0.7, eta_l=0.9)),
     }
+
+    @classmethod
+    def point(cls, name):
+        scheme, block, fields = cls.PARAMS[name]
+        return resolved_point(scheme, block, **fields)
 
     @staticmethod
     def batch(params, size, batch_index, ctx=None):
-        ep = params.scheme is Scheme.ENTANGLED_PAIRS
+        ep = params.source.scheme is Scheme.ENTANGLED_PAIRS
         if ctx is None:
             ctx = _EpContext(params) if ep else _PreparedContext(params)
         kernel = _ep_batch if ep else _prepared_batch
@@ -595,7 +608,7 @@ class TestChunks:
     @pytest.mark.parametrize("size", [BATCH_SIZE, 5_123])
     @pytest.mark.parametrize("name", sorted(PARAMS))
     def test_chunk_size_does_not_change_counts(self, name, size, monkeypatch):
-        params = _RunParams(*self.PARAMS[name])
+        params = self.point(name)
         chunked = self.batch(params, size, 0)
         assert chunked.trials == size
         for chunk in (BATCH_SIZE, 1_000):
@@ -604,14 +617,14 @@ class TestChunks:
 
     @pytest.mark.parametrize("name", sorted(PARAMS))
     def test_reused_buffer_carries_nothing_between_batches(self, name):
-        params = _RunParams(*self.PARAMS[name])
-        ep = params.scheme is Scheme.ENTANGLED_PAIRS
+        params = self.point(name)
+        ep = params.source.scheme is Scheme.ENTANGLED_PAIRS
         ctx = _EpContext(params) if ep else _PreparedContext(params)
         for b, size in enumerate((BATCH_SIZE, 5_123, BATCH_SIZE)):
             assert self.batch(params, size, b, ctx) == self.batch(params, size, b)
 
     def test_buffer_holds_the_stream_of_one_random_call(self):
-        ctx = _EpContext(_RunParams(*self.PARAMS["ep"]))
+        ctx = _EpContext(self.point("ep"))
         ctx.uniforms(_batch_rng(5, 0), 4, 2 * BATCH_SIZE)
         u = ctx.uniforms(_batch_rng(5, 1), 3, 5_123)
         assert u.flags.c_contiguous

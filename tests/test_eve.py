@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,12 +13,11 @@ from pdcqkd.eve import (
     AUTO,
     PnsConfig,
     attack_rates,
-    resolve_block_probability,
     solve_block_probability,
 )
 from pdcqkd.source import Scheme, SourceParams
 
-from conftest import freq_se
+from conftest import freq_se, resolved_point
 
 
 class TestPnsConfig:
@@ -112,9 +112,8 @@ class TestIntercept:
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(AUTO)
         )
-        params, block = _resolve_run_params(config)
-        assert isinstance(params.block_probability, float)
-        assert params.block_probability == block
+        block = _resolve_run_params(config).block_probability
+        assert isinstance(block, float)
         source = SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3)
         solved = solve_block_probability(source, ChannelParams(eta_a=0.6))
         assert block == solved and 0.0 < block < 1.0
@@ -124,8 +123,7 @@ class TestIntercept:
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(0.25)
         )
-        params, block = _resolve_run_params(config)
-        assert params.block_probability == block == 0.25
+        assert _resolve_run_params(config).block_probability == 0.25
 
 
 class TestSharedInterposerUniform:
@@ -170,10 +168,12 @@ class TestBlockSolver:
         assert solve_block_probability(source, channel) == 1.0
 
     def test_resolve_handles_all_cases(self):
-        source = SourceParams(Scheme.WEAK_COHERENT, mu_prime=0.5)
-        channel = ChannelParams(eta_a=1.0, eta_b=1.0, eta_l=0.05)
-        assert resolve_block_probability(PnsConfig(AUTO), source, channel) == 1.0
-        assert resolve_block_probability(PnsConfig(0.25), source, channel) == 0.25
+        # a saturated auto attack blocks every single photon; a given
+        # probability is used as it is
+        config = ExperimentConfig(scheme=Scheme.WEAK_COHERENT, mu_prime=0.5, eta_l=0.05)
+        for attack, block in ((PnsConfig(AUTO), 1.0), (PnsConfig(0.25), 0.25)):
+            point = _resolve_run_params(dataclasses.replace(config, attack=attack))
+            assert point.block_probability == block
 
     def test_ep_solver_matches_oracle_target(self):
         from pdcqkd.analytics import ep_pns_oracle, exact_rates_oracle
@@ -279,8 +279,8 @@ class TestClosedFormSolve:
 
 
 def report(attacked=True, **counts):
-    config = ExperimentConfig(scheme=Scheme.ENTANGLED_PAIRS, g=0.3)
-    return _build_report(_Counts(trials=100, **counts), config, 0.5 if attacked else None)
+    point = resolved_point(Scheme.ENTANGLED_PAIRS, 0.5 if attacked else None, g=0.3)
+    return _build_report(_Counts(trials=100, **counts), point)
 
 
 class TestEmpiricalInformation:

@@ -24,18 +24,16 @@ from pdcqkd.engine import (
     _ep_batch,
     _prepared_batch,
     _PreparedContext,
-    _RunParams,
 )
 
-from conftest import freq_se
+from conftest import freq_se, resolved_point
 
 
 def ep_params(g, truncation=2):
     return SourceParams(Scheme.ENTANGLED_PAIRS, g=g, truncation_order=truncation)
 
 
-def run_params(scheme, g=0.0, mu_prime=0.0, truncation=2):
-    return _RunParams(scheme, g, mu_prime, 0.8, 0.9, 1.0, truncation, None)
+ETA = dict(eta_a=0.8, eta_b=0.9)
 
 
 class TestPairDistribution:
@@ -139,14 +137,14 @@ class TestSamplers:
     numbers of ``_prepared_batch``."""
 
     def test_deterministic_pair_config(self):
-        table = _EpContext(run_params(Scheme.ENTANGLED_PAIRS, g=0.0)).joint
+        table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.0, **ETA)).joint
         entry = table.draw(np.random.default_rng(5).random(1_000))
         for column in (table.a0, table.a1, table.b0, table.b1):
             assert not column.take(entry).any()
 
     def test_pair_config_frequencies(self):
         # a matched entry carries its pair configuration (m, n) in both arms
-        table = _EpContext(run_params(Scheme.ENTANGLED_PAIRS, g=0.1)).joint
+        table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.1, **ETA)).joint
         n = 400_000
         entry = table.draw(np.random.default_rng(7).random(n))
         hits = np.count_nonzero(
@@ -158,7 +156,7 @@ class TestSamplers:
         assert abs(hits / n - p) < 5 * freq_se(p, n)
 
     def test_same_seed_same_sequence(self):
-        params = run_params(Scheme.ENTANGLED_PAIRS, g=0.3)
+        params = resolved_point(Scheme.ENTANGLED_PAIRS, g=0.3, **ETA)
         ctx = _EpContext(params)
         first = _ep_batch(np.random.default_rng(3), 5_000, params, ctx)
         second = _ep_batch(np.random.default_rng(3), 5_000, params, ctx)
@@ -166,7 +164,7 @@ class TestSamplers:
         assert first.sifted > 0
 
     def test_wcs_zero_mean(self):
-        params = run_params(Scheme.WEAK_COHERENT)
+        params = resolved_point(Scheme.WEAK_COHERENT, mu_prime=0.0, **ETA)
         counts = _prepared_batch(
             np.random.default_rng(9), 2_000, params, _PreparedContext(params)
         )
@@ -177,7 +175,7 @@ class TestSamplers:
             SourceParams(Scheme.WEAK_COHERENT, mu_prime=-0.1)
 
     def test_pdc_single_arm_zero_gain(self):
-        params = run_params(Scheme.TRIGGERED_PDC)
+        params = resolved_point(Scheme.TRIGGERED_PDC, g=0.0, **ETA)
         counts = _prepared_batch(
             np.random.default_rng(15), 2_000, params, _PreparedContext(params)
         )
