@@ -2,12 +2,16 @@
 versus closed-form comparison reports.
 
 Configuration comes from an INI-style file (sections ``[experiment]``,
-``[attack]``, ``[sweep]``, ``[output]``) and/or long-name flags; flags
-override file values.  Output is data-only CSV or JSON for external
-plotting.  JSON output echoes the configuration as given (an ``auto``
-blocking probability stays ``auto``, and ``g`` stays null when ``mu`` was
-given), and each row holds the values its point resolved to, such as its
-``block_probability``, so a result file is self-describing and reproducible.
+``[attack]``, ``[sweep]``, ``[output]``) and/or long-name flags.  Flags
+become the same sections of raw strings and override the file key by key,
+but ``--sweep`` replaces the whole ``[sweep]``; the merged values are parsed
+once.  File values are literal (no ``%`` interpolation), an ``[attack]``
+section is enabled unless it says ``enabled = false``, and a malformed file
+exits 2.  Output is data-only CSV or JSON for external plotting.  JSON output
+echoes the configuration as given (an ``auto`` blocking probability stays
+``auto``, and ``g`` stays null when ``mu`` was given), and each row holds the
+values its point resolved to, such as its ``block_probability``, so a result
+file is self-describing and reproducible.
 """
 from __future__ import annotations
 
@@ -23,17 +27,11 @@ from collections.abc import Iterator
 from typing import Optional
 
 from . import analytics, engine, eve
-from .config import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    DEFAULT_TRUNCATION,
-    ConfigError,
-    ExperimentConfig,
-    SweepSpec,
-    validate,
-)
+from .config import ConfigError, ExperimentConfig, SweepSpec, validate
 from .detection import compose_bob_efficiency
-from .engine import STREAM_VERSION, RateReport, run_experiment, run_experiments
+# run_experiment is unused here but stays importable: the benchmark's tracer
+# patches cli.run_experiment
+from .engine import STREAM_VERSION, RateReport, run_experiment, run_experiments  # noqa: F401
 from .eve import AUTO, PnsConfig
 from .source import Rule, Scheme
 
@@ -94,62 +92,84 @@ CSV_COLUMNS = [
 
 _SCHEME_NAMES = {s.value: s for s in Scheme}
 
-# The type of every number a config file or a flag gives, by field; a key of
-# the [attack] or [sweep] section is named after its section, and ``sigma``
-# is a flag of ``compare`` alone.
-_NUMBERS = {
-    **dict.fromkeys(("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l"), float),
-    **dict.fromkeys(("trials", "seed", "truncation", "workers"), int),
-    "attack.block_probability": float,
-    "sweep.start": float,
-    "sweep.stop": float,
-    "sweep.steps": int,
-    "sigma": float,
-}
 _SECTION_KEYS = {
-    "experiment": ("scheme", *(f for f in _NUMBERS if "." not in f and f != "sigma")),
+    "experiment": (
+        "scheme", "g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l",
+        "trials", "seed", "truncation", "workers",
+    ),
     "attack": ("enabled", "block_probability", "guarantee_delivery"),
     "sweep": ("param", "start", "stop", "steps", "scale"),
     "output": ("format", "path"),
 }
+# the ExperimentConfig field of each [experiment] and [output] key named otherwise
+_CONFIG_FIELDS = {
+    "seed": "master_seed",
+    "truncation": "truncation_order",
+    "format": "out_format",
+    "path": "out_path",
+}
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+# The parser and the name of every typed value, by field: an [experiment] key
+# by its name, another section's key as ``section.key``; ``sigma`` is a flag
+# of ``compare`` alone.  Every other value stays the string given.
+_FLOAT, _INT = (float, "a float"), (int, "an int")
+_TYPES = {
+    **dict.fromkeys(("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l"), _FLOAT),
+    **dict.fromkeys(("trials", "seed", "truncation", "workers"), _INT),
+    **dict.fromkeys(("attack.enabled", "attack.guarantee_delivery"), (_boolean, "a boolean")),
+    "attack.block_probability": (lambda raw: raw if raw == AUTO else float(raw), "a float"),
+    **dict.fromkeys(("sweep.start", "sweep.stop"), _FLOAT),
+    "sweep.steps": _INT,
+    "sigma": _FLOAT,
+}
 _SIGMA = Rule(lambda sigma: 0.0 < sigma < math.inf, "must be finite and > 0")
 
 
-def _parse_bool(raw: str, field: str, errors: list[str]) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    errors.append(f"{field}: expected a boolean, got {raw!r}")
-    return False
+def _parse(field: str, raw: str, errors: list[str]):
+    """``raw`` parsed by ``field``'s type, or None with a message naming the
+    field; the one parse of every value a file or a flag gives."""
+    kind, name = _TYPES.get(field, (str, "a string"))
+    try:
+        return kind(raw)
+    except ValueError:
+        errors.append(f"{field}: expected {name}, got {raw!r}")
+        return None
 
 
-def _parse_numbers(raw: dict, errors: list[str], section: str = "") -> dict:
-    """``raw`` with each value that ``_NUMBERS`` types parsed, or set to None
-    with a message naming its field; a blocking probability may be ``auto``."""
-    values = {}
-    for key, value in raw.items():
-        field = f"{section}.{key}" if section else key
-        kind = _NUMBERS.get(field)
-        if kind is not None and not (field == "attack.block_probability" and value == AUTO):
-            try:
-                value = kind(value)
-            except ValueError:
-                errors.append(f"{field}: expected a {kind.__name__}, got {value!r}")
-                value = None
-        values[key] = value
-    return values
+def _parse_sections(sections: dict, errors: list[str]) -> dict:
+    """``{section: {key: raw string}}`` with each value parsed by ``_parse``."""
+    return {
+        section: {
+            key: _parse(key if section == "experiment" else f"{section}.{key}", raw, errors)
+            for key, raw in keys.items()
+        }
+        for section, keys in sections.items()
+    }
 
 
-def read_config_file(path: str) -> dict:
-    """Parse the flat key-value config file into override-style values.
+def read_config_file(path: str) -> dict[str, dict[str, str]]:
+    """The file's sections as ``{section: {key: raw string}}``.
 
-    Unknown sections or keys are rejected with their names.
+    Values are literal (no ``%`` interpolation), and an ``[attack]`` section
+    is enabled unless it says ``enabled = false``.  A file that is not INI,
+    unknown sections or keys and an incomplete ``[sweep]`` are rejected by
+    name.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
-        parser.read_file(fh, source=path)
+        try:
+            parser.read_file(fh, source=path)
+        except configparser.Error as exc:
+            # the message names the file and the line
+            raise ConfigError([" ".join(str(exc).split())]) from exc
     errors: list[str] = []
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -158,106 +178,61 @@ def read_config_file(path: str) -> dict:
         for key in parser[section]:
             if key not in _SECTION_KEYS[section]:
                 errors.append(f"{path}: unknown key '{key}' in section [{section}]")
-    if errors:
-        raise ConfigError(errors)
-
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    values = _parse_numbers(dict(exp), errors)
-    if parser.has_section("attack"):
-        sec = parser["attack"]
-        attack = {
-            key: _parse_bool(sec.get(key, "true"), f"attack.{key}", errors)
-            for key in ("enabled", "guarantee_delivery")
-        }
-        attack["block_probability"] = sec.get("block_probability", AUTO)
-        values["attack"] = _parse_numbers(attack, errors, "attack")
     if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        missing = [k for k in ("param", "start", "stop", "steps") if k not in sec]
+        missing = [k for k in ("param", "start", "stop", "steps") if k not in parser["sweep"]]
         if missing:
             errors.append(f"sweep: missing keys {missing}")
-        else:
-            values["sweep"] = _parse_numbers(dict(sec), errors, "sweep")
-    if parser.has_section("output"):
-        values.update(parser["output"])
     if errors:
         raise ConfigError(errors)
-    return values
+    sections = {section: dict(parser[section]) for section in parser.sections()}
+    if "attack" in sections:
+        sections["attack"] = {"enabled": "true", **sections["attack"]}
+    return sections
 
 
-def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
-    """Merge file values with flag overrides into a validated config."""
-    merged = dict(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    scheme_name = merged.get("scheme")
+def build_config(file_sections: dict, flag_sections: dict) -> ExperimentConfig:
+    """Parse the file's and the flags' sections, each ``{section: {key: raw
+    string}}``, and merge the flags over the file key by key into a validated
+    config; a flag ``[sweep]`` replaces the file's whole section."""
+    errors: list[str] = []
+    given = _parse_sections(file_sections, errors)
+    flags = _parse_sections(flag_sections, errors)
+    if errors:
+        raise ConfigError(errors)
+    values = {
+        section: {**given.get(section, {}), **flags.get(section, {})} for section in _SECTION_KEYS
+    }
+    values["sweep"] = flags.get("sweep") or given.get("sweep", {})
+    fields = {
+        _CONFIG_FIELDS.get(key, key): value
+        for section in ("experiment", "output")
+        for key, value in values[section].items()
+    }
+    scheme_name = fields.pop("scheme", None)
     if scheme_name is None:
         raise ConfigError(["scheme: required (one of ep, wcs, pdc)"])
-    scheme = _SCHEME_NAMES.get(str(scheme_name))
+    scheme = _SCHEME_NAMES.get(scheme_name)
     if scheme is None:
         raise ConfigError([f"scheme: must be one of {sorted(_SCHEME_NAMES)}, got {scheme_name!r}"])
-    errors: list[str] = []
-    attack = None
-    # --attack sets the file's [attack] enabled alone; a --block-probability
-    # flag overrides the blocking probability of an enabled attack, and is an
-    # error without one
-    raw_attack = {**file_values.get("attack", {}), **flag_values.get("attack", {})}
-    block = merged.pop("block_probability", None)
-    if block is not None:
-        raw_attack["block_probability"] = block
-    if raw_attack.get("enabled"):
+    attack = values["attack"]
+    if attack.pop("enabled", False):
         try:
-            attack = PnsConfig(
-                block_probability=raw_attack.get("block_probability", AUTO),
-                guarantee_delivery=raw_attack.get("guarantee_delivery", True),
-            )
+            fields["attack"] = PnsConfig(**attack)
         except ConfigError as exc:
             errors += [f"attack.{message}" for message in exc.errors]
-    elif block is not None:
+    elif "block_probability" in flag_sections.get("attack", {}):
+        # a disabled file section's blocking probability goes unused quietly
         errors.append(
             "attack.block_probability: applies only when the attack is enabled "
             "(--attack pns, or an enabled [attack] section)"
         )
-    sweep = None
-    raw_sweep = merged.get("sweep")
-    if raw_sweep is not None:
-        sweep = SweepSpec(
-            param=raw_sweep["param"],
-            start=raw_sweep["start"],
-            stop=raw_sweep["stop"],
-            steps=raw_sweep["steps"],
-            scale=raw_sweep.get("scale", "linear"),
-        )
-    config = ExperimentConfig(
-        scheme=scheme,
-        g=merged.get("g"),
-        mu=merged.get("mu"),
-        mu_prime=merged.get("mu_prime"),
-        eta_a=merged.get("eta_a", 1.0),
-        eta_b=merged.get("eta_b", 1.0),
-        eta_l=merged.get("eta_l", 1.0),
-        trials=merged.get("trials", DEFAULT_TRIALS),
-        master_seed=merged.get("seed", DEFAULT_SEED),
-        truncation_order=merged.get("truncation", DEFAULT_TRUNCATION),
-        attack=attack,
-        workers=merged.get("workers", 1),
-        sweep=sweep,
-        out_format=merged.get("format", "csv"),
-        out_path=merged.get("path"),
-    )
+    if values["sweep"]:
+        fields["sweep"] = SweepSpec(**values["sweep"])
+    config = ExperimentConfig(scheme, **fields)
     errors += validate(config)
     if errors:
         raise ConfigError(errors)
     return config
-
-
-def parse_config(
-    path: Optional[str] = None, flags: Optional[dict] = None
-) -> ExperimentConfig:
-    """Load the config file (if any) and apply flag overrides."""
-    file_values = read_config_file(path) if path else {}
-    return build_config(file_values, flags or {})
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +334,15 @@ def point_row(
 
     The Monte Carlo report is the next one of ``reports`` (a
     ``run_experiments`` over the sweep's points) when given, otherwise this
-    point is run on its own.
+    point, as resolved, is run on its own.
     """
     row = analytic_row(point)
     if point.config.trials > 0:
-        report = next(reports) if reports is not None else run_experiment(point.config)
+        if reports is None:
+            with contextlib.closing(run_experiments([point])) as own:
+                report = next(own)
+        else:
+            report = next(reports)
         row.update(
             r_key_mc=report.r_key,
             r_key_se=report.r_key_se,
@@ -471,7 +450,7 @@ def emit(rows: list[dict], fmt: str, path: Optional[str], config: ExperimentConf
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    # numbers stay strings here: _flags_to_values parses them as a file's are
+    # each value stays a string, for build_config to parse as a file's are
     p.add_argument("-c", "--config", help="configuration file")
     p.add_argument("--scheme", choices=sorted(_SCHEME_NAMES))
     p.add_argument("--g", help="down-conversion gain")
@@ -491,27 +470,21 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", dest="path")
 
 
-def _flags_to_values(args: argparse.Namespace) -> dict:
-    errors: list[str] = []
-    keys = (*_SECTION_KEYS["experiment"], *_SECTION_KEYS["output"])
-    given = {k: v for k, v in vars(args).items() if k in keys and v is not None}
-    values = _parse_numbers(given, errors)
-    block = getattr(args, "block_probability", None)
-    if block is not None:
-        # ``build_config`` applies it to whichever attack is enabled
-        values.update(_parse_numbers({"block_probability": block}, errors, "attack"))
-    if getattr(args, "attack", None) is not None:
-        values["attack"] = {"enabled": args.attack == "pns"}
-    if getattr(args, "sweep", None):
-        parts = args.sweep.split(":")
+def _flag_sections(args: argparse.Namespace) -> dict[str, dict[str, str]]:
+    """The given flags as the sections ``read_config_file`` returns."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    sections = {
+        section: {key: flags[key] for key in keys if key in flags}
+        for section, keys in _SECTION_KEYS.items()
+    }
+    if "attack" in flags:
+        sections["attack"]["enabled"] = str(flags["attack"] == "pns")
+    if flags.get("sweep"):
+        parts = flags["sweep"].split(":")
         if len(parts) not in (4, 5):
             raise ConfigError(["sweep: expected param:start:stop:steps[:log]"])
-        values["sweep"] = _parse_numbers(
-            dict(zip(_SECTION_KEYS["sweep"], parts)), errors, "sweep"
-        )
-    if errors:
-        raise ConfigError(errors)
-    return values
+        sections["sweep"] = dict(zip(_SECTION_KEYS["sweep"], parts))
+    return sections
 
 
 def _error_block(exc: Exception) -> str:
@@ -540,12 +513,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "compare":
             errors: list[str] = []
-            sigma = _parse_numbers({"sigma": args.sigma}, errors)["sigma"]
+            sigma = _parse("sigma", args.sigma, errors)
             if errors:
                 raise ConfigError(errors)
             _SIGMA.require(sigma=sigma)
-        flags = _flags_to_values(args)
-        config = parse_config(getattr(args, "config", None), flags)
+        flags = _flag_sections(args)
+        config = build_config(read_config_file(args.config) if args.config else {}, flags)
         if args.command == "analytic":
             config = dataclasses.replace(config, trials=0)
         elif args.command == "compare" and config.trials == 0:

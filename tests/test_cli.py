@@ -160,16 +160,122 @@ class TestConfigFile:
             read_config_file(str(path))
         assert "experiments" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("g = 0.3\n", 1, id="no section header"),
+            pytest.param("[experiment]\nscheme = ep\ng = 0.3\ng = 0.4\n", 4, id="key given twice"),
+            pytest.param("[experiment]\nscheme = ep\n[experiment]\ng = 0.3\n", 3,
+                         id="section given twice"),
+            pytest.param("[experiment]\nscheme = ep\ng\n", 3, id="line without ="),
+        ],
+    )
+    def test_malformed_file_exits_2_naming_file_and_line(self, text, line, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["analytic", "-c", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (message,) = json.loads(err)["messages"]
+        assert str(path) in message and f"line {line}" in message.replace(":", "")
+
+    def test_values_are_literal(self, tmp_path, capsys):
+        target = tmp_path / "out%1.csv"
+        path = tmp_path / "run.ini"
+        path.write_text(f"[experiment]\nscheme = ep\ng = 0.3\n[output]\npath = {target}\n")
+        assert main(["analytic", "-c", str(path)]) == 0
+        assert target.read_text() == capsys.readouterr().out
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[experiment]\nscheme = ep\ng = 0.1\ntrials = 1000\n")
-        config = build_config(read_config_file(str(path)), {"trials": 50})
+        config = build_config(read_config_file(str(path)), {"experiment": {"trials": "50"}})
         assert config.trials == 50 and config.g == 0.1
 
     def test_missing_scheme_is_an_error(self):
         with pytest.raises(ConfigError) as exc:
-            build_config({}, {"g": 0.1})
+            build_config({}, {"experiment": {"g": "0.1"}})
         assert "scheme" in str(exc.value)
+
+
+class TestFlagsAndFileAgree:
+    """A flag and its config-file key with the same value give the same
+    config, or the same messages.  ``--scheme``, ``--format`` and ``--attack``
+    take argparse choices, so only their good values reach the config."""
+
+    EP = ["--scheme", "ep", "--g", "0.3"]
+    ATTACKED = [*EP, "--attack", "pns"]
+    # (section, key, file value, flags, flags given in both runs)
+    CASES = [
+        ("experiment", "scheme", "pdc", ["--scheme", "pdc"], ["--g", "0.3"]),
+        ("experiment", "g", "0.2", ["--g", "0.2"], ["--scheme", "ep"]),
+        ("experiment", "g", "abc", ["--g", "abc"], ["--scheme", "ep"]),
+        ("experiment", "mu", "0.02", ["--mu", "0.02"], ["--scheme", "ep"]),
+        ("experiment", "mu", "-1", ["--mu", "-1"], ["--scheme", "ep"]),
+        ("experiment", "mu_prime", "0.5", ["--mu-prime", "0.5"], ["--scheme", "wcs"]),
+        ("experiment", "mu_prime", "nan", ["--mu-prime", "nan"], ["--scheme", "wcs"]),
+        ("experiment", "eta_a", "0.6", ["--eta-a", "0.6"], EP),
+        ("experiment", "eta_a", "1.5", ["--eta-a", "1.5"], EP),
+        ("experiment", "eta_b", "0.8", ["--eta-b", "0.8"], EP),
+        ("experiment", "eta_b", "x", ["--eta-b", "x"], EP),
+        ("experiment", "eta_l", "0.5", ["--eta-l", "0.5"], EP),
+        ("experiment", "eta_l", "-0.1", ["--eta-l", "-0.1"], EP),
+        ("experiment", "trials", "2000", ["--trials", "2000"], EP),
+        ("experiment", "trials", "1e6", ["--trials", "1e6"], EP),
+        ("experiment", "seed", "7", ["--seed", "7"], EP),
+        ("experiment", "seed", "-1", ["--seed", "-1"], EP),
+        ("experiment", "truncation", "3", ["--truncation", "3"], EP),
+        ("experiment", "truncation", "1", ["--truncation", "1"], EP),
+        ("experiment", "workers", "2", ["--workers", "2"], EP),
+        ("experiment", "workers", "0", ["--workers", "0"], EP),
+        ("attack", "enabled", "true", ["--attack", "pns"], EP),
+        ("attack", "enabled", "false", ["--attack", "none"], EP),
+        ("attack", "block_probability", "0.3", ["--block-probability", "0.3"], ATTACKED),
+        ("attack", "block_probability", "auto", ["--block-probability", "auto"], ATTACKED),
+        ("attack", "block_probability", "1.5", ["--block-probability", "1.5"], ATTACKED),
+        ("attack", "block_probability", "abc", ["--block-probability", "abc"], ATTACKED),
+        ("output", "format", "json", ["--format", "json"], EP),
+        ("output", "path", "{tmp}/rates.csv", ["--output", "{tmp}/rates.csv"], EP),
+        ("output", "path", "{tmp}/missing/rates.csv", ["--output", "{tmp}/missing/rates.csv"], EP),
+    ]
+
+    @pytest.mark.parametrize(
+        "section, key, value, flags, common",
+        CASES,
+        ids=[f"{section}.{key}={value}" for section, key, value, *_ in CASES],
+    )
+    def test_flag_and_file_key_agree(
+        self, section, key, value, flags, common, tmp_path, monkeypatch, capsys
+    ):
+        configs = []
+
+        def capture(config):
+            configs.append(config)
+            return [dict.fromkeys(CSV_COLUMNS)]
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value.format(tmp=tmp_path)}\n")
+        outcomes = []
+        for args in (["-c", str(path)], [flag.format(tmp=tmp_path) for flag in flags]):
+            code = main(["simulate", *common, *args])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert configs[:1] == configs[1:]
+        code, _, err = outcomes[0]
+        assert code == 0 or json.loads(err)["error"] is True
+
+    def test_sweep_flag_replaces_the_file_sweep(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[experiment]\nscheme = ep\ng = 0.1\n"
+            "[sweep]\nparam = g\nstart = 0.01\nstop = 0.2\nsteps = 5\nscale = log\n"
+        )
+        args = ["sweep", "-c", str(path), "--trials", "0", "--format", "json"]
+        assert main([*args, "--sweep", "g:0.1:0.3:3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["sweep"]["scale"] == "linear"
+        assert [row["sweep_value"] for row in payload["rows"]] == pytest.approx([0.1, 0.2, 0.3])
 
 
 class TestRows:
@@ -859,6 +965,20 @@ class TestResolvedOnce:
         assert len(rows) == points and not any(row["i_e_saturated"] for row in rows)
         assert len(oracle_calls) == 4 * points
         assert oracle_calls.count("exact_rates_oracle") == points
+
+    ATTACKED_EP = ExperimentConfig(
+        scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, eta_b=0.8, eta_l=0.5,
+        trials=2000, attack=PnsConfig(),
+    )
+
+    def test_point_row_without_reports_runs_the_resolved_point(self, oracle_calls):
+        point_row(_resolve_run_params(self.ATTACKED_EP))
+        assert len(oracle_calls) == 4
+
+    def test_point_row_without_reports_keeps_the_point_block_probability(self):
+        point = dataclasses.replace(_resolve_run_params(self.ATTACKED_EP), block_probability=0.9)
+        explicit = dataclasses.replace(self.ATTACKED_EP, attack=PnsConfig(0.9))
+        assert point_row(point) == point_row(_resolve_run_params(explicit))
 
 
 class TestInputRules:
