@@ -97,7 +97,7 @@ _SECTION_KEYS = {
         "scheme", "g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l",
         "trials", "seed", "truncation", "workers",
     ),
-    "attack": ("enabled", "block_probability", "guarantee_delivery"),
+    "attack": ("enabled", "block_probability"),
     "sweep": ("param", "start", "stop", "steps", "scale"),
     "output": ("format", "path"),
 }
@@ -124,7 +124,7 @@ _FLOAT, _INT = (float, "a float"), (int, "an int")
 _TYPES = {
     **dict.fromkeys(("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l"), _FLOAT),
     **dict.fromkeys(("trials", "seed", "truncation", "workers"), _INT),
-    **dict.fromkeys(("attack.enabled", "attack.guarantee_delivery"), (_boolean, "a boolean")),
+    "attack.enabled": (_boolean, "a boolean"),
     "attack.block_probability": (lambda raw: raw if raw == AUTO else float(raw), "a float"),
     **dict.fromkeys(("sweep.start", "sweep.stop"), _FLOAT),
     "sweep.steps": _INT,
@@ -245,17 +245,15 @@ def analytic_row(point: engine._RunParams) -> dict:
     every ``CSV_COLUMNS`` key.
 
     Under attack the row records the blocking probability, and the attacked
-    oracle rows hold the exact delivered statistics at it; they are empty
-    without guaranteed delivery.
+    oracle rows hold the exact delivered statistics at it.
     """
     config, source, channel, rates = point.config, point.source, point.channel, point.rates
     row = dict.fromkeys(CSV_COLUMNS)
     eta_bl = compose_bob_efficiency(channel)
     pass_probability = None
     if point.block_probability is not None:
-        row["block_probability"] = block = point.block_probability
-        if config.attack.guarantee_delivery:
-            pass_probability = 1.0 - block
+        row["block_probability"] = point.block_probability
+        pass_probability = 1.0 - point.block_probability
     if rates is not None:
         row.update(r_exp=rates.r_exp, r_multi=rates.r_multi, i_e_saturated=rates.saturated)
     if config.scheme is Scheme.ENTANGLED_PAIRS:
@@ -452,7 +450,7 @@ def emit(rows: list[dict], fmt: str, path: Optional[str], config: ExperimentConf
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     # each value stays a string, for build_config to parse as a file's are
     p.add_argument("-c", "--config", help="configuration file")
-    p.add_argument("--scheme", choices=sorted(_SCHEME_NAMES))
+    p.add_argument("--scheme", help="ep, wcs or pdc")
     p.add_argument("--g", help="down-conversion gain")
     p.add_argument("--mu", help="mean pair number (converted to gain)")
     p.add_argument("--mu-prime", dest="mu_prime", help="WCS mean photon number")
@@ -463,10 +461,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed")
     p.add_argument("--truncation")
     p.add_argument("--workers")
-    p.add_argument("--attack", choices=["none", "pns"])
+    p.add_argument("--attack", help="none or pns")
     p.add_argument("--block-probability", dest="block_probability")
     p.add_argument("--sweep", help="param:start:stop:steps[:log]")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", help="csv or json")
     p.add_argument("--output", dest="path")
 
 
@@ -478,7 +476,10 @@ def _flag_sections(args: argparse.Namespace) -> dict[str, dict[str, str]]:
         for section, keys in _SECTION_KEYS.items()
     }
     if "attack" in flags:
-        sections["attack"]["enabled"] = str(flags["attack"] == "pns")
+        # any other value reaches the boolean parse, which names it
+        sections["attack"]["enabled"] = {"pns": "true", "none": "false"}.get(
+            flags["attack"], flags["attack"]
+        )
     if flags.get("sweep"):
         parts = flags["sweep"].split(":")
         if len(parts) not in (4, 5):

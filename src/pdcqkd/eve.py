@@ -21,20 +21,14 @@ from .source import AUTO, BLOCK_PROBABILITY, ConfigError, Scheme, SourceParams
 
 @dataclass(frozen=True)
 class PnsConfig:
-    """Attack policy: single-photon blocking probability (or AUTO to solve
-    for rate matching) and whether forwarded photons bypass Bob's loss."""
+    """Attack policy: the single-photon blocking probability, or AUTO to
+    solve it for rate matching.  Forwarded photons always reach Bob over the
+    lossless line with guaranteed detection."""
 
     block_probability: Union[float, str] = AUTO
-    guarantee_delivery: bool = True
 
     def __post_init__(self) -> None:
         BLOCK_PROBABILITY.require(block_probability=self.block_probability)
-        # the solve assumes forwarding with no loss and sure detection
-        if self.block_probability == AUTO and not self.guarantee_delivery:
-            raise ConfigError(
-                ["block_probability: auto needs guaranteed delivery, as no rate "
-                 "covers lossy forwarding; give a probability in [0, 1]"]
-            )
 
 
 def _unattacked_rate(source: SourceParams, channel: ChannelParams) -> float:

@@ -143,7 +143,7 @@ class TestConfigFile:
         config = build_config(read_config_file(str(path)), {})
         assert config.g == 0.1
         assert config.master_seed == 7
-        assert config.attack == PnsConfig(AUTO, True)
+        assert config.attack == PnsConfig(AUTO)
         assert config.out_format == "json"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -200,14 +200,15 @@ class TestConfigFile:
 
 class TestFlagsAndFileAgree:
     """A flag and its config-file key with the same value give the same
-    config, or the same messages.  ``--scheme``, ``--format`` and ``--attack``
-    take argparse choices, so only their good values reach the config."""
+    config, or the same messages: every flag value, good or bad, is parsed
+    and checked as the file's is."""
 
     EP = ["--scheme", "ep", "--g", "0.3"]
     ATTACKED = [*EP, "--attack", "pns"]
     # (section, key, file value, flags, flags given in both runs)
     CASES = [
         ("experiment", "scheme", "pdc", ["--scheme", "pdc"], ["--g", "0.3"]),
+        ("experiment", "scheme", "xyz", ["--scheme", "xyz"], ["--g", "0.3"]),
         ("experiment", "g", "0.2", ["--g", "0.2"], ["--scheme", "ep"]),
         ("experiment", "g", "abc", ["--g", "abc"], ["--scheme", "ep"]),
         ("experiment", "mu", "0.02", ["--mu", "0.02"], ["--scheme", "ep"]),
@@ -230,11 +231,13 @@ class TestFlagsAndFileAgree:
         ("experiment", "workers", "0", ["--workers", "0"], EP),
         ("attack", "enabled", "true", ["--attack", "pns"], EP),
         ("attack", "enabled", "false", ["--attack", "none"], EP),
+        ("attack", "enabled", "maybe", ["--attack", "maybe"], EP),
         ("attack", "block_probability", "0.3", ["--block-probability", "0.3"], ATTACKED),
         ("attack", "block_probability", "auto", ["--block-probability", "auto"], ATTACKED),
         ("attack", "block_probability", "1.5", ["--block-probability", "1.5"], ATTACKED),
         ("attack", "block_probability", "abc", ["--block-probability", "abc"], ATTACKED),
         ("output", "format", "json", ["--format", "json"], EP),
+        ("output", "format", "xml", ["--format", "xml"], EP),
         ("output", "path", "{tmp}/rates.csv", ["--output", "{tmp}/rates.csv"], EP),
         ("output", "path", "{tmp}/missing/rates.csv", ["--output", "{tmp}/missing/rates.csv"], EP),
     ]
@@ -321,11 +324,6 @@ class TestRows:
         ).validated()
         row = analytic_row(_resolve_run_params(pdc))
         assert row["r_key_oracle"] == analytics.pdc_attack_delivered(0.3, 0.6, 1.0)
-        undelivered = dataclasses.replace(
-            pdc, attack=PnsConfig(block_probability=0.0, guarantee_delivery=False)
-        )
-        row = analytic_row(_resolve_run_params(undelivered))
-        assert row["r_key_oracle"] is row["r_err_oracle"] is row["epsilon_oracle"] is None
 
     def test_attacked_ep_row_separates_oracle_and_formula(self):
         config = ExperimentConfig(
@@ -342,12 +340,6 @@ class TestRows:
         assert row["eps_prime_oracle"] == exact.error_rate
         assert row["eps_prime_formula"] == printed.eps_prime
         assert row["i_ab_formula"] == printed.i_ab and "i_ab_oracle" not in row
-        undelivered = dataclasses.replace(
-            config, attack=PnsConfig(block_probability=0.25, guarantee_delivery=False)
-        )
-        row = analytic_row(_resolve_run_params(undelivered))
-        for key in ("p_ae", "p_eb", "i_ae", "i_eb", "eps_prime"):
-            assert row[f"{key}_oracle"] is None and row[f"{key}_formula"] is not None
 
     def test_sweep_rows_ordered(self):
         config = ExperimentConfig(
@@ -521,17 +513,6 @@ class TestAttackedCompare:
         err = capsys.readouterr().err
         assert code == 0, err
         assert err.count("PASS") == 1
-
-    def test_undelivered_attack_has_no_oracle(self, tmp_path, capsys):
-        path = tmp_path / "run.ini"
-        path.write_text(
-            "[experiment]\nscheme = ep\ng = 0.3\neta_a = 0.6\ntrials = 20000\n"
-            "[attack]\nblock_probability = 0.5\nguarantee_delivery = false\n"
-        )
-        code = main(["compare", "-c", str(path)])
-        err = capsys.readouterr().err
-        assert code == 0
-        assert err.count("n/a") == 3 and "PASS" not in err
 
 
 class TestRowSchema:
@@ -1000,7 +981,6 @@ class TestInputRules:
     ATTACK_FILE = (
         "[experiment]\nscheme = wcs\nmu_prime = 0.5\neta_b = 0.5\neta_l = 0.5\n"
         "[attack]\nenabled = {enabled}\nblock_probability = {block}\n"
-        "guarantee_delivery = false\n"
     )
 
     @pytest.mark.parametrize("enabled", ["true", "false"])
@@ -1010,25 +990,24 @@ class TestInputRules:
         args = ["analytic", "-c", str(path), "--format", "json"]
         assert main([*args, "--attack", "pns"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["attack"] == {
-            "block_probability": 0.3, "guarantee_delivery": False
-        }
+        assert payload["config"]["attack"] == {"block_probability": 0.3}
         (row,) = payload["rows"]
-        assert row["block_probability"] == 0.3 and row["r_key_oracle"] is None
+        assert row["block_probability"] == 0.3
+        assert row["r_key_oracle"] == analytics.wcs_attack_delivered(0.5, 0.7)
         assert main([*args, "--attack", "none"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["attack"] is None
         assert payload["rows"][0]["block_probability"] is None
 
-    @pytest.mark.parametrize("command", ["analytic", "simulate"])
-    def test_auto_without_guaranteed_delivery_exits_2(self, command, tmp_path, capsys):
-        path = tmp_path / "attack.ini"
-        path.write_text(self.ATTACK_FILE.format(enabled="true", block="auto"))
-        assert main([command, "-c", str(path), "--trials", "2000"]) == 2
+    def test_guarantee_delivery_is_an_unknown_key(self, capsys):
+        # forwarding always guarantees delivery, so the file key is gone
+        path = Path(__file__).with_name("removed_attack_key.ini")
+        assert main(["analytic", "-c", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        (message,) = json.loads(err)["messages"]
-        assert message.startswith("attack.block_probability: auto needs guaranteed delivery")
+        assert json.loads(err)["messages"] == [
+            f"{path}: unknown key 'guarantee_delivery' in section [attack]"
+        ]
 
     def test_compare_stdout_is_data_only(self, capsys):
         args = ["compare", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.8",

@@ -24,19 +24,17 @@ class TestPnsConfig:
     def test_defaults(self):
         cfg = PnsConfig()
         assert cfg.block_probability == AUTO
-        assert cfg.guarantee_delivery
+
+    def test_blocking_probability_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(PnsConfig)] == ["block_probability"]
+        with pytest.raises(TypeError):
+            PnsConfig(guarantee_delivery=False)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             PnsConfig(block_probability=1.5)
         with pytest.raises(ValueError):
             PnsConfig(block_probability="half")
-
-    def test_auto_needs_guaranteed_delivery(self):
-        # the rate match assumes a lossless line with sure detection
-        with pytest.raises(ConfigError, match="^block_probability: auto needs guaranteed"):
-            PnsConfig(AUTO, guarantee_delivery=False)
-        assert not PnsConfig(0.3, guarantee_delivery=False).guarantee_delivery
 
 
 def intercept(counts, p_block, u_store=0.5, u_block=0.5):
