@@ -33,7 +33,7 @@ from .detection import compose_bob_efficiency
 # patches cli.run_experiment
 from .engine import STREAM_VERSION, RateReport, run_experiment, run_experiments  # noqa: F401
 from .eve import AUTO, PnsConfig
-from .source import Rule, Scheme
+from .source import BLOCK_PROBABILITY, Rule, Scheme
 
 # 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
 # printed leading-order values moved to *_formula, i_ab_oracle is gone
@@ -221,10 +221,15 @@ def build_config(file_sections: dict, flag_sections: dict) -> ExperimentConfig:
         except ConfigError as exc:
             errors += [f"attack.{message}" for message in exc.errors]
     elif "block_probability" in flag_sections.get("attack", {}):
-        # a disabled file section's blocking probability goes unused quietly
         errors.append(
             "attack.block_probability: applies only when the attack is enabled "
             "(--attack pns, or an enabled [attack] section)"
+        )
+    elif "block_probability" in attack:
+        # a disabled file section's blocking probability goes unused, quietly
+        # only when it is in range
+        errors += BLOCK_PROBABILITY.violations(
+            **{"attack.block_probability": attack["block_probability"]}
         )
     if values["sweep"]:
         fields["sweep"] = SweepSpec(**values["sweep"])
@@ -480,7 +485,7 @@ def _flag_sections(args: argparse.Namespace) -> dict[str, dict[str, str]]:
         sections["attack"]["enabled"] = {"pns": "true", "none": "false"}.get(
             flags["attack"], flags["attack"]
         )
-    if flags.get("sweep"):
+    if "sweep" in flags:
         parts = flags["sweep"].split(":")
         if len(parts) not in (4, 5):
             raise ConfigError(["sweep: expected param:start:stop:steps[:log]"])

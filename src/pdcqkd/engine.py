@@ -44,17 +44,19 @@ temporaries, and fewer than one with the chunks.
 
 A run's inputs are one ``_RunParams`` record, which ``_resolve_run_params``
 alone builds from a config: the source, the channel, the attack rates and
-the blocking probability.  ``run_experiments`` schedules a list of these
-records -- the points of a sweep, all resolved before any batch runs -- on
-one process pool.  Each run's batches are split into ``min(workers,
-n_batches)`` contiguous ranges, and every range of every run is submitted
-before the first report is folded.  Reports come back in order, each folded
-from its own ranges' integer counts, so a run's report is the same whether
-it runs alone, in a sweep, or on any number of workers.
+the blocking probability.  ``run_experiments`` runs a list of these
+records -- the points of a sweep, all resolved before any batch runs.  Each
+run's batches are split into ``min(workers, n_batches)`` contiguous ranges,
+and every range of every run goes through one ``map``: the builtin one when
+no run has more than one range, otherwise a process pool's, which submits
+them all before the first report is folded.  Reports come back in order,
+each folded from its own ranges' integer counts, so a run's report is the
+same whether it runs alone, in a sweep, or on any number of workers.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -522,8 +524,14 @@ def _run_batch_range(params: _RunParams, start: int, stop: int) -> _Counts:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_se(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else float("nan")
+def _ratio(count: int, n: int) -> Optional[float]:
+    """``count / n``, or None when ``n`` is 0: every rate of a report."""
+    return count / n if n else None
+
+
+def _binomial_se(p: Optional[float], n: int) -> Optional[float]:
+    """Standard error of a rate ``p`` over ``n`` trials; None with the rate."""
+    return None if p is None else math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 @dataclass(frozen=True)
@@ -560,33 +568,18 @@ class RateReport:
 
 def _build_report(counts: _Counts, point: _RunParams) -> RateReport:
     valid = counts.trials - counts.excluded
-    if valid > 0:
-        r_key = counts.sifted / valid
-        r_err = counts.errors / valid
-        dc_m = counts.dc_matched / valid
-        dc_x = counts.dc_mismatched / valid
-        no_click = counts.bob_no_click / valid
-        r_key_se = _binomial_se(r_key, valid)
-        r_err_se = _binomial_se(r_err, valid)
-    else:
-        r_key = r_err = dc_m = dc_x = no_click = None
-        r_key_se = r_err_se = None
-    if counts.sifted > 0:
-        epsilon = counts.errors / counts.sifted
-        epsilon_se = _binomial_se(epsilon, counts.sifted)
-        touched = counts.touched_sifted / counts.sifted
-    else:
-        epsilon = epsilon_se = None
-        touched = None
-    if counts.touched_sifted > 0:
-        p_ae = counts.eve_alice_hits / counts.touched_sifted
-        p_eb = counts.eve_bob_hits / counts.touched_sifted
+    r_key = _ratio(counts.sifted, valid)
+    r_err = _ratio(counts.errors, valid)
+    epsilon = _ratio(counts.errors, counts.sifted)
+    touched = _ratio(counts.touched_sifted, counts.sifted)
+    p_ae = _ratio(counts.eve_alice_hits, counts.touched_sifted)
+    p_eb = _ratio(counts.eve_bob_hits, counts.touched_sifted)
+    if p_ae is not None:
         # Eq. 10: Eve knows a touched bit with her hit probability and guesses
         # every other one
         i_ae = analytics.eq10_information([(touched, p_ae), (1.0 - touched, 0.5)])
         i_eb = analytics.eq10_information([(touched, p_eb), (1.0 - touched, 0.5)])
     else:
-        p_ae = p_eb = None
         i_ae = i_eb = 0.0 if counts.sifted > 0 and point.block_probability is not None else None
     return RateReport(
         scheme=point.source.scheme,
@@ -596,15 +589,15 @@ def _build_report(counts: _Counts, point: _RunParams) -> RateReport:
         sifted_count=counts.sifted,
         error_count=counts.errors,
         r_key=r_key,
-        r_key_se=r_key_se,
+        r_key_se=_binomial_se(r_key, valid),
         r_err=r_err,
-        r_err_se=r_err_se,
+        r_err_se=_binomial_se(r_err, valid),
         epsilon=epsilon,
-        epsilon_se=epsilon_se,
-        double_click_matched=dc_m,
-        double_click_mismatched=dc_x,
+        epsilon_se=_binomial_se(epsilon, counts.sifted),
+        double_click_matched=_ratio(counts.dc_matched, valid),
+        double_click_mismatched=_ratio(counts.dc_mismatched, valid),
         double_click_matched_count=counts.dc_matched,
-        bob_no_click_rate=no_click,
+        bob_no_click_rate=_ratio(counts.bob_no_click, valid),
         triggered_count=counts.triggered,
         eve_touched_fraction=touched,
         p_ae_hat=p_ae,
@@ -655,40 +648,33 @@ def _batch_ranges(config: ExperimentConfig) -> list[tuple[int, int]]:
 
 
 def run_experiments(points: Iterable[_RunParams]) -> Iterator[RateReport]:
-    """Yield one RateReport per resolved point, in order, all run on one pool.
+    """Yield one RateReport per resolved point, in order.
 
     The points come from ``_resolve_run_params``, so nothing is validated or
-    solved here.  A pool of as many processes as the largest run has batch
-    ranges is opened on the first ``next()``; every range of every run is
-    submitted before the first report is folded from its counts.  Without a
-    pool (one worker, or one range per run) each run executes in this process
-    when its report is asked for.  Closing the generator early cancels the
-    ranges not yet started and shuts the pool down.
+    solved here.  Every batch range of every point goes through one ``map``,
+    opened on the first ``next()``, and each report is folded from the next
+    ``len(parts)`` results.  When no run has more than one range that is the
+    builtin ``map``, which runs each range in this process when its report is
+    asked for; otherwise it is the ``map`` of a pool of as many processes as
+    the largest run has ranges, which submits every range up front.  Closing
+    the generator early drops the ranges not yet started and shuts the pool
+    down.
     """
     points = list(points)
     ranges = [_batch_ranges(point.config) for point in points]
+    tasks = [(point, lo, hi) for point, parts in zip(points, ranges) for lo, hi in parts]
     pool_size = max(map(len, ranges), default=0)
-    if pool_size <= 1:
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if pool_size > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size))
+            # unwinds before the pool's exit, which would wait for every range
+            stack.callback(pool.shutdown, cancel_futures=True)
+            mapper = pool.map
+        results = mapper(_run_batch_range, *zip(*tasks)) if tasks else iter(())
         for point, parts in zip(points, ranges):
-            counts = sum((_run_batch_range(point, lo, hi) for lo, hi in parts), _Counts())
+            counts = sum(itertools.islice(results, len(parts)), _Counts())
             yield _build_report(counts, point)
-        return
-    runs = []
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        try:
-            for point, parts in zip(points, ranges):
-                futures = [pool.submit(_run_batch_range, point, lo, hi) for lo, hi in parts]
-                runs.append((point, futures))
-            for point, futures in runs:
-                counts = sum((f.result() for f in futures), _Counts())
-                yield _build_report(counts, point)
-        except BaseException:
-            # an error here or in a worker, or the caller closed the generator:
-            # the pool's exit then waits only for ranges already running
-            for _, futures in runs:
-                for future in futures:
-                    future.cancel()
-            raise
 
 
 def run_experiment(config: ExperimentConfig) -> RateReport:

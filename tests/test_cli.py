@@ -768,6 +768,32 @@ class TestMain:
             messages = json.loads(err)["messages"]
             assert any(msg.startswith("attack.block_probability:") for msg in messages)
 
+    @pytest.mark.parametrize("block, code", [("1.5", 2), ("nan", 2), ("0.4", 0), ("auto", 0)])
+    def test_disabled_attack_block_probability_is_range_checked(
+        self, block, code, tmp_path, capsys
+    ):
+        path = tmp_path / "attack.ini"
+        path.write_text(
+            "[experiment]\nscheme = ep\ng = 0.3\n\n"
+            f"[attack]\nenabled = false\nblock_probability = {block}\n"
+        )
+        assert main(["analytic", "-c", str(path), "--format", "json"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            # a valid value in a disabled section goes unused
+            (row,) = json.loads(out)["rows"]
+            assert row["block_probability"] is None
+        else:
+            assert json.loads(err)["messages"] == [
+                f"attack.block_probability: must be 'auto' or lie in [0, 1], got {float(block)!r}"
+            ]
+
+    def test_empty_sweep_flag_exits_2(self, capsys):
+        assert main(["analytic", "--scheme", "ep", "--g", "0.1", "--sweep", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["messages"] == ["sweep: expected param:start:stop:steps[:log]"]
+
     def test_invalid_config_exits_2(self, capsys):
         code = main(["analytic", "--scheme", "ep", "--g", "1.5"])
         assert code == 2

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from pdcqkd.engine import (
     _PreparedContext,
     _batch_rng,
     _bob_thresholds,
+    _Counts,
     _ep_batch,
     _pair_index,
     _prepared_batch,
@@ -517,6 +521,14 @@ class TestDeterminism:
         assert serial.sifted_count > 0
 
 
+def marked_range(directory, params, start, stop):
+    """Stands in for ``engine._run_batch_range``: leaves one marker file per
+    range in ``directory`` and sleeps briefly, so later ranges queue up."""
+    (directory / f"{params.config.master_seed}-{start}").touch()
+    time.sleep(0.05)
+    return _Counts()
+
+
 class TestRunExperiments:
     def configs(self, workers):
         return [
@@ -564,6 +576,19 @@ class TestRunExperiments:
             touched = report.eve_touched_fraction
             assert report.i_ae == touched * binary_information(report.p_ae_hat)
             assert report.i_eb == touched * binary_information(report.p_eb_hat)
+
+    def test_closing_early_drops_the_ranges_not_started(self, monkeypatch, tmp_path):
+        # patched before the pool forks, so the workers run the stand-in
+        monkeypatch.setattr(engine, "_run_batch_range", functools.partial(marked_range, tmp_path))
+        configs = [
+            ep_config(trials=2 * BATCH_SIZE, master_seed=seed, workers=2) for seed in range(20)
+        ]
+        reports = run_experiments(map(_resolve_run_params, configs))
+        next(reports)
+        reports.close()
+        started = len(list(tmp_path.iterdir()))
+        assert 2 <= started < 2 * len(configs)
+        assert multiprocessing.active_children() == []
 
     def test_invalid_config_raises_before_any_run(self, monkeypatch):
         def no_run(*args):

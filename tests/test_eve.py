@@ -308,3 +308,23 @@ class TestEmpiricalInformation:
     def test_unattacked_run_has_no_information(self):
         rep = report(attacked=False, sifted=10)
         assert rep.i_ae is None and rep.i_eb is None
+
+
+class TestReportNoneRule:
+    """A rate over an empty denominator, and its standard error, is None."""
+
+    def test_all_excluded_has_no_per_valid_rate(self):
+        rep = report(excluded=100)
+        assert rep.valid_trials == 0
+        for name in (
+            "r_key", "r_key_se", "r_err", "r_err_se", "double_click_matched",
+            "double_click_mismatched", "bob_no_click_rate",
+        ):
+            assert getattr(rep, name) is None, name
+
+    def test_no_sifted_bit_has_no_per_sifted_rate(self):
+        rep = report(bob_no_click=100)
+        assert rep.r_key == 0.0 and rep.r_key_se == 0.0
+        assert rep.bob_no_click_rate == 1.0
+        assert rep.epsilon is None and rep.epsilon_se is None
+        assert rep.eve_touched_fraction is None
