@@ -6,12 +6,12 @@ Configuration comes from an INI-style file (sections ``[experiment]``,
 become the same sections of raw strings and override the file key by key,
 but ``--sweep`` replaces the whole ``[sweep]``; the merged values are parsed
 once.  File values are literal (no ``%`` interpolation), an ``[attack]``
-section is enabled unless it says ``enabled = false``, and a malformed file
-exits 2.  Output is data-only CSV or JSON for external plotting.  JSON output
-echoes the configuration as given (an ``auto`` blocking probability stays
-``auto``, and ``g`` stays null when ``mu`` was given), and each row holds the
-values its point resolved to, such as its ``block_probability``, so a result
-file is self-describing and reproducible.
+section is enabled unless it says ``enabled = false``, and a malformed or
+unreadable file exits 2.  Output is data-only CSV or JSON for external
+plotting.  JSON output echoes the configuration as given (an ``auto``
+blocking probability stays ``auto``, and ``g`` stays null when ``mu`` was
+given), and each row holds the values its point resolved to, such as its
+``block_probability``, so a result file is self-describing and reproducible.
 """
 from __future__ import annotations
 
@@ -90,6 +90,10 @@ CSV_COLUMNS = [
     "trials",
 ]
 
+# the rates that have a Monte Carlo estimate, an oracle and a z-score column;
+# compare judges each
+JUDGED = ("r_key", "r_err", "epsilon")
+
 _SCHEME_NAMES = {s.value: s for s in Scheme}
 
 _SECTION_KEYS = {
@@ -159,17 +163,20 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
     """The file's sections as ``{section: {key: raw string}}``.
 
     Values are literal (no ``%`` interpolation), and an ``[attack]`` section
-    is enabled unless it says ``enabled = false``.  A file that is not INI,
-    unknown sections or keys and an incomplete ``[sweep]`` are rejected by
-    name.
+    is enabled unless it says ``enabled = false``.  A file that cannot be
+    read, a file that is not INI, unknown sections or keys and an incomplete
+    ``[sweep]`` are rejected by name.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             parser.read_file(fh, source=path)
-        except configparser.Error as exc:
-            # the message names the file and the line
-            raise ConfigError([" ".join(str(exc).split())]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError([f"config: cannot read {path!r}: {reason}"]) from exc
+    except configparser.Error as exc:
+        # the message names the file and the line
+        raise ConfigError([" ".join(str(exc).split())]) from exc
     errors: list[str] = []
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -327,32 +334,19 @@ def _z_score(mc: Optional[float], se: Optional[float], oracle: Optional[float]):
 
 
 def point_row(
-    point: engine._RunParams,
-    sweep_param: str = "",
-    sweep_value=None,
-    reports: Optional[Iterator[RateReport]] = None,
+    point: engine._RunParams, sweep_param: str, sweep_value, reports: Iterator[RateReport]
 ) -> dict:
-    """One result row of a resolved point: analytics always, Monte Carlo
-    when trials > 0.
-
-    The Monte Carlo report is the next one of ``reports`` (a
-    ``run_experiments`` over the sweep's points) when given, otherwise this
-    point, as resolved, is run on its own.
-    """
+    """One result row of a resolved point: analytics always, and when
+    trials > 0 the Monte Carlo report, the next one of ``reports`` (a
+    ``run_experiments`` over the sweep's points)."""
     row = analytic_row(point)
     if point.config.trials > 0:
-        if reports is None:
-            with contextlib.closing(run_experiments([point])) as own:
-                report = next(own)
-        else:
-            report = next(reports)
+        report = next(reports)
+        for name in JUDGED:
+            mc, se = getattr(report, name), getattr(report, f"{name}_se")
+            row.update({f"{name}_mc": mc, f"{name}_se": se})
+            row[f"{name}_z"] = _z_score(mc, se, row[f"{name}_oracle"])
         row.update(
-            r_key_mc=report.r_key,
-            r_key_se=report.r_key_se,
-            r_err_mc=report.r_err,
-            r_err_se=report.r_err_se,
-            epsilon_mc=report.epsilon,
-            epsilon_se=report.epsilon_se,
             double_click_matched_mc=report.double_click_matched,
             double_click_mismatched_mc=report.double_click_mismatched,
             bob_no_click_mc=report.bob_no_click_rate,
@@ -365,9 +359,6 @@ def point_row(
             sifted_count=report.sifted_count,
             trials=report.trials,
         )
-        row["r_key_z"] = _z_score(report.r_key, report.r_key_se, row["r_key_oracle"])
-        row["r_err_z"] = _z_score(report.r_err, report.r_err_se, row["r_err_oracle"])
-        row["epsilon_z"] = _z_score(report.epsilon, report.epsilon_se, row["epsilon_oracle"])
     row.update(sweep_param=sweep_param, sweep_value=sweep_value)
     return row
 
@@ -399,7 +390,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             ) from exc
     with contextlib.closing(run_experiments(points)) as reports:
         return [
-            point_row(point, sweep_param=param, sweep_value=value, reports=reports)
+            point_row(point, param, value, reports)
             for point, value in zip(points, values)
         ]
 
@@ -532,15 +523,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         rows = run_sweep(config)
         failed = False
         for row in rows if args.command == "compare" else ():
-            for key in ("r_key_z", "r_err_z", "epsilon_z"):
-                z = row[key]
+            for name in JUDGED:
+                z = row[f"{name}_z"]
                 status = "n/a"
                 if z is not None:
                     ok = abs(z) <= sigma
                     failed = failed or not ok
                     status = f"{'PASS' if ok else 'FAIL'} z={z:+.3f}"
                 label = row["sweep_param"] and f"{row['sweep_param']}={row['sweep_value']}"
-                print(f"{label or 'point'} {key[:-2]}: {status}", file=sys.stderr)
+                print(f"{label or 'point'} {name}: {status}", file=sys.stderr)
         print(emit(rows, config.out_format, config.out_path, config), end="")
         return 1 if failed else 0
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:

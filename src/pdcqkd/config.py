@@ -11,13 +11,13 @@ from .source import (
     INTEGER,
     MEAN,
     MEAN_PHOTONS,
+    PDC_GAIN,
     TRUNCATION,
     UNIT,
     ConfigError,
     Scheme,
     g_for_mean,
     g_for_single_arm_mean,
-    single_arm_mean,
 )
 
 SWEEPABLE = ("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l")
@@ -98,12 +98,13 @@ def validate(config: ExperimentConfig) -> list[str]:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
         elif config.g is None and config.mu is None and not sweeps_gain:
             errors.append("exactly one of 'g' and 'mu' must be given for this scheme")
-        # the triggered source's signal arm has mean g^2/(1-g^2) = mu; an ep
-        # pair mean mu within the same bound keeps its gain below 1
+        # the triggered source's signal arm has mean g^2/(1-g^2) = mu, bounded
+        # by its gain; an ep pair mean mu within the same bound keeps its gain
+        # below 1
         pdc = scheme is Scheme.TRIGGERED_PDC
         if config.g is not None:
             errors += GAIN.violations(g=config.g) or (
-                MEAN_PHOTONS.violations(g=single_arm_mean(config.g)) if pdc else []
+                PDC_GAIN.violations(g=config.g) if pdc else []
             )
         if config.mu is not None:
             errors += MEAN.violations(mu=config.mu) or MEAN_PHOTONS.violations(mu=config.mu)

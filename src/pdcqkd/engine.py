@@ -14,13 +14,15 @@ Its entries are the truncation-exceeded event; matched bases with each pair
 configuration, where the classical per-photon model is exact because the
 source state keeps its form under an identical basis change on both sides;
 and each mismatched basis combo with each occupation of each per-side-total
-sector, drawn from the sector-conditioned Fock distributions, which carry
-the two-photon interference the classical model misses.  Each side's two
-detectors then fire on one uniform in ``_two_detectors``, against thresholds
-per count pair that make them independent yes/no detectors, each firing with
-probability 1 - (1 - eta)^n.  Under attack Bob's arm first passes through
-``_intercept`` on one more uniform, which decides the stored photon of a
-multi-photon arm or the block of a single photon, never both.
+sector, from total 0 up, drawn from the sector-conditioned Fock
+distributions, which carry the two-photon interference the classical model
+misses.  Each side's two detectors then fire on one uniform in
+``_two_detectors``, against thresholds per count pair that make them
+independent yes/no detectors, each firing with probability 1 - (1 - eta)^n.
+Under attack Bob's arm first passes through ``_intercept`` on one more
+uniform, which decides the stored photon of a multi-photon arm or the block
+of a single photon: no arm is both, and the truncation-exceeded entry holds
+no photons, so every entry goes through it.
 The prepare-and-measure kernel draws the photon number with Alice's bit and
 both bases from one alias table in the same way; the ``pdc`` herald fires on
 a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors go through
@@ -244,28 +246,20 @@ class _JointTable:
             (0.5 * w, _MATCHED, c.m, c.n, c.m, c.n)
             for c, w in zip(dist.configs, dist.probabilities)
         ]
-        for combo in (0, 1):
-            kind = _MISMATCHED + combo
-            for total in range(totals.max() + 1):
-                weight = 0.25 * dist.probabilities[totals == total].sum()
-                if total == 0:
-                    rows.append((weight, kind, 0, 0, 0, 0))
-                    continue
-                cdf, *occupations = sector_tables[(combo, total)]
-                # the last occupation takes all mass beyond the one before, as
-                # inverse-CDF sampling of ``cdf`` does
-                q = np.diff(cdf[:-1], prepend=0.0, append=1.0)
-                rows += [(weight * qj, kind, *occ) for qj, occ in zip(q, zip(*occupations))]
+        for (combo, total), (cdf, *occupations) in sector_tables.items():
+            weight = 0.25 * dist.probabilities[totals == total].sum()
+            # the last occupation takes all mass beyond the one before, as
+            # inverse-CDF sampling of ``cdf`` does
+            q = np.diff(cdf[:-1], prepend=0.0, append=1.0)
+            rows += [
+                (weight * qj, _MISMATCHED + combo, *occ) for qj, occ in zip(q, zip(*occupations))
+            ]
         probabilities = np.array([r[0] for r in rows])
         kind, a0, a1, b0, b1 = np.array([r[1:] for r in rows], dtype=np.int8).T
         return cls(
             probabilities, kind, a0, a1, b0, b1, *_alias_table(probabilities),
             _pair_index(a0, a1, width), _pair_index(b0, b1, width),
         )
-
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """Entry indices for uniforms ``u`` in [0, 1)."""
-        return _alias_draw(self.cut, self.alias, u)
 
 
 class _BatchContext:
@@ -289,9 +283,11 @@ class _EpContext(_BatchContext):
     """Per-run tables of the entangled-pair kernel.
 
     ``sector_tables`` maps (basis combo, sector total) to the inverse-CDF
-    table ``(cdf, a0, a1, b0, b1)`` of the mismatched-basis occupations;
-    combo 0 is Alice at + and Bob at x.  The joint table is derived from it
-    on first use, so it always reflects the sector tables the kernel sees.
+    table ``(cdf, a0, a1, b0, b1)`` of the mismatched-basis occupations, for
+    every total from 0 (the vacuum, one occupation) to the truncation, combo
+    by combo; combo 0 is Alice at + and Bob at x.  The joint table is derived
+    from it on first use, so it always reflects the sector tables the kernel
+    sees.
     ``fire_a``/``fire_b`` are each side's per-count fire tables, and
     ``alice``/``bob`` their ``_pair_thresholds``.
     """
@@ -304,7 +300,7 @@ class _EpContext(_BatchContext):
             (0, (fock.Basis.PLUS, fock.Basis.CROSS)),
             (1, (fock.Basis.CROSS, fock.Basis.PLUS)),
         ):
-            for total in range(1, truncation + 1):
+            for total in range(truncation + 1):
                 occs, probs = fock.sector_distribution(total, *pair)
                 arr = np.array(occs, dtype=np.int64)
                 self.sector_tables[(combo, total)] = (
@@ -377,22 +373,24 @@ class _PreparedContext(_BatchContext):
         self.bob = _bob_thresholds(params.bob_eta, n_max)
 
 
-def _intercept(u_store, u_block, b0, b1, valid, p_block: float):
-    """The PNS interposer on Bob's arm, photon counts ``b0``/``b1`` per mode.
+def _intercept(u, b0, b1, p_block: float):
+    """The PNS interposer on Bob's arm, photon counts ``b0``/``b1`` per mode,
+    on one uniform ``u`` per event.
 
     A multi-photon signal loses one photon, taken from mode 1 when
-    ``u_store * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
-    otherwise; a single photon is blocked when ``u_block < p_block``; vacuum
-    passes.  Only ``valid`` events are touched.  Returns the forwarded counts
-    and the ``multi``, ``stored`` (mode of the stored photon, meaningful where
-    ``multi``) and ``blocked`` masks.
+    ``u * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
+    otherwise; a single photon is blocked when ``u < p_block``; vacuum, which
+    includes the truncation-exceeded event, passes.  No event is both multi
+    and single, so the one uniform decides each.  Returns the forwarded
+    counts and the ``multi``, ``stored`` (mode of the stored photon,
+    meaningful where ``multi``) and ``blocked`` masks.
     """
     total = b0 + b1
-    multi = valid & (total >= 2)
-    stored = u_store * total < b1
+    multi = total >= 2
+    stored = u * total < b1
     b0 = b0 - (multi & ~stored)
     b1 = b1 - (multi & stored)
-    blocked = valid & (total == 1) & (u_block < p_block)
+    blocked = (total == 1) & (u < p_block)
     b0 = np.where(blocked, 0, b0)
     b1 = np.where(blocked, 0, b1)
     return b0, b1, multi, stored, blocked
@@ -439,16 +437,14 @@ def _chunks(u: np.ndarray) -> Iterator[np.ndarray]:
 
 def _ep_chunk(u: np.ndarray, p: _RunParams, ctx: _EpContext) -> _Counts:
     table = ctx.joint
-    entry = table.draw(u[0])
+    entry = _alias_draw(table.cut, table.alias, u[0])
     kind = table.kind.take(entry)
     valid = kind != _EXCEEDED
 
     eve = None
     if p.block_probability is not None:
-        # the store choice (two photons or more) and the block (exactly one)
-        # never apply to the same event, so one uniform serves both
         b0, b1, *eve = _intercept(
-            u[1], u[1], table.b0.take(entry), table.b1.take(entry), valid, p.block_probability
+            u[1], table.b0.take(entry), table.b1.take(entry), p.block_probability
         )
         pair_b = _pair_index(b0, b1, len(ctx.fire_b))
     else:

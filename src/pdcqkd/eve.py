@@ -31,17 +31,6 @@ class PnsConfig:
         BLOCK_PROBABILITY.require(block_probability=self.block_probability)
 
 
-def _unattacked_rate(source: SourceParams, channel: ChannelParams) -> float:
-    eta_bl = compose_bob_efficiency(channel)
-    if source.scheme is Scheme.ENTANGLED_PAIRS:
-        return analytics.exact_rates_oracle(
-            source.g, channel.eta_a, eta_bl, source.truncation_order
-        ).r_key
-    if source.scheme is Scheme.WEAK_COHERENT:
-        return analytics.wcs_leakage(source.mu_prime, eta_bl).r_exp
-    return analytics.pdc_rates_closed(source.g, channel.eta_a, eta_bl)[0]
-
-
 def _delivered_rate(
     source: SourceParams, channel: ChannelParams, pass_probability: float
 ) -> float:
@@ -56,10 +45,18 @@ def _delivered_rate(
 
 def attack_rates(source: SourceParams, channel: ChannelParams) -> analytics.AttackRates:
     """The point's unattacked sifted rate and the rate that the attack
-    delivers with every single-photon signal blocked."""
-    return analytics.AttackRates(
-        _unattacked_rate(source, channel), _delivered_rate(source, channel, 0.0)
+    delivers with every single-photon signal blocked, each evaluated once:
+    the prepared schemes' closed forms give both."""
+    eta_bl = compose_bob_efficiency(channel)
+    if source.scheme is Scheme.WEAK_COHERENT:
+        leakage = analytics.wcs_leakage(source.mu_prime, eta_bl)
+        return analytics.AttackRates(leakage.r_exp, leakage.r_multi)
+    if source.scheme is Scheme.TRIGGERED_PDC:
+        return analytics.AttackRates(*analytics.pdc_rates_closed(source.g, channel.eta_a, eta_bl))
+    unattacked = analytics.exact_rates_oracle(
+        source.g, channel.eta_a, eta_bl, source.truncation_order
     )
+    return analytics.AttackRates(unattacked.r_key, _delivered_rate(source, channel, 0.0))
 
 
 def solve_block_probability(

@@ -108,17 +108,10 @@ class SourceParams:
         GAIN.require(g=self.g)
         TRUNCATION.require(truncation_order=self.truncation_order)
         MEAN.require(mu_prime=self.mu_prime)
-        mean_field = "mu_prime" if self.scheme is Scheme.WEAK_COHERENT else "g"
-        MEAN_PHOTONS.require(**{mean_field: self.mean_photons})
-
-    @property
-    def mean_photons(self) -> float:
-        """Mean photon number of a prepared signal (0 for entangled pairs)."""
         if self.scheme is Scheme.WEAK_COHERENT:
-            return self.mu_prime
-        if self.scheme is Scheme.TRIGGERED_PDC:
-            return single_arm_mean(self.g)
-        return 0.0
+            MEAN_PHOTONS.require(mu_prime=self.mu_prime)
+        elif self.scheme is Scheme.TRIGGERED_PDC:
+            PDC_GAIN.require(g=self.g)
 
 
 @dataclass(frozen=True, order=True)
@@ -172,6 +165,16 @@ def g_for_single_arm_mean(mu: float) -> float:
     """Gain producing single-crystal mean pair number ``mu``."""
     MEAN.require(mu=mu)
     return math.sqrt(mu / (1.0 + mu))
+
+
+# The pdc bound on a gain, checked after GAIN: the gain that a mean of
+# MAX_MEAN_PHOTONS converts to, so a mean that passes MEAN_PHOTONS converts
+# to a gain that passes this one.
+MAX_PDC_GAIN = g_for_single_arm_mean(MAX_MEAN_PHOTONS)
+PDC_GAIN = Rule(
+    lambda g: g <= MAX_PDC_GAIN,
+    f"must be <= {MAX_PDC_GAIN!r}, the gain of a mean photon number of {MAX_MEAN_PHOTONS}",
+)
 
 
 def pair_distribution(params: SourceParams) -> PairDistribution:

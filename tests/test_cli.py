@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -21,7 +22,7 @@ from pdcqkd.cli import (
 )
 from pdcqkd.config import ConfigError, ExperimentConfig, SweepSpec, validate
 from pdcqkd.detection import ChannelParams
-from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION, _resolve_run_params
+from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION, _resolve_run_params, run_experiments
 from pdcqkd.eve import AUTO, PnsConfig
 from pdcqkd.source import Scheme, SourceParams
 
@@ -178,6 +179,21 @@ class TestConfigFile:
         assert out == ""
         (message,) = json.loads(err)["messages"]
         assert str(path) in message and f"line {line}" in message.replace(":", "")
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("missing.ini", None), (".", None), ("binary.ini", b"\xff\xfe[experiment]\n")],
+        ids=["missing", "directory", "not text"],
+    )
+    def test_unreadable_file_exits_2_naming_it(self, name, content, tmp_path, capsys):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["analytic", "-c", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (message,) = json.loads(err)["messages"]
+        assert message.startswith(f"config: cannot read {str(path)!r}: ")
 
     def test_values_are_literal(self, tmp_path, capsys):
         target = tmp_path / "out%1.csv"
@@ -419,16 +435,12 @@ class TestSweepScheduler:
     def test_rows_identical_for_any_worker_count(self):
         rows = [run_sweep(attacked_sweep(workers)) for workers in (1, 2, 3)]
         assert rows[0] == rows[1] == rows[2]
-        alone = [
-            point_row(
-                _resolve_run_params(
-                    dataclasses.replace(attacked_sweep(2), sweep=None, g=row["sweep_value"])
-                ),
-                sweep_param="g",
-                sweep_value=row["sweep_value"],
-            )
-            for row in rows[0]
-        ]
+        alone = []
+        for row in rows[0]:
+            config = dataclasses.replace(attacked_sweep(2), sweep=None, g=row["sweep_value"])
+            point = _resolve_run_params(config)
+            with contextlib.closing(run_experiments([point])) as reports:
+                alone.append(point_row(point, "g", row["sweep_value"], reports))
         assert alone == rows[0]
 
     def test_one_pool_per_sweep(self, counting_pool):
@@ -729,6 +741,7 @@ class TestMain:
             (["--scheme", "ep", "--g", "0.3", "--truncation", "1"], "truncation_order"),
             (["--scheme", "wcs", "--mu-prime", "1001"], "mu_prime"),
             (["--scheme", "pdc", "--mu", "1001"], "mu"),
+            (["--scheme", "pdc", "--mu", "1000.001"], "mu"),
             (["--scheme", "pdc", "--g", "0.9999"], "g"),
             (["--scheme", "ep", "--g", "0.3", "--attack", "pns", "--block-probability", "1.5"],
              "attack.block_probability"),
@@ -978,14 +991,14 @@ class TestResolvedOnce:
         trials=2000, attack=PnsConfig(),
     )
 
-    def test_point_row_without_reports_runs_the_resolved_point(self, oracle_calls):
-        point_row(_resolve_run_params(self.ATTACKED_EP))
-        assert len(oracle_calls) == 4
-
-    def test_point_row_without_reports_keeps_the_point_block_probability(self):
+    def test_row_keeps_the_point_block_probability(self):
         point = dataclasses.replace(_resolve_run_params(self.ATTACKED_EP), block_probability=0.9)
-        explicit = dataclasses.replace(self.ATTACKED_EP, attack=PnsConfig(0.9))
-        assert point_row(point) == point_row(_resolve_run_params(explicit))
+        explicit = _resolve_run_params(dataclasses.replace(self.ATTACKED_EP, attack=PnsConfig(0.9)))
+        rows = []
+        for p in (point, explicit):
+            with contextlib.closing(run_experiments([p])) as reports:
+                rows.append(point_row(p, "", None, reports))
+        assert rows[0] == rows[1]
 
 
 class TestInputRules:
@@ -995,6 +1008,19 @@ class TestInputRules:
         out, err = capsys.readouterr()
         assert out == ""
         assert any(m.startswith("mu_prime: ") for m in json.loads(err)["messages"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analytic", "--scheme", "pdc", "--mu", "1000"],
+            ["sweep", "--scheme", "pdc", "--eta-a", "0.6", "--trials", "0",
+             "--sweep", "mu:10:1000:3"],
+        ],
+    )
+    def test_pdc_mean_at_the_limit_is_accepted(self, args, capsys):
+        assert main([*args, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[-1]["r_exp"] > 0.0
 
     def test_mu_prime_sweep_names_the_point(self, capsys):
         args = ["sweep", "--scheme", "ep", "--g", "0.3", "--trials", "0",

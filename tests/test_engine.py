@@ -24,6 +24,7 @@ from pdcqkd.engine import (
     STREAM_VERSION,
     _EpContext,
     _PreparedContext,
+    _alias_draw,
     _batch_rng,
     _bob_thresholds,
     _Counts,
@@ -104,6 +105,13 @@ class TestEpJointTable:
                 for occ, q in zip(occs, probs):
                     assert got[occ] == pytest.approx(p_total / 4 * q, abs=1e-12)
 
+    @pytest.mark.parametrize("truncation", [2, 3])
+    def test_sector_tables_cover_every_total_from_vacuum(self, truncation):
+        tables = self.context(0.3, truncation).sector_tables
+        assert list(tables) == [(c, t) for c in (0, 1) for t in range(truncation + 1)]
+        cdf, *occupations = tables[(0, 0)]
+        assert cdf.tolist() == [1.0] and [o.tolist() for o in occupations] == [[0]] * 4
+
     @pytest.mark.parametrize("g, truncation", CASES)
     def test_alias_table_reproduces_probabilities(self, g, truncation):
         table = self.context(g, truncation).joint
@@ -117,7 +125,7 @@ class TestEpJointTable:
         np.testing.assert_allclose(implied[:n], table.probabilities, rtol=0, atol=1e-12)
         assert np.all(implied[n:] == 0.0)
         edges = np.array([0.0, np.nextafter(1.0, 0.0)])
-        assert np.all(table.draw(edges) < n)
+        assert np.all(_alias_draw(table.cut, table.alias, edges) < n)
 
     @pytest.mark.parametrize("block, bob_eta", [(None, 0.8 * 0.5), (0.5, 1.0)])
     @pytest.mark.parametrize("g, truncation", CASES)

@@ -20,6 +20,7 @@ from pdcqkd.source import (
 )
 from pdcqkd.engine import (
     _MATCHED,
+    _alias_draw,
     _EpContext,
     _ep_batch,
     _prepared_batch,
@@ -95,8 +96,11 @@ class TestPairDistribution:
         ):
             with pytest.raises(ValueError, match="mean photon number"):
                 SourceParams(**params)
-        at_limit = SourceParams(Scheme.WEAK_COHERENT, mu_prime=MAX_MEAN_PHOTONS)
-        assert at_limit.mean_photons == MAX_MEAN_PHOTONS
+        SourceParams(Scheme.WEAK_COHERENT, mu_prime=MAX_MEAN_PHOTONS)
+        # the gain of a pdc mean at the limit converts back to a little more,
+        # and is accepted
+        pdc = SourceParams(Scheme.TRIGGERED_PDC, g=g_for_single_arm_mean(MAX_MEAN_PHOTONS))
+        assert single_arm_mean(pdc.g) > MAX_MEAN_PHOTONS
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError):
@@ -138,7 +142,7 @@ class TestSamplers:
 
     def test_deterministic_pair_config(self):
         table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.0, **ETA)).joint
-        entry = table.draw(np.random.default_rng(5).random(1_000))
+        entry = _alias_draw(table.cut, table.alias, np.random.default_rng(5).random(1_000))
         for column in (table.a0, table.a1, table.b0, table.b1):
             assert not column.take(entry).any()
 
@@ -146,7 +150,7 @@ class TestSamplers:
         # a matched entry carries its pair configuration (m, n) in both arms
         table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.1, **ETA)).joint
         n = 400_000
-        entry = table.draw(np.random.default_rng(7).random(n))
+        entry = _alias_draw(table.cut, table.alias, np.random.default_rng(7).random(n))
         hits = np.count_nonzero(
             (table.kind.take(entry) == _MATCHED)
             & (table.a0.take(entry) == 1)
