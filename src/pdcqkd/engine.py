@@ -1,12 +1,12 @@
 """Monte Carlo protocol engine for the three key-distribution schemes.
 
 Trials are partitioned into fixed-size batches; batch ``i`` of a run draws
-from its own counter-based Philox stream keyed by (master seed, i), so the
-aggregated integer counts -- and therefore the whole report -- are
-bit-identical for a fixed seed regardless of how batches are spread over
-workers.  Changing BATCH_SIZE changes the streams and is part of the
-reproducibility contract; so is any change to the draws a kernel makes,
-which bumps STREAM_VERSION.
+from its own SFC64 stream, seeded by ``SeedSequence(master_seed,
+spawn_key=(i,))``, so the aggregated integer counts -- and therefore the
+whole report -- are bit-identical for a fixed seed regardless of how batches
+are spread over workers.  Changing BATCH_SIZE changes the streams and is part
+of the reproducibility contract; so is any change to the generator or to the
+draws a kernel makes, which bumps STREAM_VERSION.
 
 The entangled-pair kernel draws each trial's emission, analyzer bases and
 photon counts with one uniform from a joint table (Walker's alias method).
@@ -88,8 +88,9 @@ CHUNK_SIZE = 1 << 13
 # 2: one joint-table draw and per-count detector thresholds;
 # 3: the same for the wcs/pdc kernel (ep streams as in 2);
 # 4: each ep side's two detectors on one uniform, one interposer uniform
-#    (wcs/pdc streams as in 3).
-STREAM_VERSION = 4
+#    (wcs/pdc streams as in 3);
+# 5: each batch draws from SFC64 seeded by SeedSequence (every draw as in 4).
+STREAM_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +498,8 @@ def _prepared_batch(
 
 
 def _batch_rng(master_seed: int, batch_index: int) -> np.random.Generator:
-    # a numpy integer seed would shift out of its 64 bits
-    key = (int(master_seed) << 64) | batch_index
-    return np.random.Generator(np.random.Philox(key=key))
+    seed = np.random.SeedSequence(int(master_seed), spawn_key=(batch_index,))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _run_batch_range(params: _RunParams, start: int, stop: int) -> _Counts:

@@ -665,17 +665,16 @@ class TestChunks:
 
 
 class TestStreams:
-    """Exact counts of four runs: the ep rows recorded when STREAM_VERSION
-    was 4, the wcs/pdc rows when it was 3."""
+    """Exact counts of four runs, recorded when STREAM_VERSION was 5."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
     # triggered, blocked
     PINNED = {
-        "ep": (65659, 65503, 156, 3983, 15, 195, 0, 0),
-        "ep-pns": (65659, 65482, 177, 3735, 140, 142, 0, 7356),
-        "wcs-pns": (65659, 65659, 0, 9984, 0, 0, 65659, 5844),
-        "pdc": (65659, 65659, 0, 1191, 0, 0, 3657, 0),
+        "ep": (65659, 65505, 154, 4040, 6, 184, 0, 0),
+        "ep-pns": (65659, 65471, 188, 3570, 132, 140, 0, 7398),
+        "wcs-pns": (65659, 65659, 0, 9999, 0, 0, 65659, 5897),
+        "pdc": (65659, 65659, 0, 1177, 0, 0, 3674, 0),
     }
 
     def configs(self):
@@ -725,6 +724,26 @@ class TestStreams:
             r.eve_blocked_count,
         )
         assert got == self.PINNED[name], (
-            f"the {name} stream changed: if the kernel's draws changed on purpose, "
-            f"bump STREAM_VERSION (now {STREAM_VERSION}) and record the new counts"
+            f"the {name} stream changed: if the generator or the kernel's draws changed "
+            f"on purpose, bump STREAM_VERSION (now {STREAM_VERSION}) and record the new counts"
         )
+
+    SEEDS = [0, 7, np.uint64(7), 2**64 - 1]
+    BATCHES = [0, 1, 2**40]
+
+    @pytest.mark.parametrize("batch_index", BATCHES)
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_batch_stream_is_sfc64_keyed_by_seed_sequence(self, seed, batch_index):
+        seq = np.random.SeedSequence(seed, spawn_key=(batch_index,))
+        expected = np.random.Generator(np.random.SFC64(seq)).random(8)
+        np.testing.assert_array_equal(_batch_rng(seed, batch_index).random(8), expected)
+
+    def test_distinct_keys_give_distinct_streams(self):
+        draws = {}
+        for seed in self.SEEDS:
+            for b in self.BATCHES:
+                first = tuple(_batch_rng(seed, b).random(8))
+                # np.uint64(7) keys the same streams as 7
+                assert draws.setdefault((int(seed), b), first) == first
+        assert len(draws) == 9
+        assert len(set(draws.values())) == len(draws)
