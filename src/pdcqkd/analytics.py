@@ -216,7 +216,7 @@ def exact_rates_oracle(
 
     xi4 = (1.0 - g * g) ** 2
     dc_x = bob_none_x = 0.0
-    for pair in ((fock.Basis.PLUS, fock.Basis.CROSS), (fock.Basis.CROSS, fock.Basis.PLUS)):
+    for pair in fock.MISMATCHED:
         for total in range(truncation + 1):
             sector_w = (total + 1) * xi4 * g ** (2 * total)
             occs, probs = fock.sector_distribution(total, *pair)

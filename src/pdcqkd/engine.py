@@ -286,7 +286,7 @@ class _EpContext(_BatchContext):
     ``sector_tables`` maps (basis combo, sector total) to the inverse-CDF
     table ``(cdf, a0, a1, b0, b1)`` of the mismatched-basis occupations, for
     every total from 0 (the vacuum, one occupation) to the truncation, combo
-    by combo; combo 0 is Alice at + and Bob at x.  The joint table is derived
+    by combo in the order of ``fock.MISMATCHED``.  The joint table is derived
     from it on first use, so it always reflects the sector tables the kernel
     sees.
     ``fire_a``/``fire_b`` are each side's per-count fire tables, and
@@ -297,10 +297,7 @@ class _EpContext(_BatchContext):
         truncation = params.source.truncation_order
         self.dist = pair_distribution(params.source)
         self.sector_tables = {}
-        for combo, pair in (
-            (0, (fock.Basis.PLUS, fock.Basis.CROSS)),
-            (1, (fock.Basis.CROSS, fock.Basis.PLUS)),
-        ):
+        for combo, pair in enumerate(fock.MISMATCHED):
             for total in range(truncation + 1):
                 occs, probs = fock.sector_distribution(total, *pair)
                 arr = np.array(occs, dtype=np.int64)

@@ -21,8 +21,9 @@ from pdcqkd.analytics import (
 from pdcqkd.config import ExperimentConfig
 from pdcqkd.engine import BATCH_SIZE, run_experiment
 from pdcqkd.eve import AUTO, PnsConfig
-from pdcqkd.fock import FockSuperposition, rotate_side, verify_basis_invariance
 from pdcqkd.source import Scheme, g_for_mean
+
+from fock_reference import FockSuperposition, rotate_side, verify_basis_invariance
 
 
 def _verdict(label: str, ok: bool) -> None:

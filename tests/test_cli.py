@@ -735,6 +735,23 @@ class TestMain:
         assert row["r_exp"] == analytics.exact_rates_oracle(0.3, 0.6, 1.0, 4).r_key
         assert row["r_multi"] == analytics.ep_pns_oracle(0.3, 0.6, 0.0, 4).delivered_rate
 
+    @pytest.mark.parametrize("attack", [[], ["--attack", "pns"]])
+    def test_deepest_truncation_gives_probabilities(self, attack, capsys):
+        # g 0.99 keeps most of the mass in sectors near the truncation
+        code = main(
+            ["analytic", "--scheme", "ep", "--g", "0.99", "--eta-a", "0.6", "--eta-b", "0.7",
+             "--eta-l", "0.5", "--truncation", "127", "--format", "json", *attack]
+        )
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        probabilities = {
+            key: value for key, value in row.items()
+            if key.endswith(("_oracle", "_formula")) or key in ("r_exp", "r_multi")
+        }
+        assert (row["double_click_mismatched_oracle"] is None) == bool(attack)
+        assert (row["r_multi"] is None) != bool(attack)
+        assert all(0.0 <= v <= 1.0 for v in probabilities.values() if v is not None), row
+
     @pytest.mark.parametrize(
         "args, field",
         [

@@ -89,9 +89,7 @@ class TestEpJointTable:
         for c, w in zip(dist.configs, dist.probabilities):
             assert matched[(c.m, c.n)] == pytest.approx(w / 2, abs=1e-12)
 
-        for combo, bases in enumerate(
-            [(fock.Basis.PLUS, fock.Basis.CROSS), (fock.Basis.CROSS, fock.Basis.PLUS)]
-        ):
+        for combo, bases in enumerate(fock.MISMATCHED):
             rows = np.flatnonzero(table.kind == _MISMATCHED + combo)
             for total in range(truncation + 1):
                 p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.total == total)

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcqkd.fock import (
-    Basis,
+from pdcqkd.fock import MISMATCHED, Basis, sector_distribution
+
+from fock_reference import (
     FockSuperposition,
     build_sector_state,
     build_truncated_state,
     joint_count_distribution,
     rotate_side,
-    sector_distribution,
     verify_basis_invariance,
 )
 
@@ -129,3 +129,37 @@ class TestCountDistributions:
         assert len(occs) == 4
         for p in probs:
             assert p == pytest.approx(0.25, abs=1e-12)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("total", [0, 1, 2, 27, 28, 64, 127])
+    def test_sums_to_one_with_every_entry_positive(self, total):
+        for bases in MISMATCHED:
+            occs, probs = sector_distribution(total, *bases)
+            assert abs(math.fsum(probs) - 1.0) <= 1e-15
+            assert min(probs) > 0.0 and list(occs) == sorted(occs)
+
+    @pytest.mark.parametrize("total", [0, 1, 2, 5, 28, 127])
+    def test_cross_plus_is_plus_cross_with_the_sides_swapped(self, total):
+        occs, probs = sector_distribution(total, Basis.PLUS, Basis.CROSS)
+        swapped = {(b0, b1, a0, a1): p for (a0, a1, b0, b1), p in zip(occs, probs)}
+        assert dict(zip(*sector_distribution(total, Basis.CROSS, Basis.PLUS))) == swapped
+
+    @pytest.mark.parametrize("bases", MISMATCHED)
+    def test_matches_the_float_rotation_at_small_totals(self, bases):
+        for total in range(31):
+            table = dict(zip(*sector_distribution(total, *bases)))
+            reference = joint_count_distribution(build_sector_state(total), *bases)
+            for occ in table.keys() | reference.keys():
+                assert table.get(occ, 0.0) == pytest.approx(reference.get(occ, 0.0), abs=1e-14)
+            # the rotation leaves float residue where the Krawtchouk value is 0
+            residue = reference.keys() - table.keys()
+            assert table.keys() <= reference.keys()
+            assert not residue if total <= 27 else max((reference[o] for o in residue), default=0.0) <= 6e-28
+
+    @pytest.mark.parametrize(
+        "total, bases", [(2, (b, b)) for b in Basis] + [(-1, bases) for bases in MISMATCHED]
+    )
+    def test_matched_bases_and_negative_totals_raise(self, total, bases):
+        with pytest.raises(ValueError):
+            sector_distribution(total, *bases)
