@@ -205,7 +205,8 @@ def exact_rates_oracle(
     """Enumerate every retained pair configuration and click pattern exactly.
 
     Matched-basis rounds come from ``_matched_basis``; mismatched-basis
-    statistics come from the sector-conditioned Fock count distributions.
+    statistics come from the sector-conditioned Fock count distribution,
+    which both mismatched combos share.
     The 1/2 basis coincidence factor is included in every rate.
     """
     GAIN.require(g=g)
@@ -216,14 +217,13 @@ def exact_rates_oracle(
 
     xi4 = (1.0 - g * g) ** 2
     dc_x = bob_none_x = 0.0
-    for pair in fock.MISMATCHED:
-        for total in range(truncation + 1):
-            sector_w = (total + 1) * xi4 * g ** (2 * total)
-            occs, probs = fock.sector_distribution(total, *pair)
-            for (a0, a1, b0, b1), q in zip(occs, probs):
-                pb0, pb1 = _fire(eta_bl, b0), _fire(eta_bl, b1)
-                dc_x += 0.5 * sector_w * q * pb0 * pb1
-                bob_none_x += 0.5 * sector_w * q * (1.0 - pb0) * (1.0 - pb1)
+    for total in range(truncation + 1):
+        sector_w = (total + 1) * xi4 * g ** (2 * total)
+        occs, probs = fock.sector_distribution(total)
+        for (_, _, b0, b1), q in zip(occs, probs):
+            pb0, pb1 = _fire(eta_bl, b0), _fire(eta_bl, b1)
+            dc_x += sector_w * q * pb0 * pb1
+            bob_none_x += sector_w * q * (1.0 - pb0) * (1.0 - pb1)
 
     r_key = 0.5 * matched.sift / retained
     r_err = 0.5 * matched.err / retained

@@ -7,6 +7,7 @@ from typing import Optional
 
 from .eve import PnsConfig
 from .source import (
+    FINITE,
     GAIN,
     INTEGER,
     MEAN,
@@ -128,6 +129,7 @@ def validate(config: ExperimentConfig) -> list[str]:
             errors.append(
                 f"sweep.param: must be one of {SWEEPABLE}, got {sw.param!r}"
             )
+        errors += FINITE.violations(**{"sweep.start": sw.start, "sweep.stop": sw.stop})
         if sw.scale not in ("linear", "log"):
             errors.append(f"sweep.scale: must be 'linear' or 'log', got {sw.scale!r}")
         elif sw.scale == "log" and (sw.start <= 0 or sw.stop <= 0):

@@ -13,12 +13,13 @@ photon counts with one uniform from a joint table (Walker's alias method).
 Its entries are the truncation-exceeded event; matched bases with each pair
 configuration, where the classical per-photon model is exact because the
 source state keeps its form under an identical basis change on both sides;
-and each mismatched basis combo with each occupation of each per-side-total
-sector, from total 0 up, drawn from the sector-conditioned Fock
-distributions, which carry the two-photon interference the classical model
-misses.  Each side's two detectors then fire on one uniform in
-``_two_detectors``, against thresholds per count pair that make them
-independent yes/no detectors, each firing with probability 1 - (1 - eta)^n.
+and each occupation of each per-side-total sector, from total 0 up, in a
+mismatched-basis round, drawn from the sector-conditioned Fock distribution
+that both mismatched combos share, which carries the two-photon interference
+the classical model misses.  Each side's two detectors then fire on one
+uniform in ``_two_detectors``, against thresholds per count pair that make
+them independent yes/no detectors, each firing with probability
+1 - (1 - eta)^n.
 Under attack Bob's arm first passes through ``_intercept`` on one more
 uniform, which decides the stored photon of a multi-photon arm or the block
 of a single photon: no arm is both, and the truncation-exceeded entry holds
@@ -89,8 +90,9 @@ CHUNK_SIZE = 1 << 13
 # 3: the same for the wcs/pdc kernel (ep streams as in 2);
 # 4: each ep side's two detectors on one uniform, one interposer uniform
 #    (wcs/pdc streams as in 3);
-# 5: each batch draws from SFC64 seeded by SeedSequence (every draw as in 4).
-STREAM_VERSION = 5
+# 5: each batch draws from SFC64 seeded by SeedSequence (every draw as in 4);
+# 6: one mismatched-basis block in the ep joint table (wcs/pdc streams as in 5).
+STREAM_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,7 @@ def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray
     return np.where(x < cut.take(i), i, alias.take(i))
 
 
-# Entry kinds of the joint table; mismatched combo c has kind _MISMATCHED + c.
+# Entry kinds of the joint table; both mismatched combos share _MISMATCHED.
 _EXCEEDED, _MATCHED, _MISMATCHED = 0, 1, 2
 
 
@@ -223,7 +225,9 @@ class _JointTable:
     photon counts ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The
     entries are the truncation-exceeded event (no photons), each matched
     basis pair with pair configuration (m, n) and counts (m, n, m, n), and
-    each mismatched basis combo with each occupation of each sector total.
+    each occupation of each sector total in a mismatched-basis round, at the
+    total's probability times 1/2 (either mismatched combo) times its sector
+    probability.
     ``pair_a`` and ``pair_b`` are the ``_pair_index`` of each side's counts
     at ``width``, the truncation plus one.
     """
@@ -247,13 +251,13 @@ class _JointTable:
             (0.5 * w, _MATCHED, c.m, c.n, c.m, c.n)
             for c, w in zip(dist.configs, dist.probabilities)
         ]
-        for (combo, total), (cdf, *occupations) in sector_tables.items():
-            weight = 0.25 * dist.probabilities[totals == total].sum()
+        for total, (cdf, *occupations) in sector_tables.items():
+            weight = 0.5 * dist.probabilities[totals == total].sum()
             # the last occupation takes all mass beyond the one before, as
             # inverse-CDF sampling of ``cdf`` does
             q = np.diff(cdf[:-1], prepend=0.0, append=1.0)
             rows += [
-                (weight * qj, _MISMATCHED + combo, *occ) for qj, occ in zip(q, zip(*occupations))
+                (weight * qj, _MISMATCHED, *occ) for qj, occ in zip(q, zip(*occupations))
             ]
         probabilities = np.array([r[0] for r in rows])
         kind, a0, a1, b0, b1 = np.array([r[1:] for r in rows], dtype=np.int8).T
@@ -283,10 +287,10 @@ class _BatchContext:
 class _EpContext(_BatchContext):
     """Per-run tables of the entangled-pair kernel.
 
-    ``sector_tables`` maps (basis combo, sector total) to the inverse-CDF
-    table ``(cdf, a0, a1, b0, b1)`` of the mismatched-basis occupations, for
-    every total from 0 (the vacuum, one occupation) to the truncation, combo
-    by combo in the order of ``fock.MISMATCHED``.  The joint table is derived
+    ``sector_tables`` maps each sector total, from 0 (the vacuum, one
+    occupation) to the truncation, to the inverse-CDF table
+    ``(cdf, a0, a1, b0, b1)`` of its mismatched-basis occupations, which both
+    mismatched combos share (see ``fock``).  The joint table is derived
     from it on first use, so it always reflects the sector tables the kernel
     sees.
     ``fire_a``/``fire_b`` are each side's per-count fire tables, and
@@ -297,17 +301,11 @@ class _EpContext(_BatchContext):
         truncation = params.source.truncation_order
         self.dist = pair_distribution(params.source)
         self.sector_tables = {}
-        for combo, pair in enumerate(fock.MISMATCHED):
-            for total in range(truncation + 1):
-                occs, probs = fock.sector_distribution(total, *pair)
-                arr = np.array(occs, dtype=np.int64)
-                self.sector_tables[(combo, total)] = (
-                    np.cumsum(np.asarray(probs)),
-                    arr[:, 0],
-                    arr[:, 1],
-                    arr[:, 2],
-                    arr[:, 3],
-                )
+        for total in range(truncation + 1):
+            occs, probs = fock.sector_distribution(total)
+            self.sector_tables[total] = (
+                np.cumsum(np.asarray(probs)), *np.array(occs, dtype=np.int64).T
+            )
         # no mode holds more photons than the truncation allows pairs
         self.fire_a = _fire_table(params.channel.eta_a, truncation)
         self.fire_b = _fire_table(params.bob_eta, truncation)

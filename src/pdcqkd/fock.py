@@ -1,4 +1,4 @@
-"""Mismatched-basis count tables of the two-crystal source, in closed form.
+"""Mismatched-basis count table of the two-crystal source, in closed form.
 
 Occupations are four-mode tuples (A-mode0, A-mode1, B-mode0, B-mode1).  The
 sector of t pairs per side is sum_m |m, t-m>_A |m, t-m>_B / sqrt(t+1).  The
@@ -14,6 +14,13 @@ so different m never interfere: with Alice at + and Bob at x, the occupation
 
     C(t, m) K(m, x)^2 / (C(t, x) 2^t (t+1)).
 
+Both mismatched combos share this one table.  The sector state is a power of
+a0'b0' + a1'b1' = a0 b0 + a1 b1, so rotating both sides leaves it unchanged,
+and the rotation is its own inverse: rotating Alice's side alone gives the
+same state as rotating Bob's alone.  In the closed form this is
+C(t, m) |K(m, x)| = C(t, x) |K(x, m)|, so the table is also unchanged when the
+sides are swapped.
+
 K is built in integers, and each probability is one int-by-int division,
 which Python rounds correctly.  So every entry carries a single rounding at
 any total, where summing the alternating binomial terms in floats would
@@ -22,7 +29,6 @@ which is why sector-conditioned sampling in the protocol engine is exact.
 """
 from __future__ import annotations
 
-import enum
 import math
 from functools import lru_cache
 from itertools import accumulate
@@ -30,30 +36,14 @@ from itertools import accumulate
 Occupation = tuple[int, int, int, int]
 
 
-class Basis(enum.Enum):
-    PLUS = "+"
-    CROSS = "x"
-
-
-# The mismatched combos in the engine's order: combo 0 is Alice at + and Bob at x.
-MISMATCHED = ((Basis.PLUS, Basis.CROSS), (Basis.CROSS, Basis.PLUS))
-
-
 @lru_cache(maxsize=None)
-def sector_distribution(
-    total_pairs: int, basis_a: Basis, basis_b: Basis
-) -> tuple[tuple[Occupation, ...], tuple[float, ...]]:
-    """Cached count distribution of one per-side-total sector in a mismatched
-    combo, as parallel tuples of sorted occupation and probability; the
+def sector_distribution(total_pairs: int) -> tuple[tuple[Occupation, ...], tuple[float, ...]]:
+    """Cached mismatched-basis count distribution of one per-side-total
+    sector, as parallel tuples of sorted occupation and probability; the
     probabilities sum to 1 and occupations of probability 0 are left out."""
     t = total_pairs
-    if (basis_a, basis_b) == MISMATCHED[1]:
-        # Alice rotates instead of Bob: the same table with the sides swapped
-        occs, probs = sector_distribution(t, *MISMATCHED[0])
-        table = sorted(((b0, b1, a0, a1), p) for (a0, a1, b0, b1), p in zip(occs, probs))
-        return tuple(o for o, _ in table), tuple(p for _, p in table)
-    if (basis_a, basis_b) != MISMATCHED[0] or t < 0:
-        raise ValueError(f"no mismatched sector {t} at bases {basis_a.value}{basis_b.value}")
+    if t < 0:
+        raise ValueError(f"no sector of total {t}")
     occs, probs = [], []
     c = [math.comb(t, x) for x in range(t + 1)]
     k = [cx * (-1) ** (t - x) for x, cx in enumerate(c)]  # (z-1)^t

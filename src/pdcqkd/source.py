@@ -66,6 +66,7 @@ class Rule:
 # Every input rule of the model, written once.
 GAIN = Rule(lambda g: 0.0 <= g < 1.0, "must lie in [0, 1)")
 UNIT = Rule(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+FINITE = Rule(math.isfinite, "must be finite")
 MEAN = Rule(lambda mu: 0.0 <= mu < math.inf, "must be finite and >= 0")
 # checked after MEAN or GAIN, which exclude negative and infinite values
 MEAN_PHOTONS = Rule(

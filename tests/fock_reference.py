@@ -14,13 +14,19 @@ only at small totals.
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
-from pdcqkd.fock import Basis, Occupation
+from pdcqkd.fock import Occupation
 from pdcqkd.source import GAIN
 
 PRUNE_TOL = 1e-14
+
+
+class Basis(enum.Enum):
+    PLUS = "+"
+    CROSS = "x"
 
 
 def other(basis: Basis) -> Basis:

@@ -581,6 +581,18 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert any(msg.startswith(field) for msg in err["messages"])
 
+    @pytest.mark.parametrize(
+        "sweep, field",
+        [("g:0.1:inf:3", "sweep.stop"), ("g:nan:0.3:3", "sweep.start"),
+         ("eta_a:-inf:0.5:3", "sweep.start")],
+    )
+    def test_non_finite_sweep_bound_exits_2_naming_it(self, sweep, field, capsys):
+        # rejected as given, not as the point it would produce
+        assert main(["sweep", "--scheme", "ep", "--g", "0.3", "--trials", "0",
+                     "--sweep", sweep]) == 2
+        (message,) = json.loads(capsys.readouterr().err)["messages"]
+        assert message.startswith(f"{field}: must be finite, got ")
+
     @pytest.mark.parametrize("sigma", ["abc", "nan", "-1", "0", "inf"])
     def test_compare_sigma_is_checked_before_any_trial(self, sigma, monkeypatch, capsys):
         def no_run(*args):

@@ -75,6 +75,7 @@ class TestEpJointTable:
         dist = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, g, truncation))
         p = table.probabilities
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert set(table.kind.tolist()) == {_EXCEEDED, _MATCHED, _MISMATCHED}
         (exceeded,) = np.flatnonzero(table.kind == _EXCEEDED)
         assert p[exceeded] == pytest.approx(dist.tail, abs=1e-12)
         assert table.a0[exceeded] == table.a1[exceeded] == 0
@@ -89,25 +90,28 @@ class TestEpJointTable:
         for c, w in zip(dist.configs, dist.probabilities):
             assert matched[(c.m, c.n)] == pytest.approx(w / 2, abs=1e-12)
 
-        for combo, bases in enumerate(fock.MISMATCHED):
-            rows = np.flatnonzero(table.kind == _MISMATCHED + combo)
-            for total in range(truncation + 1):
-                p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.total == total)
-                got = {
-                    (table.a0[j], table.a1[j], table.b0[j], table.b1[j]): p[j]
-                    for j in rows
-                    if table.a0[j] + table.a1[j] == total
-                }
-                occs, probs = fock.sector_distribution(total, *bases)
-                assert sorted(got) == sorted(occs)
-                for occ, q in zip(occs, probs):
-                    assert got[occ] == pytest.approx(p_total / 4 * q, abs=1e-12)
+        # one mismatched block per total, at P(total)/2 for either combo
+        rows = np.flatnonzero(table.kind == _MISMATCHED)
+        for total in range(truncation + 1):
+            p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.total == total)
+            block = [j for j in rows if table.a0[j] + table.a1[j] == total]
+            got = {(table.a0[j], table.a1[j], table.b0[j], table.b1[j]): p[j] for j in block}
+            occs, probs = fock.sector_distribution(total)
+            assert len(block) == len(got) and sorted(got) == sorted(occs)
+            assert p[block].sum() == pytest.approx(p_total / 2, abs=1e-12)
+            for occ, q in zip(occs, probs):
+                assert got[occ] == pytest.approx(p_total / 2 * q, abs=1e-12)
+
+    @pytest.mark.parametrize("truncation, entries", [(2, 20), (3, 40)])
+    def test_entry_count(self, truncation, entries):
+        # 1 exceeded + (t+1)(t+2)/2 matched + the sector tables' occupations
+        assert len(self.context(0.3, truncation).joint.probabilities) == entries
 
     @pytest.mark.parametrize("truncation", [2, 3])
     def test_sector_tables_cover_every_total_from_vacuum(self, truncation):
         tables = self.context(0.3, truncation).sector_tables
-        assert list(tables) == [(c, t) for c in (0, 1) for t in range(truncation + 1)]
-        cdf, *occupations = tables[(0, 0)]
+        assert list(tables) == list(range(truncation + 1))
+        cdf, *occupations = tables[0]
         assert cdf.tolist() == [1.0] and [o.tolist() for o in occupations] == [[0]] * 4
 
     @pytest.mark.parametrize("g, truncation", CASES)
@@ -663,14 +667,15 @@ class TestChunks:
 
 
 class TestStreams:
-    """Exact counts of four runs, recorded when STREAM_VERSION was 5."""
+    """Exact counts of four runs: ``wcs-pns`` and ``pdc`` recorded when
+    STREAM_VERSION was 5, ``ep`` and ``ep-pns`` when it was 6."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
     # triggered, blocked
     PINNED = {
-        "ep": (65659, 65505, 154, 4040, 6, 184, 0, 0),
-        "ep-pns": (65659, 65471, 188, 3570, 132, 140, 0, 7398),
+        "ep": (65659, 65505, 154, 3968, 6, 186, 0, 0),
+        "ep-pns": (65659, 65471, 188, 3604, 147, 137, 0, 7402),
         "wcs-pns": (65659, 65659, 0, 9999, 0, 0, 65659, 5897),
         "pdc": (65659, 65659, 0, 1177, 0, 0, 3674, 0),
     }
