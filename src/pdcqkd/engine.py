@@ -17,13 +17,17 @@ and each occupation of each per-side-total sector, from total 0 up, in a
 mismatched-basis round, drawn from the sector-conditioned Fock distribution
 that both mismatched combos share, which carries the two-photon interference
 the classical model misses.  Each side's two detectors then fire on one
-uniform in ``_two_detectors``, against thresholds per count pair that make
-them independent yes/no detectors, each firing with probability
-1 - (1 - eta)^n.
-Under attack Bob's arm first passes through ``_intercept`` on one more
+uniform in ``_two_detectors``, against thresholds that make them independent
+yes/no detectors, each firing with probability 1 - (1 - eta)^n.
+Under attack Bob's arm first passes through the PNS interposer on one more
 uniform, which decides the stored photon of a multi-photon arm or the block
 of a single photon: no arm is both, and the truncation-exceeded entry holds
 no photons, so every entry goes through it.
+Everything that depends only on the drawn entry is tabulated per entry once
+per run context, so a trial indexes the tables with its entry: each side's
+detector thresholds at its counts, and the interposer as an ``_Interposer``,
+one threshold per entry with a low and a high way, each with its own row of
+Bob's thresholds.
 The prepare-and-measure kernel draws the photon number with Alice's bit and
 both bases from one alias table in the same way; the ``pdc`` herald fires on
 a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors go through
@@ -31,7 +35,8 @@ a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors go through
 detector law in the matched basis and binomial loss followed by a 50:50
 split in the other.  Both kernels draw only uniforms, all of a batch's with
 one call, and share the sift and tally stage, ``_tally``; under attack the
-prepared kernel applies ``_intercept``'s rule to photon totals.
+prepared kernel goes through an ``_Interposer`` built by the same rule, with
+all of an entry's photons in the mode of Alice's bit.
 
 That call goes through the run context's ``uniforms`` into one float64
 buffer, which every batch of a batch range reuses.  The kernel then runs its
@@ -157,20 +162,12 @@ def _fire_table(eta: float, max_count: int) -> np.ndarray:
     return 1.0 - (1.0 - eta) ** np.arange(max_count + 1, dtype=np.float64)
 
 
-def _pair_index(n0: np.ndarray, n1: np.ndarray, width: int) -> np.ndarray:
-    """Flat index ``n0 * width + n1`` of the count pairs (n0, n1), computed in
-    ``intp``: past a truncation of 10 it no longer fits the int8 counts."""
-    return n0.astype(np.intp) * width + n1
-
-
-def _pair_thresholds(fire: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_thresholds(f0: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thresholds of ``_two_detectors`` for two independent yes/no detectors
-    with per-count fire table ``fire``, over the ``_pair_index`` of
-    (n0, n1) with width ``len(fire)``: D0 fires on [0, f0) and D1 on
-    [f0 (1 - f1), f0 (1 - f1) + f1), which overlap on a length f0 f1."""
-    f0, f1 = fire[:, None], fire[None, :]
+    that fire with probabilities ``f0`` and ``f1``: D0 fires on [0, f0) and
+    D1 on [f0 (1 - f1), f0 (1 - f1) + f1), which overlap on a length f0 f1."""
     d1_lo = f0 * (1.0 - f1)
-    return np.broadcast_to(f0, d1_lo.shape).ravel(), d1_lo.ravel(), (d1_lo + f1).ravel()
+    return f0, d1_lo, d1_lo + f1
 
 
 def _two_detectors(u, index, d0, d1_lo, d1_hi):
@@ -192,17 +189,21 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = 1 << (len(weights) - 1).bit_length()
     scaled = np.zeros(k)
     scaled[: len(weights)] = weights * (k / weights.sum())
-    alias = np.arange(k)
-    small = [i for i in range(k) if scaled[i] < 1.0]
-    large = [i for i in range(k) if scaled[i] >= 1.0]
+    # Python floats round as float64 scalars do, and the loop runs faster
+    # on them than on numpy's
+    scaled = scaled.tolist()
+    alias = list(range(k))
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
     while small and large:
         s, l = small.pop(), large.pop()
         alias[s] = l
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
     # what is left over holds weight 1 up to rounding
-    scaled[small + large] = 1.0
-    return np.arange(k) + scaled, alias
+    for i in small + large:
+        scaled[i] = 1.0
+    return np.arange(k) + np.array(scaled), np.array(alias, dtype=np.intp)
 
 
 def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -228,8 +229,6 @@ class _JointTable:
     each occupation of each sector total in a mismatched-basis round, at the
     total's probability times 1/2 (either mismatched combo) times its sector
     probability.
-    ``pair_a`` and ``pair_b`` are the ``_pair_index`` of each side's counts
-    at ``width``, the truncation plus one.
     """
 
     probabilities: np.ndarray
@@ -240,11 +239,9 @@ class _JointTable:
     b1: np.ndarray
     cut: np.ndarray
     alias: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
 
     @classmethod
-    def build(cls, dist: PairDistribution, sector_tables: dict, width: int) -> "_JointTable":
+    def build(cls, dist: PairDistribution, sector_tables: dict) -> "_JointTable":
         totals = np.array([c.total for c in dist.configs])
         rows = [(dist.tail, _EXCEEDED, 0, 0, 0, 0)]
         rows += [
@@ -261,10 +258,67 @@ class _JointTable:
             ]
         probabilities = np.array([r[0] for r in rows])
         kind, a0, a1, b0, b1 = np.array([r[1:] for r in rows], dtype=np.int8).T
-        return cls(
-            probabilities, kind, a0, a1, b0, b1, *_alias_table(probabilities),
-            _pair_index(a0, a1, width), _pair_index(b0, b1, width),
-        )
+        # freed before the alias table builds its own lists: at truncation 127
+        # each holds some 10^6 Python objects
+        del rows
+        return cls(probabilities, kind, a0, a1, b0, b1, *_alias_table(probabilities))
+
+
+@dataclass(frozen=True)
+class _Interposer:
+    """The PNS interposer on Bob's arm, tabulated over the entries of a
+    table whose entry ``j`` holds ``b0[j]``/``b1[j]`` photons in Bob's two
+    modes, for a trial's uniform ``u``.
+
+    A multi-photon signal loses one photon, taken from mode 1 when
+    ``u * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
+    otherwise; a single photon is blocked when ``u < p_block``; vacuum, which
+    includes the truncation-exceeded entry, passes.  No entry is both multi
+    and single, so one threshold per entry, ``split``, decides each: a trial
+    goes the low way when ``u < split`` and the high way otherwise.  For a
+    multi-photon entry ``split`` is the least double ``t`` with
+    ``t * total >= b1``, so ``u < split`` exactly when ``u * total < b1``;
+    for a single photon it is ``p_block``, and for vacuum 0.
+
+    ``multi`` marks the multi-photon entries, and ``f0``/``f1`` are the
+    counts forwarded on row ``2 j + low``.
+    """
+
+    split: np.ndarray
+    multi: np.ndarray
+    f0: np.ndarray
+    f1: np.ndarray
+
+    @classmethod
+    def build(cls, b0: np.ndarray, b1: np.ndarray, p_block: float) -> "_Interposer":
+        total = b0 + b1
+        multi, single = total >= 2, total == 1
+        # from the rounded quotient, one ulp at a time to the least such t
+        t = np.divide(b1, total, out=np.zeros(len(total)), where=multi)
+        while True:
+            below = np.nextafter(t, -np.inf)
+            up = multi & (t * total < b1)
+            down = multi & (below * total >= b1)
+            if not (up.any() or down.any()):
+                break
+            t = np.where(up, np.nextafter(t, np.inf), np.where(down, below, t))
+        # a multi-photon entry with no photon in one mode never goes that
+        # mode's way (its split is 0 or 1); the clamp keeps that row's counts
+        high = (np.maximum(b0 - multi, 0), b1)
+        low = (np.where(single, 0, b0), np.where(single, 0, np.maximum(b1 - multi, 0)))
+        f0, f1 = (np.stack(way, axis=1).ravel() for way in zip(high, low))
+        return cls(np.where(single, p_block, t), multi, f0, f1)
+
+    def apply(self, entry: np.ndarray, u: np.ndarray):
+        """The trials' rows ``2 entry + low``, on their uniforms ``u``, and
+        the ``(multi, stored, blocked)`` masks of ``_tally``: the low way
+        stores the photon of mode 1 of a multi-photon entry and blocks a
+        single photon."""
+        low = u < self.split.take(entry)
+        multi = self.multi.take(entry)
+        # vacuum never goes the low way, so a low trial that is not multi is
+        # a blocked single photon
+        return 2 * entry + low, (multi, low, low & ~multi)
 
 
 class _BatchContext:
@@ -290,16 +344,21 @@ class _EpContext(_BatchContext):
     ``sector_tables`` maps each sector total, from 0 (the vacuum, one
     occupation) to the truncation, to the inverse-CDF table
     ``(cdf, a0, a1, b0, b1)`` of its mismatched-basis occupations, which both
-    mismatched combos share (see ``fock``).  The joint table is derived
-    from it on first use, so it always reflects the sector tables the kernel
-    sees.
-    ``fire_a``/``fire_b`` are each side's per-count fire tables, and
-    ``alice``/``bob`` their ``_pair_thresholds``.
+    mismatched combos share (see ``fock``).  ``fire_a``/``fire_b`` are each
+    side's per-count fire tables.
+
+    Everything the kernel looks up per trial is tabulated per entry of the
+    joint table, and derived from the sector tables on first use, so it
+    always reflects the sector tables the kernel sees: ``alice`` holds
+    Alice's ``_pair_thresholds`` at each entry, ``interposer`` the
+    ``_Interposer`` of Bob's counts, and ``bob`` Bob's thresholds at each
+    entry, or under attack at each row ``2 j + low`` of the interposer.
     """
 
     def __init__(self, params: _RunParams):
         truncation = params.source.truncation_order
         self.dist = pair_distribution(params.source)
+        self.block_probability = params.block_probability
         self.sector_tables = {}
         for total in range(truncation + 1):
             occs, probs = fock.sector_distribution(total)
@@ -309,12 +368,26 @@ class _EpContext(_BatchContext):
         # no mode holds more photons than the truncation allows pairs
         self.fire_a = _fire_table(params.channel.eta_a, truncation)
         self.fire_b = _fire_table(params.bob_eta, truncation)
-        self.alice = _pair_thresholds(self.fire_a)
-        self.bob = _pair_thresholds(self.fire_b)
 
     @cached_property
     def joint(self) -> _JointTable:
-        return _JointTable.build(self.dist, self.sector_tables, len(self.fire_a))
+        return _JointTable.build(self.dist, self.sector_tables)
+
+    @cached_property
+    def interposer(self) -> _Interposer:
+        return _Interposer.build(self.joint.b0, self.joint.b1, self.block_probability)
+
+    @cached_property
+    def alice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _pair_thresholds(self.fire_a.take(self.joint.a0), self.fire_a.take(self.joint.a1))
+
+    @cached_property
+    def bob(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.block_probability is None:
+            n0, n1 = self.joint.b0, self.joint.b1
+        else:
+            n0, n1 = self.interposer.f0, self.interposer.f1
+        return _pair_thresholds(self.fire_b.take(n0), self.fire_b.take(n1))
 
 
 # A prepared trial's combo c = bit | basis_a << 1 | basis_b << 2; all eight
@@ -354,7 +427,10 @@ class _PreparedContext(_BatchContext):
     ``_alias_table``, and each of its slots is split into eight, which keeps
     the build linear in the table length.  ``trigger`` is the ``pdc``
     herald's fire table over n, and ``bob`` holds Bob's thresholds of
-    ``_bob_thresholds`` over the same flat index.
+    ``_bob_thresholds`` over the same flat index.  Under attack
+    ``interposer`` is the ``_Interposer`` of the entries, with all n photons
+    in the mode of Alice's bit, and ``bob`` holds the thresholds at each of
+    its rows ``2 (8 n + c) + low`` instead.
     """
 
     def __init__(self, params: _RunParams):
@@ -367,29 +443,15 @@ class _PreparedContext(_BatchContext):
         self.matched = np.tile(_COMBO_MATCHED, n_max + 1)
         self.trigger = _fire_table(params.channel.eta_a, n_max)
         self.bob = _bob_thresholds(params.bob_eta, n_max)
-
-
-def _intercept(u, b0, b1, p_block: float):
-    """The PNS interposer on Bob's arm, photon counts ``b0``/``b1`` per mode,
-    on one uniform ``u`` per event.
-
-    A multi-photon signal loses one photon, taken from mode 1 when
-    ``u * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
-    otherwise; a single photon is blocked when ``u < p_block``; vacuum, which
-    includes the truncation-exceeded event, passes.  No event is both multi
-    and single, so the one uniform decides each.  Returns the forwarded
-    counts and the ``multi``, ``stored`` (mode of the stored photon,
-    meaningful where ``multi``) and ``blocked`` masks.
-    """
-    total = b0 + b1
-    multi = total >= 2
-    stored = u * total < b1
-    b0 = b0 - (multi & ~stored)
-    b1 = b1 - (multi & stored)
-    blocked = (total == 1) & (u < p_block)
-    b0 = np.where(blocked, 0, b0)
-    b1 = np.where(blocked, 0, b1)
-    return b0, b1, multi, stored, blocked
+        if params.block_probability is not None:
+            entry = np.arange(8 * (n_max + 1))
+            photons, bit = entry >> 3, entry & 1
+            self.interposer = _Interposer.build(
+                photons * (1 - bit), photons * bit, params.block_probability
+            )
+            # Bob's row 8 k + c at each way's forwarded photon count k
+            row = 8 * (self.interposer.f0 + self.interposer.f1) + np.repeat(entry & 7, 2)
+            self.bob = tuple(t.take(row) for t in self.bob)
 
 
 def _tally(present, announced, matched, a_single, bit_a, fb0, fb1, eve=None) -> _Counts:
@@ -438,16 +500,12 @@ def _ep_chunk(u: np.ndarray, p: _RunParams, ctx: _EpContext) -> _Counts:
     valid = kind != _EXCEEDED
 
     eve = None
+    row = entry
     if p.block_probability is not None:
-        b0, b1, *eve = _intercept(
-            u[1], table.b0.take(entry), table.b1.take(entry), p.block_probability
-        )
-        pair_b = _pair_index(b0, b1, len(ctx.fire_b))
-    else:
-        pair_b = table.pair_b.take(entry)
+        row, eve = ctx.interposer.apply(entry, u[1])
 
-    fa0, fa1 = _two_detectors(u[-2], table.pair_a.take(entry), *ctx.alice)
-    fb0, fb1 = _two_detectors(u[-1], pair_b, *ctx.bob)
+    fa0, fa1 = _two_detectors(u[-2], entry, *ctx.alice)
+    fb0, fb1 = _two_detectors(u[-1], row, *ctx.bob)
     return _tally(valid, valid, kind == _MATCHED, fa0 ^ fa1, fa1, fb0, fb1, eve)
 
 
@@ -459,22 +517,16 @@ def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContex
 
 def _prepared_chunk(u: np.ndarray, p: _RunParams, ctx: _PreparedContext) -> _Counts:
     entry = _alias_draw(ctx.cut, ctx.alias, u[0])
-    photons = entry >> 3
     bit_a = entry & 1
     matched = ctx.matched.take(entry)
     present = np.ones(len(entry), dtype=bool)
     pdc = p.source.scheme is Scheme.TRIGGERED_PDC
-    triggered = u[1] < ctx.trigger.take(photons) if pdc else present
+    triggered = u[1] < ctx.trigger.take(entry >> 3) if pdc else present
 
     eve = None
     row = entry
     if p.block_probability is not None:
-        # the interposer of ``_intercept`` on photon totals: every photon is
-        # in Alice's mode, so the stored one carries her bit
-        multi = photons >= 2
-        blocked = (photons == 1) & (u[-2] < p.block_probability)
-        row = np.where(multi | blocked, entry - 8, entry)  # one photon fewer
-        eve = (multi, bit_a, blocked)
+        row, eve = ctx.interposer.apply(entry, u[-2])
 
     fb0, fb1 = _two_detectors(u[-1], row, *ctx.bob)
     counts = _tally(present, triggered, matched, True, bit_a, fb0, fb1, eve)

@@ -29,7 +29,7 @@ from pdcqkd.engine import (
     _bob_thresholds,
     _Counts,
     _ep_batch,
-    _pair_index,
+    _pair_thresholds,
     _prepared_batch,
     _resolve_run_params,
     _two_detectors,
@@ -150,9 +150,10 @@ class TestTwoDetectors:
     GRID = 1 << 12
 
     @staticmethod
-    def context(truncation, eta):
+    def context(truncation, eta, block=None):
         return _EpContext(resolved_point(
-            Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=eta, eta_b=eta, truncation_order=truncation
+            Scheme.ENTANGLED_PAIRS, block, g=0.3, eta_a=eta, eta_b=eta,
+            truncation_order=truncation,
         ))
 
     @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
@@ -163,7 +164,9 @@ class TestTwoDetectors:
         # share of the grid is its length to within one grid step
         u = np.arange(self.GRID) / self.GRID
         width = truncation + 1
-        for fire, thresholds in ((ctx.fire_a, ctx.alice), (ctx.fire_b, ctx.bob)):
+        for fire in (ctx.fire_a, ctx.fire_b):
+            # the thresholds of every count pair, at index n0 * width + n1
+            thresholds = _pair_thresholds(np.repeat(fire, width), np.tile(fire, width))
             for n0 in range(width):
                 for n1 in range(width):
                     index = np.full(self.GRID, n0 * width + n1)
@@ -176,18 +179,26 @@ class TestTwoDetectors:
                         np.array(got) / self.GRID, want, rtol=0, atol=1.0 / self.GRID
                     )
 
-    def test_pair_index_past_int8(self):
-        ctx = self.context(12, 0.6)
-        twelve = np.array([12], dtype=np.int8)
-        (index,) = _pair_index(twelve, twelve, 13)
-        assert index == 168
-        d0, d1_lo, d1_hi = (t[index] for t in ctx.alice)
-        assert d0 == ctx.fire_a[12]
-        assert d1_hi - d1_lo == pytest.approx(ctx.fire_a[12], abs=1e-15)
+    @pytest.mark.parametrize("block", [None, 0.5])
+    def test_entry_thresholds_past_int8(self, block):
+        # at truncation 12 a flat index n0 * 13 + n1 of a count pair would
+        # pass the int8 range of the counts; the tables are per entry, and
+        # each row holds the thresholds of its own counts
+        ctx = self.context(12, 0.6, block)
         table = ctx.joint
-        for pair, n0, n1 in ((table.pair_a, table.a0, table.a1), (table.pair_b, table.b0, table.b1)):
-            np.testing.assert_array_equal(pair, n0.astype(int) * 13 + n1.astype(int))
-        assert table.pair_a.max() == 12 * 13
+        assert table.a0.max() == table.a1.max() == table.b0.max() == table.b1.max() == 12
+        bob_counts = (table.b0, table.b1)
+        if block is not None:
+            bob_counts = (ctx.interposer.f0, ctx.interposer.f1)
+            assert len(ctx.interposer.f0) == 2 * len(table.b0)
+        for thresholds, fire, (n0, n1) in (
+            (ctx.alice, ctx.fire_a, (table.a0, table.a1)), (ctx.bob, ctx.fire_b, bob_counts)
+        ):
+            assert all(len(t) == len(n0) for t in thresholds)
+            for (d0, d1_lo, d1_hi), c0, c1 in zip(zip(*thresholds), n0.tolist(), n1.tolist()):
+                f0, f1 = fire[c0], fire[c1]
+                assert (d0, d1_lo, d1_hi) == (f0, f0 * (1.0 - f1), f0 * (1.0 - f1) + f1)
+                assert d1_hi - d1_lo == pytest.approx(f1, abs=1e-15)
 
 
 class TestRunExperiment:

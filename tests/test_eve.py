@@ -14,7 +14,15 @@ from pdcqkd.analytics import (
 from pdcqkd import eve
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.detection import ChannelParams, compose_bob_efficiency
-from pdcqkd.engine import _build_report, _Counts, _intercept, _resolve_run_params
+from pdcqkd.engine import (
+    _EpContext,
+    _Interposer,
+    _PreparedContext,
+    _bob_thresholds,
+    _build_report,
+    _Counts,
+    _resolve_run_params,
+)
 from pdcqkd.eve import (
     AUTO,
     PnsConfig,
@@ -23,6 +31,7 @@ from pdcqkd.eve import (
 )
 from pdcqkd.source import Scheme, SourceParams
 
+import pns_reference
 from conftest import freq_se, resolved_point
 
 
@@ -44,12 +53,14 @@ class TestPnsConfig:
 
 
 def intercept(counts, p_block, u=0.5):
-    """``_intercept`` on events that all carry ``counts`` photons in Bob's two
-    modes, one event per uniform."""
+    """The tabulated interposer on events that all carry ``counts`` photons
+    in Bob's two modes, one event per uniform: the forwarded counts and the
+    ``(multi, stored, blocked)`` masks, as the kernels read them."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    b0 = np.full(len(u), counts[0], dtype=np.int8)
-    b1 = np.full(len(u), counts[1], dtype=np.int8)
-    return _intercept(u, b0, b1, p_block)
+    b0, b1 = (np.array([n], dtype=np.int8) for n in counts)
+    tap = _Interposer.build(b0, b1, p_block)
+    row, (multi, stored, blocked) = tap.apply(np.zeros(len(u), dtype=np.intp), u)
+    return tap.f0.take(row), tap.f1.take(row), multi, stored, blocked
 
 
 # the last double below 1: the largest uniform a generator returns
@@ -58,7 +69,8 @@ EDGES = [0.0, 0.25, 0.5, U_MAX]
 
 
 class TestIntercept:
-    """The PNS interposer on Bob's arm, on hand-built photon counts."""
+    """The tabulated PNS interposer on Bob's arm, on hand-built photon
+    counts."""
 
     def test_vacuum_passes_untouched(self):
         # the truncation-exceeded entry of the ep joint table is vacuum too
@@ -142,6 +154,88 @@ class TestSharedInterposerUniform:
         assert multi.all() and not blocked.any()
         np.testing.assert_array_equal(stored, self.GRID < 1.0 / 3.0)
         np.testing.assert_array_equal(b1, np.where(self.GRID < 1.0 / 3.0, 0, 1))
+
+
+class TestTabulatedInterposer:
+    """The interposer tabulated per entry gives, bit for bit, the forwarded
+    counts and masks of the trial-by-trial rule in ``pns_reference``, at
+    every entry and at the uniforms where an outcome can turn."""
+
+    @staticmethod
+    def edge_uniforms(split):
+        """Per entry: 0, U_MAX, its split and one ulp either side of it, all
+        clipped to the uniforms a generator returns."""
+        u = np.stack([
+            np.zeros_like(split), np.full_like(split, U_MAX), split,
+            np.nextafter(split, -np.inf), np.nextafter(split, np.inf),
+        ], axis=1)
+        return np.clip(u, 0.0, U_MAX)
+
+    def assert_matches_reference(self, tap, b0, b1, p_block):
+        u = self.edge_uniforms(tap.split)
+        entry = np.repeat(np.arange(len(b0)), u.shape[1])
+        u = u.ravel()
+        row, (multi, stored, blocked) = tap.apply(entry, u)
+        w0, w1, w_multi, w_stored, w_blocked = pns_reference.intercept(
+            u, b0.take(entry), b1.take(entry), p_block
+        )
+        np.testing.assert_array_equal(tap.f0.take(row), w0)
+        np.testing.assert_array_equal(tap.f1.take(row), w1)
+        np.testing.assert_array_equal(multi, w_multi)
+        np.testing.assert_array_equal(blocked, w_blocked)
+        # the stored mode is meaningful, and read by the tally, where multi
+        np.testing.assert_array_equal(stored[multi], w_stored[multi])
+        # split is the turning point: the rule stores mode 1 one ulp below it
+        # and not at it
+        turning = tap.multi & (tap.split > 0.0) & (tap.split < 1.0)
+        below = np.nextafter(tap.split[turning], 0.0)
+        total = (b0 + b1)[turning]
+        assert np.all(below * total < b1[turning])
+        assert np.all(tap.split[turning] * total >= b1[turning])
+        return entry, row, w0, w1
+
+    @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("truncation", [2, 3, 12])
+    def test_ep_entries(self, truncation, p_block):
+        ctx = _EpContext(resolved_point(
+            Scheme.ENTANGLED_PAIRS, p_block, g=0.3, eta_a=0.6, truncation_order=truncation
+        ))
+        table = ctx.joint
+        assert np.count_nonzero(ctx.interposer.multi) > 0
+        self.assert_matches_reference(ctx.interposer, table.b0, table.b1, p_block)
+
+    def test_every_count_pair_to_the_deepest_truncation(self):
+        # the rounded quotient b1 / total is one ulp off the least split on
+        # either side for some pairs past total 12
+        pairs = [(n0, total - n0) for total in range(128) for n0 in range(total + 1)]
+        b0, b1 = np.array(pairs, dtype=np.int8).T
+        total = b0 + b1
+        quotient = np.divide(b1, total, out=np.zeros(len(total)), where=total > 0)
+        tap = _Interposer.build(b0, b1, 0.5)
+        assert np.any(tap.multi & (tap.split > quotient))
+        assert np.any(tap.multi & (tap.split < quotient))
+        self.assert_matches_reference(tap, b0, b1, 0.5)
+
+    @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("scheme, x", [
+        (Scheme.WEAK_COHERENT, 0.5), (Scheme.WEAK_COHERENT, 3.0), (Scheme.TRIGGERED_PDC, 0.3),
+    ])
+    def test_prepared_entries(self, scheme, x, p_block):
+        mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
+        ctx = _PreparedContext(resolved_point(scheme, p_block, eta_b=0.8, eta_l=0.5, **mean))
+        entries = np.arange(len(ctx.interposer.split))
+        photons, bit = entries >> 3, entries & 1
+        assert len(entries) == 8 * len(ctx.law)
+        entry, row, w0, w1 = self.assert_matches_reference(
+            ctx.interposer, photons * (1 - bit), photons * bit, p_block
+        )
+        # Bob's thresholds on each row are those of the forwarded photon
+        # count with the entry's combo: every photon in the mode of the bit
+        assert np.all(np.minimum(w0, w1) == 0)
+        bob = _bob_thresholds(1.0, len(ctx.law) - 1)
+        want_row = 8 * (w0 + w1) + entry % 8
+        for got, want in zip(ctx.bob, bob):
+            np.testing.assert_array_equal(got.take(row), want.take(want_row))
 
 
 class TestBlockSolver:
