@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import fock
-from .source import GAIN, MEAN, TRUNCATION, UNIT, mean_pairs
+from .source import DEFAULT_TRUNCATION, GAIN, MEAN, TRUNCATION, UNIT, mean_pairs
 
 __all__ = [
     "binary_information",
@@ -200,7 +200,7 @@ class OracleRates:
 
 
 def exact_rates_oracle(
-    g: float, eta_a: float, eta_bl: float, truncation: int = 2
+    g: float, eta_a: float, eta_bl: float, truncation: int = DEFAULT_TRUNCATION
 ) -> OracleRates:
     """Enumerate every retained pair configuration and click pattern exactly.
 
@@ -369,7 +369,7 @@ def ep_pns_oracle(
     g: float,
     eta_a: float,
     pass_probability: float,
-    truncation: int = 2,
+    truncation: int = DEFAULT_TRUNCATION,
 ) -> EpAttackOracle:
     """Enumerate the attacked matched-basis rounds exactly.
 
@@ -437,7 +437,7 @@ class EpPnsQuantities:
 
 
 def ep_pns_quantities(
-    g: float, eta_a: float, eta_bl: float, rates: AttackRates, truncation: int = 2
+    g: float, eta_a: float, eta_bl: float, rates: AttackRates, truncation: int = DEFAULT_TRUNCATION
 ) -> EpPnsQuantities:
     """Evaluate the attack-side quantities of the entangled-pair scheme:
     hit probabilities, information branches and the attack-raised error rate.

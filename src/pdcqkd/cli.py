@@ -38,7 +38,9 @@ from .source import BLOCK_PROBABILITY, Rule, Scheme
 # 2: the attacked ep row's *_oracle keys hold the exact attack oracle, the
 # printed leading-order values moved to *_formula, i_ab_oracle is gone
 # 3: every row, CSV or JSON, has exactly the CSV_COLUMNS keys
-SCHEMA_VERSION = 3
+# 4: eps_prime_oracle and i_ae_formula are gone; they repeated epsilon_oracle
+# and i_e
+SCHEMA_VERSION = 4
 
 CSV_COLUMNS = [
     "sweep_param",
@@ -77,11 +79,9 @@ CSV_COLUMNS = [
     "p_eb_formula",
     "i_ae_mc",
     "i_ae_oracle",
-    "i_ae_formula",
     "i_eb_mc",
     "i_eb_oracle",
     "i_eb_formula",
-    "eps_prime_oracle",
     "eps_prime_formula",
     "i_ab_formula",
     "block_probability",
@@ -288,7 +288,6 @@ def analytic_row(point: engine._RunParams) -> dict:
         q = analytics.ep_pns_quantities(g, config.eta_a, eta_bl, rates, config.truncation_order)
         row.update(
             i_e=q.i_ae,
-            i_ae_formula=q.i_ae,
             i_eb_formula=q.i_eb,
             p_ae_formula=q.p_ae,
             p_eb_formula=q.p_eb,
@@ -308,7 +307,6 @@ def analytic_row(point: engine._RunParams) -> dict:
                 p_eb_oracle=attack.p_eb,
                 i_ae_oracle=attack.i_ae,
                 i_eb_oracle=attack.i_eb,
-                eps_prime_oracle=attack.error_rate,
             )
         return row
     if config.attack is None:

@@ -7,6 +7,7 @@ from typing import Optional
 
 from .eve import PnsConfig
 from .source import (
+    DEFAULT_TRUNCATION,
     FINITE,
     GAIN,
     INTEGER,
@@ -25,7 +26,6 @@ SWEEPABLE = ("g", "mu", "mu_prime", "eta_a", "eta_b", "eta_l")
 
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 0
-DEFAULT_TRUNCATION = 2
 
 
 @dataclass(frozen=True)

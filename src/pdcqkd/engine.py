@@ -224,11 +224,12 @@ class _JointTable:
 
     Entry ``j`` has probability ``probabilities[j]``, a ``kind`` and the
     photon counts ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The
-    entries are the truncation-exceeded event (no photons), each matched
-    basis pair with pair configuration (m, n) and counts (m, n, m, n), and
-    each occupation of each sector total in a mismatched-basis round, at the
-    total's probability times 1/2 (either mismatched combo) times its sector
-    probability.
+    entries come in array blocks, in this order: the truncation-exceeded
+    event (one entry, no photons); the matched block, each pair
+    configuration (m, n) of ``dist`` at half its probability with counts
+    (m, n, m, n); and one mismatched block per sector total, from 0 up, each
+    occupation of the total's sector table at the total's probability times
+    1/2 (either mismatched combo) times its sector probability.
     """
 
     probabilities: np.ndarray
@@ -242,25 +243,21 @@ class _JointTable:
 
     @classmethod
     def build(cls, dist: PairDistribution, sector_tables: dict) -> "_JointTable":
-        totals = np.array([c.total for c in dist.configs])
-        rows = [(dist.tail, _EXCEEDED, 0, 0, 0, 0)]
-        rows += [
-            (0.5 * w, _MATCHED, c.m, c.n, c.m, c.n)
-            for c, w in zip(dist.configs, dist.probabilities)
-        ]
+        m = np.array([c.m for c in dist.configs])
+        n = np.array([c.n for c in dist.configs])
+        totals = m + n
+        probabilities = [[dist.tail], 0.5 * dist.probabilities]
+        counts = [np.zeros((4, 1), dtype=np.int64), (m, n, m, n)]
         for total, (cdf, *occupations) in sector_tables.items():
             weight = 0.5 * dist.probabilities[totals == total].sum()
             # the last occupation takes all mass beyond the one before, as
             # inverse-CDF sampling of ``cdf`` does
-            q = np.diff(cdf[:-1], prepend=0.0, append=1.0)
-            rows += [
-                (weight * qj, _MISMATCHED, *occ) for qj, occ in zip(q, zip(*occupations))
-            ]
-        probabilities = np.array([r[0] for r in rows])
-        kind, a0, a1, b0, b1 = np.array([r[1:] for r in rows], dtype=np.int8).T
-        # freed before the alias table builds its own lists: at truncation 127
-        # each holds some 10^6 Python objects
-        del rows
+            probabilities.append(weight * np.diff(cdf[:-1], prepend=0.0, append=1.0))
+            counts.append(occupations)
+        probabilities = np.concatenate(probabilities)
+        a0, a1, b0, b1 = np.concatenate(counts, axis=1).astype(np.int8)
+        blocks = [1, len(m), len(probabilities) - 1 - len(m)]
+        kind = np.repeat(np.array([_EXCEEDED, _MATCHED, _MISMATCHED], dtype=np.int8), blocks)
         return cls(probabilities, kind, a0, a1, b0, b1, *_alias_table(probabilities))
 
 

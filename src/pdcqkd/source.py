@@ -20,9 +20,10 @@ import numpy as np
 
 # Truncation orders of the entangled-pair source: at least the two-pair terms
 # that carry the multi-photon physics, and at most 127 because the ep kernel
-# holds per-mode photon counts in int8.
+# holds per-mode photon counts in int8; by default the two-pair terms alone.
 MIN_TRUNCATION = 2
 MAX_TRUNCATION = 127
+DEFAULT_TRUNCATION = 2
 # Largest mean photon number of a prepared (wcs or pdc) signal: the
 # prepare-and-measure kernel tabulates every photon number up to a 2^-64
 # tail, and that table grows with the mean.
@@ -102,7 +103,7 @@ class SourceParams:
 
     scheme: Scheme
     g: float = 0.0
-    truncation_order: int = 2
+    truncation_order: int = DEFAULT_TRUNCATION
     mu_prime: float = 0.0
 
     def __post_init__(self) -> None:

@@ -352,10 +352,12 @@ class TestRows:
         printed = analytics.ep_pns_quantities(0.3, 0.6, 1.0, rates)
         for key in ("p_ae", "p_eb", "i_ae", "i_eb"):
             assert row[f"{key}_oracle"] == getattr(exact, key)
-            assert row[f"{key}_formula"] == getattr(printed, key)
-        assert row["eps_prime_oracle"] == exact.error_rate
+            # i_e is the leading-order i_ae
+            assert row["i_e" if key == "i_ae" else f"{key}_formula"] == getattr(printed, key)
+        assert row["epsilon_oracle"] == exact.error_rate
         assert row["eps_prime_formula"] == printed.eps_prime
-        assert row["i_ab_formula"] == printed.i_ab and "i_ab_oracle" not in row
+        assert row["i_ab_formula"] == printed.i_ab
+        assert not {"i_ab_oracle", "i_ae_formula", "eps_prime_oracle"} & set(row)
 
     def test_sweep_rows_ordered(self):
         config = ExperimentConfig(
@@ -727,13 +729,13 @@ class TestMain:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION == 3
+        assert payload["schema_version"] == SCHEMA_VERSION == 4
         (row,) = payload["rows"]
         exact = analytics.ep_pns_oracle(0.3, 0.6, 1.0 - row["block_probability"], 2)
         assert row["i_ae_oracle"] == exact.i_ae
         # the leading-order value is the exact one only at the rate-matched
         # blocking probability (0.036 here)
-        assert row["i_ae_formula"] == pytest.approx(0.0715, abs=5e-5)
+        assert row["i_e"] == pytest.approx(0.0715, abs=5e-5)
         expected = 0.0715 if block == "auto" else 0.0733
         assert row["i_ae_oracle"] == pytest.approx(expected, abs=5e-5)
 

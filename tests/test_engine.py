@@ -60,7 +60,7 @@ class TestEpJointTable:
     """The ep kernel's joint table reproduces the source and sector
     distributions it is built from."""
 
-    CASES = [(g, t) for g in (0.0, 0.1, 0.3, 0.6, 0.9) for t in (2, 3, 4)]
+    CASES = [(g, t) for g in (0.0, 0.1, 0.3, 0.6, 0.9) for t in (2, 3, 4, 12)]
 
     @staticmethod
     def context(g, truncation, block=None):
@@ -678,8 +678,9 @@ class TestChunks:
 
 
 class TestStreams:
-    """Exact counts of four runs: ``wcs-pns`` and ``pdc`` recorded when
-    STREAM_VERSION was 5, ``ep`` and ``ep-pns`` when it was 6."""
+    """Exact counts of five runs: ``wcs-pns`` and ``pdc`` recorded when
+    STREAM_VERSION was 5, ``ep``, ``ep-pns`` and ``ep-pns-deep`` when it was
+    6."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
@@ -687,6 +688,7 @@ class TestStreams:
     PINNED = {
         "ep": (65659, 65505, 154, 3968, 6, 186, 0, 0),
         "ep-pns": (65659, 65471, 188, 3604, 147, 137, 0, 7402),
+        "ep-pns-deep": (65659, 65658, 1, 8643, 461, 1919, 0, 9681),
         "wcs-pns": (65659, 65659, 0, 9999, 0, 0, 65659, 5897),
         "pdc": (65659, 65659, 0, 1177, 0, 0, 3674, 0),
     }
@@ -702,6 +704,18 @@ class TestStreams:
                 truncation_order=3,
                 trials=self.TRIALS,
                 master_seed=62,
+                attack=PnsConfig(block_probability=0.5),
+            ),
+            # a joint table of 864 entries, whose mismatched-basis blocks
+            # reach sector total 12
+            "ep-pns-deep": ep_config(
+                g=0.6,
+                eta_a=0.6,
+                eta_b=0.8,
+                eta_l=0.5,
+                truncation_order=12,
+                trials=self.TRIALS,
+                master_seed=65,
                 attack=PnsConfig(block_probability=0.5),
             ),
             "wcs-pns": ExperimentConfig(
