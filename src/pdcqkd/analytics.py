@@ -1,24 +1,24 @@
-"""Closed-form rate and leakage evaluators plus exact enumeration oracles.
+"""The paper's printed formulas and exact enumeration oracles.
 
 Two evaluation routes are kept deliberately separate:
 
-* the printed leading-order formulas (sifted-key rate, error count, error
-  rate, leakage branches), evaluated verbatim;
+* ``PRINTED``, the one table of the paper's printed leading-order formulas,
+  each evaluated verbatim; it fills every ``*_formula`` key of a row;
 * exact enumeration oracles that sum every click pattern of the truncated
   source without leading-order drops.
 
 The oracles are the ground truth for the Monte Carlo engine; the formulas
 are validated against them as approximations with an explicit O(g^2)
-relative tolerance.
+relative tolerance, and may leave [0, 1] outside the small-μ regime.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import fock
-from .source import DEFAULT_TRUNCATION, GAIN, MEAN, TRUNCATION, UNIT, mean_pairs
+from .source import DEFAULT_TRUNCATION, GAIN, MEAN, TRUNCATION, UNIT, Scheme, mean_pairs
 
 __all__ = [
     "binary_information",
@@ -28,14 +28,14 @@ __all__ = [
     "OracleRates",
     "AttackRates",
     "wcs_leakage",
-    "pdc_leakage",
     "pdc_rates_closed",
-    "pdc_rates_series",
-    "ep_pns_quantities",
     "ep_pns_oracle",
     "EpAttackOracle",
     "wcs_attack_delivered",
     "pdc_attack_delivered",
+    "FormulaPoint",
+    "Printed",
+    "PRINTED",
 ]
 
 
@@ -102,19 +102,6 @@ def _fire(eta: float, count: int) -> float:
     return 1.0 - (1.0 - eta) ** count
 
 
-def _pair_weights(g: float, truncation: int) -> tuple[list[tuple[int, int, float]], float]:
-    """Retained (m, n, weight) triples and the retained probability mass."""
-    xi4 = (1.0 - g * g) ** 2
-    rows = []
-    retained = 0.0
-    for total in range(truncation + 1):
-        w = xi4 * g ** (2 * total)
-        for m in range(total + 1):
-            rows.append((m, total - m, w))
-            retained += w
-    return rows, retained
-
-
 def _bob_arm(m: int, n: int, pass_probability: Optional[float]):
     """(weight, b0, b1, stored mode) for each way the interposer can treat
     Bob's arm of ``m`` and ``n`` photons; one untouched branch without it.
@@ -140,7 +127,7 @@ class _MatchedSums:
     """Sums over the matched-basis rounds, before normalizing by the
     retained mass."""
 
-    retained: float
+    retained: float = 0.0
     sift: float = 0.0
     err: float = 0.0
     dc: float = 0.0
@@ -162,26 +149,30 @@ def _matched_basis(
     the source state.  A round is touched when the interposer stored a
     photon; a hit is a stored mode equal to that side's sifted bit.
     """
-    rows, retained = _pair_weights(g, truncation)
-    s = _MatchedSums(retained)
-    for m, n, w in rows:
-        pa0, pa1 = _fire(eta_a, m), _fire(eta_a, n)
-        a_only = (pa0 * (1.0 - pa1), pa1 * (1.0 - pa0))
-        a_single = a_only[0] + a_only[1]
-        for p, b0, b1, stored in _bob_arm(m, n, pass_probability):
-            wp = w * p
-            pb0, pb1 = _fire(eta_b, b0), _fire(eta_b, b1)
-            b_only = (pb0 * (1.0 - pb1), pb1 * (1.0 - pb0))
-            b_single = b_only[0] + b_only[1]
-            sifted = wp * a_single * b_single
-            s.sift += sifted
-            s.err += wp * (a_only[0] * b_only[1] + a_only[1] * b_only[0])
-            s.dc += wp * pb0 * pb1
-            s.no_click += wp * (1.0 - pb0) * (1.0 - pb1)
-            if stored is not None:
-                s.touched += sifted
-                s.hits_a += wp * a_only[stored] * b_single
-                s.hits_b += wp * a_single * b_only[stored]
+    xi4 = (1.0 - g * g) ** 2
+    s = _MatchedSums()
+    for total in range(truncation + 1):
+        w = xi4 * g ** (2 * total)
+        for m in range(total + 1):
+            n = total - m
+            s.retained += w
+            pa0, pa1 = _fire(eta_a, m), _fire(eta_a, n)
+            a_only = (pa0 * (1.0 - pa1), pa1 * (1.0 - pa0))
+            a_single = a_only[0] + a_only[1]
+            for p, b0, b1, stored in _bob_arm(m, n, pass_probability):
+                wp = w * p
+                pb0, pb1 = _fire(eta_b, b0), _fire(eta_b, b1)
+                b_only = (pb0 * (1.0 - pb1), pb1 * (1.0 - pb0))
+                b_single = b_only[0] + b_only[1]
+                sifted = wp * a_single * b_single
+                s.sift += sifted
+                s.err += wp * (a_only[0] * b_only[1] + a_only[1] * b_only[0])
+                s.dc += wp * pb0 * pb1
+                s.no_click += wp * (1.0 - pb0) * (1.0 - pb1)
+                if stored is not None:
+                    s.touched += sifted
+                    s.hits_a += wp * a_only[stored] * b_single
+                    s.hits_b += wp * a_single * b_only[stored]
     return s
 
 
@@ -239,7 +230,7 @@ def exact_rates_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Weak-coherent and triggered-PDC leakage
+# Attack rates; the weak-coherent and triggered-PDC closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -267,26 +258,14 @@ class AttackRates:
         return known if self.saturated else self.r_multi / self.r_exp * known
 
 
-@dataclass(frozen=True)
-class LeakageReport(AttackRates):
-    """The rates, with the printed leading-order information."""
-
-    i_e_leading: float
-
-    @property
-    def i_e(self) -> Optional[float]:
-        return self.information(1.0)
-
-
-def wcs_leakage(mu_prime: float, eta_lb: float) -> LeakageReport:
-    """Delivered-rate and multi-photon fractions for weak coherent states and
-    the resulting adversary information branch."""
+def wcs_leakage(mu_prime: float, eta_lb: float) -> AttackRates:
+    """The attack rates of weak coherent states: the sifted rate through the
+    lossy line and the multi-photon rate."""
     MEAN.require(mu_prime=mu_prime)
     UNIT.require(eta_lb=eta_lb)
-    return LeakageReport(
+    return AttackRates(
         r_exp=0.5 * (1.0 - math.exp(-eta_lb * mu_prime)),
         r_multi=0.5 * (1.0 - (1.0 + mu_prime) * math.exp(-mu_prime)),
-        i_e_leading=mu_prime / (2.0 * eta_lb) if eta_lb > 0 else math.inf,
     )
 
 
@@ -312,37 +291,6 @@ def pdc_rates_closed(g: float, eta_a: float, eta_lb: float) -> tuple[float, floa
     )
     r_multi = 0.5 * xi2 * (geom_from2(1.0) - geom_from2(1.0 - eta_a))
     return r_exp, r_multi
-
-
-def pdc_rates_series(
-    g: float, eta_a: float, eta_lb: float, tail_bound: float = 1e-15
-) -> tuple[float, float]:
-    """Direct numeric summation of the same two series, used as an internal
-    cross-check of the closed forms.  Terms are summed until the geometric
-    tail bound drops below ``tail_bound``."""
-    GAIN.require(g=g)
-    UNIT.require(eta_a=eta_a, eta_lb=eta_lb)
-    xi2 = 1.0 - g * g
-    g2 = g * g
-    r_exp = r_multi = 0.0
-    n = 0
-    while True:
-        w = g2**n
-        r_exp += 0.5 * xi2 * w * _fire(eta_a, n) * _fire(eta_lb, n)
-        if n >= 2:
-            r_multi += 0.5 * xi2 * w * _fire(eta_a, n)
-        n += 1
-        if g2 == 0.0 or 0.5 * xi2 * g2**n / (1.0 - g2) < tail_bound:
-            break
-    return r_exp, r_multi
-
-
-def pdc_leakage(g: float, eta_a: float, eta_lb: float) -> LeakageReport:
-    """Adversary information branch for the triggered single-crystal source."""
-    r_exp, r_multi = pdc_rates_closed(g, eta_a, eta_lb)
-    mu2 = g * g / (1.0 - g * g)
-    leading = (2.0 - eta_a) / eta_lb * mu2 if eta_lb > 0 else math.inf
-    return LeakageReport(r_exp, r_multi, leading)
 
 
 # ---------------------------------------------------------------------------
@@ -422,51 +370,86 @@ def pdc_attack_delivered(g: float, eta_a: float, pass_probability: float) -> flo
     return r_multi + pass_probability * 0.5 * xi2 * g * g * eta_a
 
 
+# ---------------------------------------------------------------------------
+# The paper's printed formulas
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class EpPnsQuantities:
-    """Printed-formula symbols of the entangled-pair attack, with the branch
-    chosen by the exact oracle rates."""
+class FormulaPoint:
+    """A resolved point as the printed formulas read it: ``eta_bl`` is
+    η_B = η_b η_l, and ``rates`` are its attack rates (None for unattacked ep)."""
 
-    p_ae: float
-    p_eb: float
-    i_ae: Optional[float]
-    i_eb: Optional[float]
-    eps_prime: Optional[float]
-    eps_prime_leading: float
-    i_ab: Optional[float]
+    scheme: Scheme
+    attacked: bool
+    g: float
+    eta_a: float
+    eta_bl: float
+    mu_prime: float
+    rates: Optional[AttackRates]
 
 
-def ep_pns_quantities(
-    g: float, eta_a: float, eta_bl: float, rates: AttackRates, truncation: int = DEFAULT_TRUNCATION
-) -> EpPnsQuantities:
-    """Evaluate the attack-side quantities of the entangled-pair scheme:
-    hit probabilities, information branches and the attack-raised error rate.
-    The branch comes from ``rates``, the point's oracle rates at
-    ``truncation``."""
-    GAIN.require(g=g)
-    UNIT.require(eta_a=eta_a, eta_bl=eta_bl)
-    TRUNCATION.require(truncation=truncation)
-    p_ae = (5.0 - 3.0 * eta_a) / (6.0 - 4.0 * eta_a)
-    p_eb = (2.0 - eta_a) / (3.0 - 2.0 * eta_a)
-    eps_prime_leading = (
-        (1.0 - eta_a) * mean_pairs(g) / (4.0 * eta_bl) if eta_bl > 0 else math.inf
-    )
-    if rates.r_exp <= 0.0:
-        return EpPnsQuantities(p_ae, p_eb, None, None, None, eps_prime_leading, None)
-    if rates.saturated:
-        eps_prime = (1.0 - eta_a) / (6.0 - 4.0 * eta_a)
-    else:
-        # delivered errors come only from the split one-of-each-pair signals
-        xi4 = (1.0 - g * g) ** 2
-        retained = _pair_weights(g, truncation)[1]
-        attack_err = 0.5 * xi4 * g**4 * eta_a * (1.0 - eta_a) / retained
-        eps_prime = attack_err / rates.r_exp
-    return EpPnsQuantities(
-        p_ae=p_ae,
-        p_eb=p_eb,
-        i_ae=rates.information(binary_information(p_ae)),
-        i_eb=rates.information(binary_information(p_eb)),
-        eps_prime=eps_prime,
-        eps_prime_leading=eps_prime_leading,
-        i_ab=binary_information(eps_prime),
-    )
+@dataclass(frozen=True)
+class Printed:
+    """One printed formula: the row key it fills, the paper's symbol, the
+    schemes it applies to, and the formula.  An ``attacked`` entry applies
+    under the attack alone, and one that ``reads_rates`` is null without a
+    sifted rate (``r_exp`` <= 0)."""
+
+    key: str
+    symbol: str
+    schemes: tuple[Scheme, ...]
+    formula: Callable[[FormulaPoint], Optional[float]]
+    attacked: bool = False
+    reads_rates: bool = False
+
+    def value(self, p: FormulaPoint) -> Optional[float]:
+        """The formula at ``p``, or None where the entry does not apply."""
+        applies = p.scheme in self.schemes and (p.attacked or not self.attacked)
+        rated = p.rates is not None and p.rates.r_exp > 0.0
+        return self.formula(p) if applies and (rated or not self.reads_rates) else None
+
+
+def _p_eb(p: FormulaPoint) -> float:
+    return (2.0 - p.eta_a) / (3.0 - 2.0 * p.eta_a)
+
+
+def _eps_prime(p: FormulaPoint) -> float:
+    # every single blocked when saturated, else the small-μ leading order
+    if p.rates.saturated:
+        return (1.0 - p.eta_a) / (6.0 - 4.0 * p.eta_a)
+    return (1.0 - p.eta_a) * mean_pairs(p.g) / (4.0 * p.eta_bl)
+
+
+def _i_ab(p: FormulaPoint) -> Optional[float]:
+    # a leading-order ε′ past 1 (large μ) is no error rate
+    eps_prime = _eps_prime(p)
+    return binary_information(eps_prime) if eps_prime <= 1.0 else None
+
+
+def _i_e(p: FormulaPoint) -> float:
+    if p.scheme is Scheme.WEAK_COHERENT:
+        return p.mu_prime / (2.0 * p.eta_bl)
+    return (2.0 - p.eta_a) / p.eta_bl * (p.g * p.g / (1.0 - p.g * p.g))
+
+
+_EP, _PREPARED = (Scheme.ENTANGLED_PAIRS,), (Scheme.WEAK_COHERENT, Scheme.TRIGGERED_PDC)
+# Every printed formula that a row shows, by its key; nothing else fills a
+# ``*_formula`` key.
+PRINTED = (
+    Printed("r_key_formula", "R_key", _EP, lambda p: ep_rates_approx(p.g, p.eta_a, p.eta_bl)[0]),
+    Printed("r_err_formula", "R_err", _EP, lambda p: ep_rates_approx(p.g, p.eta_a, p.eta_bl)[1]),
+    Printed("epsilon_formula", "ε", _EP, lambda p: ep_rates_approx(p.g, p.eta_a, p.eta_bl)[2]),
+    Printed(
+        "p_ae_formula", "P_AE", _EP, lambda p: (5.0 - 3.0 * p.eta_a) / (6.0 - 4.0 * p.eta_a),
+        attacked=True,
+    ),
+    Printed("p_eb_formula", "P_EB", _EP, _p_eb, attacked=True),
+    Printed(
+        "i_eb_formula", "I_EB", _EP, lambda p: p.rates.information(binary_information(_p_eb(p))),
+        attacked=True, reads_rates=True,
+    ),
+    Printed("eps_prime_formula", "ε′", _EP, _eps_prime, attacked=True, reads_rates=True),
+    Printed("i_ab_formula", "I_AB", _EP, _i_ab, attacked=True, reads_rates=True),
+    Printed("i_e_formula", "I_E", _PREPARED, _i_e, reads_rates=True),
+)

@@ -40,7 +40,9 @@ from .source import BLOCK_PROBABILITY, Rule, Scheme
 # 3: every row, CSV or JSON, has exactly the CSV_COLUMNS keys
 # 4: eps_prime_oracle and i_ae_formula are gone; they repeated epsilon_oracle
 # and i_e
-SCHEMA_VERSION = 4
+# 5: every *_formula key comes from analytics.PRINTED: eps_prime_formula is
+# the printed ε′, and i_e_formula is new
+SCHEMA_VERSION = 5
 
 CSV_COLUMNS = [
     "sweep_param",
@@ -63,6 +65,7 @@ CSV_COLUMNS = [
     "r_exp",
     "r_multi",
     "i_e",
+    "i_e_formula",
     "i_e_saturated",
     "double_click_matched_mc",
     "double_click_matched_oracle",
@@ -256,12 +259,18 @@ def analytic_row(point: engine._RunParams) -> dict:
     """Closed-form / oracle quantities for one resolved point, in a row of
     every ``CSV_COLUMNS`` key.
 
-    Under attack the row records the blocking probability, and the attacked
-    oracle rows hold the exact delivered statistics at it.
+    Every ``*_formula`` key comes from ``analytics.PRINTED``.  Under attack
+    the row records the blocking probability, and the attacked oracle keys
+    hold the exact delivered statistics at it.
     """
     config, source, channel, rates = point.config, point.source, point.channel, point.rates
     row = dict.fromkeys(CSV_COLUMNS)
     eta_bl = compose_bob_efficiency(channel)
+    printed = analytics.FormulaPoint(
+        config.scheme, config.attack is not None, source.g, config.eta_a, eta_bl,
+        source.mu_prime, rates,
+    )
+    row.update({entry.key: entry.value(printed) for entry in analytics.PRINTED})
     pass_probability = None
     if point.block_probability is not None:
         row["block_probability"] = point.block_probability
@@ -269,12 +278,9 @@ def analytic_row(point: engine._RunParams) -> dict:
     if rates is not None:
         row.update(r_exp=rates.r_exp, r_multi=rates.r_multi, i_e_saturated=rates.saturated)
     if config.scheme is Scheme.ENTANGLED_PAIRS:
-        g = source.g
-        fk, fe, feps = analytics.ep_rates_approx(g, config.eta_a, eta_bl)
-        row.update(r_key_formula=fk, r_err_formula=fe, epsilon_formula=feps)
         if config.attack is None:
             oracle = analytics.exact_rates_oracle(
-                g, config.eta_a, eta_bl, config.truncation_order
+                source.g, config.eta_a, eta_bl, config.truncation_order
             )
             row.update(
                 r_key_oracle=oracle.r_key,
@@ -285,18 +291,11 @@ def analytic_row(point: engine._RunParams) -> dict:
                 bob_no_click_oracle=oracle.bob_no_click,
             )
             return row
-        q = analytics.ep_pns_quantities(g, config.eta_a, eta_bl, rates, config.truncation_order)
-        row.update(
-            i_e=q.i_ae,
-            i_eb_formula=q.i_eb,
-            p_ae_formula=q.p_ae,
-            p_eb_formula=q.p_eb,
-            eps_prime_formula=q.eps_prime,
-            i_ab_formula=q.i_ab,
-        )
+        # Eq. 10: Eve knows each bit she stored a photon of with the printed P_AE
+        row["i_e"] = rates.information(analytics.binary_information(row["p_ae_formula"]))
         if pass_probability is not None:
             attack = analytics.ep_pns_oracle(
-                g, config.eta_a, pass_probability, config.truncation_order
+                source.g, config.eta_a, pass_probability, config.truncation_order
             )
             row.update(
                 r_key_oracle=attack.delivered_rate,
@@ -326,7 +325,8 @@ def analytic_row(point: engine._RunParams) -> dict:
 
 
 def _z_score(mc: Optional[float], se: Optional[float], oracle: Optional[float]):
-    if mc is None or se is None or oracle is None or not se > 0:
+    # an oracle of exactly 0 is judged exactly, with no z-score
+    if mc is None or se is None or not oracle or not se > 0:
         return None
     return (mc - oracle) / se
 
@@ -522,12 +522,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         failed = False
         for row in rows if args.command == "compare" else ():
             for name in JUDGED:
-                z = row[f"{name}_z"]
-                status = "n/a"
-                if z is not None:
-                    ok = abs(z) <= sigma
+                mc, oracle, z = (row[f"{name}_{part}"] for part in ("mc", "oracle", "z"))
+                ok, status = None, "n/a"
+                if oracle == 0.0 and mc is not None:
+                    # an oracle of exactly 0 is judged exactly
+                    ok, status = mc == 0.0, "exact"
+                elif z is not None:
+                    ok, status = abs(z) <= sigma, f"z={z:+.3f}"
+                if ok is not None:
                     failed = failed or not ok
-                    status = f"{'PASS' if ok else 'FAIL'} z={z:+.3f}"
+                    status = f"{'PASS' if ok else 'FAIL'} {status}"
                 label = row["sweep_param"] and f"{row['sweep_param']}={row['sweep_value']}"
                 print(f"{label or 'point'} {name}: {status}", file=sys.stderr)
         print(emit(rows, config.out_format, config.out_path, config), end="")

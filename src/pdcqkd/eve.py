@@ -49,8 +49,7 @@ def attack_rates(source: SourceParams, channel: ChannelParams) -> analytics.Atta
     the prepared schemes' closed forms give both."""
     eta_bl = compose_bob_efficiency(channel)
     if source.scheme is Scheme.WEAK_COHERENT:
-        leakage = analytics.wcs_leakage(source.mu_prime, eta_bl)
-        return analytics.AttackRates(leakage.r_exp, leakage.r_multi)
+        return analytics.wcs_leakage(source.mu_prime, eta_bl)
     if source.scheme is Scheme.TRIGGERED_PDC:
         return analytics.AttackRates(*analytics.pdc_rates_closed(source.g, channel.eta_a, eta_bl))
     unattacked = analytics.exact_rates_oracle(

@@ -140,10 +140,6 @@ class PairDistribution:
     probabilities: np.ndarray
     tail: float
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.probabilities.sum() + self.tail)
-
 
 def mean_pairs(g: float) -> float:
     """Mean pair number of the two-crystal source, 2 g^2 / (1 - g^2)."""
@@ -155,12 +151,6 @@ def g_for_mean(mu: float) -> float:
     """Gain that produces mean pair number ``mu`` (inverse of mean_pairs)."""
     MEAN.require(mu=mu)
     return math.sqrt(mu / (2.0 + mu))
-
-
-def single_arm_mean(g: float) -> float:
-    """Mean pair number of a single crystal, g^2 / (1 - g^2)."""
-    GAIN.require(g=g)
-    return g * g / (1.0 - g * g)
 
 
 def g_for_single_arm_mean(mu: float) -> float:

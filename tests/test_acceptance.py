@@ -11,19 +11,20 @@ import math
 import pytest
 
 from pdcqkd.analytics import (
+    PRINTED,
+    FormulaPoint,
     ep_rates_approx,
     exact_rates_oracle,
-    pdc_leakage,
     pdc_rates_closed,
-    pdc_rates_series,
     wcs_leakage,
 )
 from pdcqkd.config import ExperimentConfig
-from pdcqkd.engine import BATCH_SIZE, run_experiment
+from pdcqkd.engine import BATCH_SIZE, _resolve_run_params, run_experiment
 from pdcqkd.eve import AUTO, PnsConfig
 from pdcqkd.source import Scheme, g_for_mean
 
 from fock_reference import FockSuperposition, rotate_side, verify_basis_invariance
+from pdc_reference import pdc_rates_series
 
 
 def _verdict(label: str, ok: bool) -> None:
@@ -124,7 +125,8 @@ def test_c04_leading_order_error_slope():
 
 def test_c05_weak_coherent_leakage():
     leak = wcs_leakage(0.1, 0.1)
-    value_ok = abs(leak.i_e - 0.47023) <= 1e-5
+    i_e = leak.information(1.0)
+    value_ok = abs(i_e - 0.47023) <= 1e-5
     config = ExperimentConfig(
         scheme=Scheme.WEAK_COHERENT,
         mu_prime=0.1,
@@ -136,10 +138,10 @@ def test_c05_weak_coherent_leakage():
     )
     report = run_experiment(config)
     rate_ok = abs(report.r_key - leak.r_exp) < 3 * report.r_key_se
-    frac_se = _se(leak.i_e, report.sifted_count)
-    frac_ok = abs(report.eve_touched_fraction - leak.i_e) < 3 * frac_se
+    frac_se = _se(i_e, report.sifted_count)
+    frac_ok = abs(report.eve_touched_fraction - i_e) < 3 * frac_se
     _verdict(
-        f"C5 WCS leakage (I_E {leak.i_e:.5f}, touched "
+        f"C5 WCS leakage (I_E {i_e:.5f}, touched "
         f"{report.eve_touched_fraction:.5f})",
         value_ok and rate_ok and frac_ok,
     )
@@ -163,7 +165,7 @@ def test_c06_triggered_pdc_leakage():
         master_seed=6,
     )
     report = run_experiment(config)
-    r_exp = pdc_leakage(0.3, 0.8, 0.81).r_exp
+    r_exp = pdc_rates_closed(0.3, 0.8, 0.81)[0]
     rate_ok = abs(report.r_key - r_exp) < 3 * report.r_key_se
     _verdict(
         f"C6 triggered-PDC leakage (MC rate {report.r_key:.5f} vs {r_exp:.5f})",
@@ -205,7 +207,12 @@ def test_c08_attack_induced_errors(saturated_attack_report):
         attack=PnsConfig(block_probability=AUTO),
     )
     matched = run_experiment(config)
-    leading = (1.0 - eta_a) * mu / (4.0 * eta_bl)
+    point = _resolve_run_params(config)
+    (eps_prime,) = (entry for entry in PRINTED if entry.key == "eps_prime_formula")
+    leading = eps_prime.value(
+        FormulaPoint(Scheme.ENTANGLED_PAIRS, True, point.source.g, eta_a, eta_bl, 0.0, point.rates)
+    )
+    assert leading == pytest.approx((1.0 - eta_a) * mu / (4.0 * eta_bl), rel=1e-12)
     matched_ok = abs(matched.epsilon - leading) <= 0.15 * leading
     _verdict(
         f"C8 attack-induced errors (saturated {report.epsilon:.5f} vs "

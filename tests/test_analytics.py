@@ -6,21 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdcqkd import eve
 from pdcqkd.analytics import (
+    PRINTED,
     AttackRates,
+    FormulaPoint,
     binary_information,
     ep_pns_oracle,
-    ep_pns_quantities,
     ep_rates_approx,
     eq10_information,
     exact_rates_oracle,
     pdc_attack_delivered,
-    pdc_leakage,
     pdc_rates_closed,
-    pdc_rates_series,
     wcs_attack_delivered,
     wcs_leakage,
 )
+from pdcqkd.detection import ChannelParams
+from pdcqkd.source import Scheme, SourceParams
+
+from pdc_reference import pdc_rates_series
+
+
+def printed(scheme, attacked, g=0.0, eta_a=1.0, eta_bl=1.0, mu_prime=0.0, rates=None):
+    """Every ``PRINTED`` entry's value at one point, by row key."""
+    point = FormulaPoint(scheme, attacked, g, eta_a, eta_bl, mu_prime, rates)
+    return {entry.key: entry.value(point) for entry in PRINTED}
 
 
 class TestBinaryInformation:
@@ -110,18 +120,21 @@ class TestLeakage:
             0.5 * (1 - 1.1 * math.exp(-0.1)), abs=1e-15
         )
         assert not report.saturated
-        assert report.i_e == pytest.approx(report.r_multi / report.r_exp, abs=1e-15)
+        assert report.information(1.0) == pytest.approx(
+            report.r_multi / report.r_exp, abs=1e-15
+        )
 
     def test_wcs_saturated_branch(self):
         # multi-photon rate alone already exceeds the lossy delivered rate
         report = wcs_leakage(0.5, 0.05)
         assert report.saturated
-        assert report.i_e == 1.0
+        assert report.information(1.0) == 1.0
 
     def test_wcs_leading_order(self):
-        report = wcs_leakage(0.01, 0.5)
-        assert report.i_e == pytest.approx(report.i_e_leading, rel=0.02)
-        assert report.i_e_leading == pytest.approx(0.01, abs=1e-15)
+        rates = wcs_leakage(0.01, 0.5)
+        leading = printed(Scheme.WEAK_COHERENT, False, eta_bl=0.5, mu_prime=0.01, rates=rates)
+        assert leading["i_e_formula"] == pytest.approx(0.01, abs=1e-15)
+        assert rates.information(1.0) == pytest.approx(leading["i_e_formula"], rel=0.02)
 
     def test_pdc_closed_matches_series(self):
         for g in (0.1, 0.3, 0.5):
@@ -133,15 +146,18 @@ class TestLeakage:
 
     def test_pdc_leading_order(self):
         g, eta_a, eta = 0.05, 0.8, 0.5
-        report = pdc_leakage(g, eta_a, eta)
+        rates = AttackRates(*pdc_rates_closed(g, eta_a, eta))
+        leading = printed(Scheme.TRIGGERED_PDC, False, g, eta_a, eta, rates=rates)
         mu2 = g * g / (1 - g * g)
-        assert report.i_e_leading == pytest.approx((2 - eta_a) / eta * mu2, abs=1e-15)
-        assert report.i_e == pytest.approx(report.i_e_leading, rel=0.03)
+        assert leading["i_e_formula"] == pytest.approx((2 - eta_a) / eta * mu2, abs=1e-15)
+        assert rates.information(1.0) == pytest.approx(leading["i_e_formula"], rel=0.03)
 
     def test_pdc_zero_gain(self):
-        report = pdc_leakage(0.0, 0.8, 0.5)
-        assert report.r_exp == 0.0
-        assert report.i_e is None
+        rates = AttackRates(*pdc_rates_closed(0.0, 0.8, 0.5))
+        assert rates.r_exp == 0.0
+        assert rates.information(1.0) is None
+        leading = printed(Scheme.TRIGGERED_PDC, True, 0.0, 0.8, 0.5, rates=rates)
+        assert leading["i_e_formula"] is None
 
 
 class TestAttackDeliveredRates:
@@ -183,9 +199,7 @@ class TestAttackRates:
         assert AttackRates(0.0, 0.05).information(0.8) is None
 
     def test_leakage_reports_are_rates(self):
-        report = wcs_leakage(0.1, 0.1)
-        assert isinstance(report, AttackRates)
-        assert report.i_e == report.information(1.0)
+        assert type(wcs_leakage(0.1, 0.1)) is AttackRates
 
 
 def ep_rates(g, eta_a, eta_bl, truncation=2):
@@ -215,20 +229,41 @@ class TestAttackOracle:
 
     def test_quantities_branching(self):
         rates = ep_rates(0.6, 0.6, 0.1)
-        q = ep_pns_quantities(0.6, 0.6, 0.1, rates)
+        q = printed(Scheme.ENTANGLED_PAIRS, True, 0.6, 0.6, 0.1, rates=rates)
         assert rates.saturated
-        assert q.p_ae == pytest.approx(8.0 / 9.0, abs=1e-12)
-        assert q.p_eb == pytest.approx(7.0 / 9.0, abs=1e-12)
-        assert q.eps_prime == pytest.approx(0.4 / 3.6, abs=1e-12)
-        assert q.i_eb < q.i_ae < 1.0
+        assert q["p_ae_formula"] == pytest.approx(8.0 / 9.0, abs=1e-12)
+        assert q["p_eb_formula"] == pytest.approx(7.0 / 9.0, abs=1e-12)
+        assert q["eps_prime_formula"] == pytest.approx(0.4 / 3.6, abs=1e-12)
+        assert q["i_ab_formula"] == binary_information(q["eps_prime_formula"])
+        i_ae = rates.information(binary_information(q["p_ae_formula"]))
+        assert q["i_eb_formula"] < i_ae < 1.0
 
     def test_rate_matched_branch_small_gain(self):
-        # at small gain the singles rate dominates, so blocking can match it
-        rates = ep_rates(0.0863, 0.5, 0.1)
-        q = ep_pns_quantities(0.0863, 0.5, 0.1, rates)
+        # at small gain the singles rate dominates, so blocking can match it;
+        # the printed leading order is then near the exact error rate there
+        g, eta_a, eta_b, eta_l = 0.0863, 0.5, 0.5, 0.2
+        rates = ep_rates(g, eta_a, eta_b * eta_l)
+        q = printed(Scheme.ENTANGLED_PAIRS, True, g, eta_a, eta_b * eta_l, rates=rates)
         assert not rates.saturated
-        assert q.eps_prime == pytest.approx(q.eps_prime_leading, rel=0.1)
-        assert q.i_ae < binary_information(q.p_ae)
+        mu = 2 * g * g / (1 - g * g)
+        assert q["eps_prime_formula"] == (1 - eta_a) * mu / (4 * eta_b * eta_l)
+        block = eve.solve_block_probability(
+            SourceParams(Scheme.ENTANGLED_PAIRS, g=g), ChannelParams(eta_a, eta_b, eta_l), rates
+        )
+        exact = ep_pns_oracle(g, eta_a, 1.0 - block).error_rate
+        assert q["eps_prime_formula"] == pytest.approx(exact, rel=0.1)
+        assert q["i_eb_formula"] < binary_information(q["p_eb_formula"])
+
+
+class TestPrintedTable:
+    """``PRINTED`` entries that read the attack rates need a sifted rate."""
+
+    def test_rate_entries_are_null_without_a_sifted_rate(self):
+        q = printed(Scheme.ENTANGLED_PAIRS, True, 0.3, 0.6, 0.0, rates=AttackRates(0.0, 0.01))
+        reading = {entry.key for entry in PRINTED if entry.reads_rates}
+        assert reading == {"i_eb_formula", "eps_prime_formula", "i_ab_formula", "i_e_formula"}
+        assert all(q[key] is None for key in reading)
+        assert q["p_ae_formula"] == (5 - 3 * 0.6) / (6 - 4 * 0.6)
 
 
 class TestPinnedOracles:

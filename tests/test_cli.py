@@ -24,7 +24,7 @@ from pdcqkd.config import ConfigError, ExperimentConfig, SweepSpec, validate
 from pdcqkd.detection import ChannelParams
 from pdcqkd.engine import BATCH_SIZE, STREAM_VERSION, _resolve_run_params, run_experiments
 from pdcqkd.eve import AUTO, PnsConfig
-from pdcqkd.source import Scheme, SourceParams
+from pdcqkd.source import Scheme, SourceParams, mean_pairs
 
 
 class TestSweepSpec:
@@ -349,15 +349,62 @@ class TestRows:
         row = analytic_row(_resolve_run_params(explicit))
         exact = analytics.ep_pns_oracle(0.3, 0.6, 0.75, 2)
         rates = eve.attack_rates(SourceParams(Scheme.ENTANGLED_PAIRS, g=0.3), ChannelParams(0.6))
-        printed = analytics.ep_pns_quantities(0.3, 0.6, 1.0, rates)
         for key in ("p_ae", "p_eb", "i_ae", "i_eb"):
             assert row[f"{key}_oracle"] == getattr(exact, key)
-            # i_e is the leading-order i_ae
-            assert row["i_e" if key == "i_ae" else f"{key}_formula"] == getattr(printed, key)
         assert row["epsilon_oracle"] == exact.error_rate
-        assert row["eps_prime_formula"] == printed.eps_prime
-        assert row["i_ab_formula"] == printed.i_ab
+        # the printed values: i_e is Eq. 10 at the printed P_AE, and the rate
+        # is matched at block 0.036, so epsilon' is its small-mu leading order
+        assert row["p_ae_formula"] == (5.0 - 3.0 * 0.6) / (6.0 - 4.0 * 0.6)
+        assert row["i_e"] == rates.information(analytics.binary_information(row["p_ae_formula"]))
+        assert row["eps_prime_formula"] == (1.0 - 0.6) * mean_pairs(0.3) / (4.0 * 1.0)
+        assert row["i_ab_formula"] == analytics.binary_information(row["eps_prime_formula"])
         assert not {"i_ab_oracle", "i_ae_formula", "eps_prime_oracle"} & set(row)
+
+    # points whose printed values are worked out by hand below; eta_B is 0.3
+    FORMULA_SOURCES = {
+        "ep": dict(scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, eta_l=0.3),
+        "wcs": dict(scheme=Scheme.WEAK_COHERENT, mu_prime=0.5, eta_l=0.3),
+        "pdc": dict(scheme=Scheme.TRIGGERED_PDC, g=0.3, eta_a=0.6, eta_l=0.3),
+    }
+
+    def test_formula_columns_are_the_printed_table(self):
+        formula_keys = [key for key in CSV_COLUMNS if key.endswith("_formula")]
+        assert sorted(formula_keys) == sorted(entry.key for entry in analytics.PRINTED)
+
+    @pytest.mark.parametrize("scheme", FORMULA_SOURCES)
+    @pytest.mark.parametrize("block", [None, AUTO, 0.5])
+    def test_formula_keys_come_from_the_table(self, scheme, block):
+        fields = self.FORMULA_SOURCES[scheme]
+        point = _resolve_run_params(ExperimentConfig(
+            **fields, attack=None if block is None else PnsConfig(block)
+        ))
+        row = analytic_row(point)
+        printed = analytics.FormulaPoint(
+            point.config.scheme, block is not None, point.source.g, point.config.eta_a, 0.3,
+            point.source.mu_prime, point.rates,
+        )
+        for entry in analytics.PRINTED:
+            assert row[entry.key] == entry.value(printed), entry.key
+        # the printed attack terms read no blocking probability
+        rate_keys = ("eps_prime_formula", "i_ab_formula", "i_eb_formula", "i_e_formula")
+        if block == 0.5:
+            at_auto = analytic_row(_resolve_run_params(dataclasses.replace(
+                point.config, attack=PnsConfig(AUTO)
+            )))
+            assert {k: row[k] for k in rate_keys} == {k: at_auto[k] for k in rate_keys}
+        expected = {
+            "ep": {"eps_prime_formula": None if block is None else 0.06593406593406594},
+            "wcs": {"i_e_formula": pytest.approx(0.5 / 0.6, rel=1e-15)},
+            "pdc": {"i_e_formula": pytest.approx(1.4 / 0.3 * 0.09 / 0.91, rel=1e-14)},
+        }[scheme]
+        assert {k: row[k] for k in expected} == expected
+        filled = {key for key in CSV_COLUMNS if key.endswith("_formula") and row[key] is not None}
+        attack_keys = {"p_ae_formula", "p_eb_formula", "i_eb_formula", "eps_prime_formula",
+                       "i_ab_formula"}
+        ep_keys = {"r_key_formula", "r_err_formula", "epsilon_formula"}
+        if block is not None:
+            ep_keys |= attack_keys
+        assert filled == (ep_keys if scheme == "ep" else {"i_e_formula"})
 
     def test_sweep_rows_ordered(self):
         config = ExperimentConfig(
@@ -514,7 +561,7 @@ class TestAttackedCompare:
     )
     def test_prepared_compare_passes(self, scheme, block, seed, capsys):
         # the oracle is the delivered rate at the run's blocking probability;
-        # no sifted bit is wrong, so only r_key has a z-score
+        # no sifted bit is wrong, so r_err and epsilon pass exactly at 0
         source = {
             "wcs": ["--mu-prime", "0.5", "--eta-b", "0.8", "--eta-l", "0.5"],
             "pdc": ["--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.8", "--eta-l", "0.5"],
@@ -526,7 +573,27 @@ class TestAttackedCompare:
         )
         err = capsys.readouterr().err
         assert code == 0, err
-        assert err.count("PASS") == 1
+        assert err.count("PASS") == 3
+        assert "r_err: PASS exact" in err and "epsilon: PASS exact" in err
+
+    def test_one_prepared_error_fails_exactly(self, monkeypatch, capsys):
+        real = engine._prepared_batch
+
+        def one_error(*args):
+            counts = real(*args)
+            counts.errors += 1
+            return counts
+
+        monkeypatch.setattr(engine, "_prepared_batch", one_error)
+        code = main(["compare", "--scheme", "wcs", "--mu-prime", "0.5", "--trials", "20000",
+                     "--seed", "3", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        assert "point r_key: PASS z=" in err
+        assert "point r_err: FAIL exact" in err and "point epsilon: FAIL exact" in err
+        (row,) = json.loads(out)["rows"]
+        assert row["r_err_mc"] == 1 / 20000 and row["r_err_oracle"] == 0.0
+        assert row["r_err_z"] is None and row["epsilon_z"] is None
 
 
 class TestRowSchema:
@@ -729,7 +796,7 @@ class TestMain:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION == 4
+        assert payload["schema_version"] == SCHEMA_VERSION == 5
         (row,) = payload["rows"]
         exact = analytics.ep_pns_oracle(0.3, 0.6, 1.0 - row["block_probability"], 2)
         assert row["i_ae_oracle"] == exact.i_ae
@@ -758,13 +825,25 @@ class TestMain:
         )
         assert code == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
+        # the printed epsilon' is a small-mu leading order, 28.1 here
         probabilities = {
             key: value for key, value in row.items()
-            if key.endswith(("_oracle", "_formula")) or key in ("r_exp", "r_multi")
+            if key.endswith(("_oracle", "_formula")) and key != "eps_prime_formula"
+            or key in ("r_exp", "r_multi")
         }
         assert (row["double_click_mismatched_oracle"] is None) == bool(attack)
         assert (row["r_multi"] is None) != bool(attack)
         assert all(0.0 <= v <= 1.0 for v in probabilities.values() if v is not None), row
+
+    def test_deepest_truncation_printed_eps_prime_past_one(self, capsys):
+        code = main(
+            ["analytic", "--scheme", "ep", "--g", "0.99", "--eta-a", "0.6", "--eta-b", "0.7",
+             "--eta-l", "0.5", "--truncation", "127", "--attack", "pns", "--format", "json"]
+        )
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["eps_prime_formula"] == pytest.approx(28.1, abs=0.05)
+        assert row["i_ab_formula"] is None
 
     @pytest.mark.parametrize(
         "args, field",

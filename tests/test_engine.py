@@ -12,7 +12,7 @@ from pdcqkd.analytics import (
     binary_information,
     ep_pns_oracle,
     exact_rates_oracle,
-    pdc_leakage,
+    pdc_rates_closed,
     wcs_leakage,
 )
 from pdcqkd.config import ConfigError, ExperimentConfig
@@ -242,7 +242,7 @@ class TestRunExperiment:
             master_seed=3,
         )
         report = run_experiment(config)
-        r_exp = pdc_leakage(0.3, 0.8, 0.81).r_exp
+        r_exp = pdc_rates_closed(0.3, 0.8, 0.81)[0]
         assert abs(report.r_key - r_exp) < 4 * report.r_key_se
         assert report.error_count == 0
 
@@ -490,7 +490,7 @@ class TestPreparedStatistics:
 
         dark_a = 1.0 - self.ETA_A
         assert report.error_count == 0
-        assert_binomial(report.r_key, pdc_leakage(g, self.ETA_A, eta).r_exp, n)
+        assert_binomial(report.r_key, pdc_rates_closed(g, self.ETA_A, eta)[0], n)
         assert_binomial(report.bob_no_click_rate, law_sum(1.0 - eta), n)
         assert_binomial(report.triggered_count / n, 1.0 - law_sum(dark_a), n)
         # heralded, mismatched bases, both of Bob's detectors fire

@@ -16,7 +16,6 @@ from pdcqkd.source import (
     g_for_single_arm_mean,
     mean_pairs,
     pair_distribution,
-    single_arm_mean,
 )
 from pdcqkd.engine import (
     _MATCHED,
@@ -60,7 +59,7 @@ class TestPairDistribution:
     @settings(max_examples=80, deadline=None)
     def test_normalization_with_tail(self, g, truncation):
         dist = pair_distribution(ep_params(g, truncation))
-        assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert float(dist.probabilities.sum() + dist.tail) == pytest.approx(1.0, abs=1e-12)
 
     @given(g=st.floats(min_value=0.0, max_value=0.95))
     @settings(max_examples=50, deadline=None)
@@ -100,7 +99,7 @@ class TestPairDistribution:
         # the gain of a pdc mean at the limit converts back to a little more,
         # and is accepted
         pdc = SourceParams(Scheme.TRIGGERED_PDC, g=g_for_single_arm_mean(MAX_MEAN_PHOTONS))
-        assert single_arm_mean(pdc.g) > MAX_MEAN_PHOTONS
+        assert pdc.g * pdc.g / (1.0 - pdc.g * pdc.g) > MAX_MEAN_PHOTONS
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError):
@@ -131,9 +130,8 @@ class TestMeanPairs:
 
     def test_single_arm_round_trip(self):
         for g in (0.1, 0.3, 0.6):
-            assert g_for_single_arm_mean(single_arm_mean(g)) == pytest.approx(
-                g, abs=1e-12
-            )
+            mu = g * g / (1.0 - g * g)
+            assert g_for_single_arm_mean(mu) == pytest.approx(g, abs=1e-12)
 
 
 class TestSamplers:
