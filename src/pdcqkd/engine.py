@@ -55,19 +55,33 @@ alone builds from a config: the source, the channel, the attack rates and
 the blocking probability.  ``run_experiments`` runs a list of these
 records -- the points of a sweep, all resolved before any batch runs.  Each
 run's batches are split into ``min(workers, n_batches)`` contiguous ranges,
-and every range of every run goes through one ``map``: the builtin one when
-no run has more than one range, otherwise a process pool's, which submits
-them all before the first report is folded.  Reports come back in order,
-each folded from its own ranges' integer counts, so a run's report is the
-same whether it runs alone, in a sweep, or on any number of workers.
+and every range of every run goes through one ``map``: in this process, a
+range at a time, when no run has more than one range, otherwise the ``map``
+of the interpreter's one process pool, which submits them all before the
+first report is folded.  Reports come back in order, each folded from its own
+ranges' integer counts, so a run's report is the same whether it runs
+alone, in a sweep, or on any number of workers.
+
+The pool is forked the first time a run has more than one range, with one
+process per range, and later runs reuse it, so its workers stay warm: their
+``fock`` cache filled, their memory paged in.  A run with more ranges than
+the pool has processes shuts it down and forks a bigger one.  A pool that
+raised ``BrokenProcessPool`` is dropped; the next run forks a fresh one,
+and so does a run that finds its pool broken before any of its ranges was
+submitted.  What a range reads of the parent's state after the fork comes
+pickled with it, in its ``_RunParams``, so reuse changes no report.
+``concurrent.futures`` joins the workers when the interpreter exits.
 """
 from __future__ import annotations
 
+import array
 import contextlib
 import itertools
 import math
+import threading
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Optional
@@ -189,21 +203,29 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = 1 << (len(weights) - 1).bit_length()
     scaled = np.zeros(k)
     scaled[: len(weights)] = weights * (k / weights.sum())
-    # Python floats round as float64 scalars do, and the loop runs faster
-    # on them than on numpy's
+    # The indices are typed arrays, not lists of boxed ints, which at
+    # truncation 127 (k = 2^20) were the peak memory of the whole run.  The
+    # weights are a list: Python floats round as float64 scalars do, and the
+    # loop runs faster on them than on numpy's.
+    small, large = (
+        array.array("q", np.flatnonzero(side).astype(np.int64, copy=False).tobytes())
+        for side in (scaled < 1.0, scaled >= 1.0)
+    )
     scaled = scaled.tolist()
-    alias = list(range(k))
-    small = [i for i, s in enumerate(scaled) if s < 1.0]
-    large = [i for i, s in enumerate(scaled) if s >= 1.0]
+    alias = array.array("q", np.arange(k, dtype=np.int64).tobytes())
     while small and large:
         s, l = small.pop(), large.pop()
         alias[s] = l
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
     # what is left over holds weight 1 up to rounding
-    for i in small + large:
+    for i in itertools.chain(small, large):
         scaled[i] = 1.0
-    return np.arange(k) + np.array(scaled), np.array(alias, dtype=np.intp)
+    del small, large
+    cut = np.array(scaled)
+    del scaled
+    cut += np.arange(k)
+    return cut, np.array(alias, dtype=np.intp)
 
 
 def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -687,31 +709,76 @@ def _batch_ranges(config: ExperimentConfig) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
+# The interpreter's process pool and its number of processes (see the module
+# docstring); None until a run has more than one range.  The lock makes
+# replacing the pool and submitting to it one step for each thread.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_size = 0
+_pool_lock = threading.RLock()
+
+
+def _drop_pool() -> None:
+    """Shut the pool down, once every range submitted to it is done, and
+    forget it; the next run that needs a pool forks one."""
+    global _pool, _pool_size
+    with _pool_lock:
+        pool, _pool, _pool_size = _pool, None, 0
+        if pool is not None:
+            pool.shutdown()
+
+
+def _submit(size: int, tasks: list) -> Iterator[_Counts]:
+    """Every task submitted to the pool, first replaced by one of ``size``
+    processes when it has fewer; its ``map`` results, in task order."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if size > _pool_size:
+            _drop_pool()
+            _pool, _pool_size = ProcessPoolExecutor(max_workers=size), size
+        return _pool.map(_run_batch_range, *zip(*tasks))
+
+
+def _pool_map(size: int, tasks: list) -> Iterator[_Counts]:
+    """``_run_batch_range`` over ``tasks`` on the pool, all submitted on the
+    first ``next()``.  Closing this generator closes the pool's ``map``
+    results, which cancels the tasks not yet started and leaves the pool to
+    the next run."""
+    try:
+        results = _submit(size, tasks)
+    except BrokenProcessPool:
+        # a worker died after the last run, and none of these tasks has run
+        _drop_pool()
+        results = _submit(size, tasks)
+    try:
+        yield from results
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+
+
 def run_experiments(points: Iterable[_RunParams]) -> Iterator[RateReport]:
     """Yield one RateReport per resolved point, in order.
 
     The points come from ``_resolve_run_params``, so nothing is validated or
     solved here.  Every batch range of every point goes through one ``map``,
     opened on the first ``next()``, and each report is folded from the next
-    ``len(parts)`` results.  When no run has more than one range that is the
-    builtin ``map``, which runs each range in this process when its report is
-    asked for; otherwise it is the ``map`` of a pool of as many processes as
-    the largest run has ranges, which submits every range up front.  Closing
-    the generator early drops the ranges not yet started and shuts the pool
-    down.
+    ``len(parts)`` results.  When no run has more than one range, each range
+    runs in this process when its report is asked for, and no pool is
+    forked.  Otherwise it is the ``map`` of the interpreter's process pool,
+    which submits every range up front; the pool is forked on first use, or
+    when it has fewer processes than the largest run has ranges, and is kept
+    for the next call.  Closing the generator early drops the ranges not yet
+    started and leaves the pool running.
     """
     points = list(points)
     ranges = [_batch_ranges(point.config) for point in points]
     tasks = [(point, lo, hi) for point, parts in zip(points, ranges) for lo, hi in parts]
     pool_size = max(map(len, ranges), default=0)
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if pool_size > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size))
-            # unwinds before the pool's exit, which would wait for every range
-            stack.callback(pool.shutdown, cancel_futures=True)
-            mapper = pool.map
-        results = mapper(_run_batch_range, *zip(*tasks)) if tasks else iter(())
+    if pool_size > 1:
+        results = _pool_map(pool_size, tasks)
+    else:
+        results = (_run_batch_range(*task) for task in tasks)
+    with contextlib.closing(results):
         for point, parts in zip(points, ranges):
             counts = sum(itertools.islice(results, len(parts)), _Counts())
             yield _build_report(counts, point)
@@ -719,8 +786,8 @@ def run_experiments(points: Iterable[_RunParams]) -> Iterator[RateReport]:
 
 def run_experiment(config: ExperimentConfig) -> RateReport:
     """Aggregate ``config.trials`` rounds into a RateReport: a one-point
-    ``run_experiments`` of the resolved config, with the same batch ranges
-    and at most one pool.
+    ``run_experiments`` of the resolved config, with the same batch ranges,
+    on the interpreter's process pool when it has more than one.
 
     Bit-identical for a fixed master seed regardless of worker count.
     """

@@ -123,10 +123,6 @@ class PairConfiguration:
     m: int
     n: int
 
-    @property
-    def total(self) -> int:
-        return self.m + self.n
-
 
 @dataclass(frozen=True)
 class PairDistribution:

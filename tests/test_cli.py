@@ -3,7 +3,6 @@ import csv
 import dataclasses
 import io
 import json
-import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -458,28 +457,6 @@ def attacked_sweep(workers, sweep=None):
     ).validated()
 
 
-class CountingPool(engine.ProcessPoolExecutor):
-    """Records every pool the engine constructs and every shutdown."""
-
-    created: list = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.shut_down = False
-        CountingPool.created.append(self)
-
-    def shutdown(self, *args, **kwargs):
-        super().shutdown(*args, **kwargs)
-        self.shut_down = True
-
-
-@pytest.fixture
-def counting_pool(monkeypatch):
-    CountingPool.created = []
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
-    return CountingPool.created
-
-
 class TestSweepScheduler:
     def test_rows_identical_for_any_worker_count(self):
         rows = [run_sweep(attacked_sweep(workers)) for workers in (1, 2, 3)]
@@ -492,10 +469,14 @@ class TestSweepScheduler:
                 alone.append(point_row(point, "g", row["sweep_value"], reports))
         assert alone == rows[0]
 
-    def test_one_pool_per_sweep(self, counting_pool):
-        rows = run_sweep(attacked_sweep(2, sweep=SweepSpec("g", 0.1, 0.4, 4)))
+    def test_points_and_sweeps_share_one_pool(self, counting_pool):
+        sweep = attacked_sweep(2, sweep=SweepSpec("g", 0.1, 0.4, 4))
+        point = dataclasses.replace(sweep, sweep=None, g=0.2)
+        first = engine.run_experiment(point)
+        rows = run_sweep(sweep)
+        assert engine.run_experiment(point) == first
         assert len(rows) == 4
-        assert len(counting_pool) == 1 and counting_pool[0].shut_down
+        assert len(counting_pool) == 1 and not counting_pool[0].shut_down
 
     def test_invalid_last_point_fails_before_any_batch(self, monkeypatch):
         def no_run(*args):
@@ -509,7 +490,11 @@ class TestSweepScheduler:
             run_sweep(config)
         assert "sweep point eta_a=1.4" in str(exc.value)
 
-    def test_row_error_mid_sweep_shuts_the_pool_down(self, monkeypatch, counting_pool):
+    def test_row_error_mid_sweep_leaves_the_pool_to_the_next_run(
+        self, monkeypatch, counting_pool
+    ):
+        sweep = attacked_sweep(2, sweep=SweepSpec("g", 0.1, 0.4, 4))
+        expected = run_sweep(dataclasses.replace(sweep, workers=1))
         real = cli.analytic_row
         calls = []
 
@@ -522,9 +507,12 @@ class TestSweepScheduler:
         monkeypatch.setattr(cli, "analytic_row", failing_analytic_row)
         # the held traceback keeps the sweep's frames, and so its generator, alive
         with pytest.raises(RuntimeError, match="row failed") as excinfo:
-            run_sweep(attacked_sweep(2, sweep=SweepSpec("g", 0.1, 0.4, 4)))
-        assert len(counting_pool) == 1 and counting_pool[0].shut_down
-        assert multiprocessing.active_children() == []
+            run_sweep(sweep)
+        monkeypatch.setattr(cli, "analytic_row", real)
+        # the failed sweep's ranges not started were dropped, so this one's
+        # queue behind at most the ranges that had started
+        assert run_sweep(sweep) == expected
+        assert len(counting_pool) == 1 and not counting_pool[0].shut_down
         del excinfo
 
 

@@ -2,7 +2,14 @@ import dataclasses
 import functools
 import math
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +100,7 @@ class TestEpJointTable:
         # one mismatched block per total, at P(total)/2 for either combo
         rows = np.flatnonzero(table.kind == _MISMATCHED)
         for total in range(truncation + 1):
-            p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.total == total)
+            p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.m + c.n == total)
             block = [j for j in rows if table.a0[j] + table.a1[j] == total]
             got = {(table.a0[j], table.a1[j], table.b0[j], table.b1[j]): p[j] for j in block}
             occs, probs = fock.sector_distribution(total)
@@ -598,8 +605,15 @@ class TestRunExperiments:
             assert report.i_ae == touched * binary_information(report.p_ae_hat)
             assert report.i_eb == touched * binary_information(report.p_eb_hat)
 
-    def test_closing_early_drops_the_ranges_not_started(self, monkeypatch, tmp_path):
-        # patched before the pool forks, so the workers run the stand-in
+    def test_closing_early_drops_the_ranges_not_started(
+        self, monkeypatch, tmp_path, counting_pool
+    ):
+        check = ep_config(trials=2 * BATCH_SIZE, master_seed=99, workers=2)
+        serial = run_experiment(dataclasses.replace(check, workers=1))
+        assert run_experiment(check) == serial
+        real = engine._run_batch_range
+        # the pool forked before the patch: the stand-in reaches its workers
+        # because it is pickled by reference with each task
         monkeypatch.setattr(engine, "_run_batch_range", functools.partial(marked_range, tmp_path))
         configs = [
             ep_config(trials=2 * BATCH_SIZE, master_seed=seed, workers=2) for seed in range(20)
@@ -607,9 +621,12 @@ class TestRunExperiments:
         reports = run_experiments(map(_resolve_run_params, configs))
         next(reports)
         reports.close()
+        monkeypatch.setattr(engine, "_run_batch_range", real)
+        # its ranges queue behind every range of the closed run that started
+        assert run_experiment(check) == serial
         started = len(list(tmp_path.iterdir()))
         assert 2 <= started < 2 * len(configs)
-        assert multiprocessing.active_children() == []
+        assert len(counting_pool) == 1 and not counting_pool[0].shut_down
 
     def test_invalid_config_raises_before_any_run(self, monkeypatch):
         def no_run(*args):
@@ -620,6 +637,84 @@ class TestRunExperiments:
         points = map(_resolve_run_params, self.configs(1) + [ep_config(g=None)])
         with pytest.raises(ConfigError):
             next(run_experiments(points))
+
+
+def dying_range(params, start, stop):
+    """Stands in for ``engine._run_batch_range`` and kills the pool worker
+    that runs it (and nothing else)."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _Counts()
+
+
+class TestPool:
+    """``run_experiments`` keeps one process pool per interpreter: forked on
+    first use, replaced when a run needs more processes or it broke."""
+
+    def config(self, workers):
+        return ep_config(trials=3 * BATCH_SIZE + 5, master_seed=61, workers=workers)
+
+    def test_more_ranges_replace_the_pool_once(self, counting_pool):
+        serial = run_experiment(self.config(1))
+        assert counting_pool == []
+        for workers in (2, 3, 2, 3):
+            assert run_experiment(self.config(workers)) == serial
+        assert len(counting_pool) == 2
+        assert counting_pool[0].shut_down and not counting_pool[1].shut_down
+
+    def test_threads_share_the_pool(self, counting_pool):
+        serial = run_experiment(self.config(1))
+        with ThreadPoolExecutor(4) as threads:
+            reports = list(threads.map(lambda w: run_experiment(self.config(w)), [2, 3] * 4))
+        assert reports == [serial] * 8
+        # a pool of 2 is replaced at most once, by the pool of 3
+        assert 1 <= len(counting_pool) <= 2 and not counting_pool[-1].shut_down
+
+    def test_a_killed_worker_gets_a_fresh_pool(self, counting_pool):
+        serial = run_experiment(self.config(1))
+        assert run_experiment(self.config(2)) == serial
+        victim, _ = multiprocessing.active_children()
+        os.kill(victim.pid, signal.SIGKILL)
+        # the pool marks itself broken before it ends its other worker
+        deadline = time.monotonic() + 60
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, "the broken pool kept a worker"
+            time.sleep(0.01)
+        assert run_experiment(self.config(2)) == serial
+        assert len(counting_pool) == 2 and counting_pool[0].shut_down
+
+    def test_a_pool_broken_mid_run_is_dropped(self, monkeypatch, counting_pool):
+        serial = run_experiment(self.config(1))
+        assert run_experiment(self.config(2)) == serial
+        real = engine._run_batch_range
+        monkeypatch.setattr(engine, "_run_batch_range", dying_range)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(self.config(2))
+        monkeypatch.setattr(engine, "_run_batch_range", real)
+        assert counting_pool[0].shut_down
+        assert run_experiment(self.config(2)) == serial
+        assert len(counting_pool) == 2 and not counting_pool[1].shut_down
+
+    def test_no_worker_outlives_its_interpreter(self):
+        script = (
+            "import multiprocessing\n"
+            "from pdcqkd import ExperimentConfig, run_experiment\n"
+            "from pdcqkd.source import Scheme\n"
+            "run_experiment(ExperimentConfig(scheme=Scheme.ENTANGLED_PAIRS, g=0.3,"
+            f" trials={2 * BATCH_SIZE}, workers=2))\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        )
+        src = Path(engine.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            # the interpreter joined its pool's workers on its way out
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestChunks:

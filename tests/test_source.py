@@ -41,7 +41,7 @@ class TestPairDistribution:
         dist = pair_distribution(ep_params(0.0))
         table = dict(zip(dist.configs, dist.probabilities))
         assert table[PairConfiguration(0, 0)] == 1.0
-        assert all(p == 0.0 for c, p in table.items() if c.total > 0)
+        assert all(p == 0.0 for c, p in table.items() if c.m + c.n > 0)
         assert dist.tail == 0.0
 
     def test_small_gain_values(self):
@@ -76,7 +76,7 @@ class TestPairDistribution:
         for truncation in range(MIN_TRUNCATION, 10):
             dist = pair_distribution(ep_params(g, truncation))
             partial = sum(
-                c.total * p for c, p in zip(dist.configs, dist.probabilities)
+                (c.m + c.n) * p for c, p in zip(dist.configs, dist.probabilities)
             )
             assert previous < partial <= mu + 1e-12
             previous = partial
