@@ -331,6 +331,25 @@ def _z_score(mc: Optional[float], se: Optional[float], oracle: Optional[float]):
     return (mc - oracle) / se
 
 
+def _verdict(row: dict, name: str, sigma: float) -> tuple[Optional[bool], str]:
+    """``compare``'s verdict on the judged rate ``name`` of a Monte Carlo
+    row, and its status; None with ``n/a`` when there is nothing to judge."""
+    mc, oracle, z = (row[f"{name}_{part}"] for part in ("mc", "oracle", "z"))
+    if mc is None or oracle is None:
+        return None, "n/a"
+    if oracle == 0.0:
+        # an oracle of exactly 0 is judged exactly
+        return mc == 0.0, "exact"
+    if z is not None:
+        return abs(z) <= sigma, f"z={z:+.3f}"
+    # an estimate of 0 or 1 has no spread, so no z-score: its count, none or
+    # all of its n trials, is judged by its binomial probability at the
+    # oracle against the two-sided normal tail at sigma
+    n = row["sifted_count"] if name == "epsilon" else row["trials"] - row["truncation_exceeded"]
+    chance = (1.0 - oracle) ** n if mc == 0.0 else oracle ** n
+    return chance >= math.erfc(sigma / math.sqrt(2.0)), f"P(count)={chance:.3g}"
+
+
 def point_row(
     point: engine._RunParams, sweep_param: str, sweep_value, reports: Iterator[RateReport]
 ) -> dict:
@@ -522,13 +541,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         failed = False
         for row in rows if args.command == "compare" else ():
             for name in JUDGED:
-                mc, oracle, z = (row[f"{name}_{part}"] for part in ("mc", "oracle", "z"))
-                ok, status = None, "n/a"
-                if oracle == 0.0 and mc is not None:
-                    # an oracle of exactly 0 is judged exactly
-                    ok, status = mc == 0.0, "exact"
-                elif z is not None:
-                    ok, status = abs(z) <= sigma, f"z={z:+.3f}"
+                ok, status = _verdict(row, name, sigma)
                 if ok is not None:
                     failed = failed or not ok
                     status = f"{'PASS' if ok else 'FAIL'} {status}"

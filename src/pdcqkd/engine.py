@@ -9,23 +9,30 @@ of the reproducibility contract; so is any change to the generator or to the
 draws a kernel makes, which bumps STREAM_VERSION.
 
 The entangled-pair kernel draws each trial's emission, analyzer bases and
-photon counts with one uniform from a joint table (Walker's alias method).
-Its entries are the truncation-exceeded event; matched bases with each pair
-configuration, where the classical per-photon model is exact because the
-source state keeps its form under an identical basis change on both sides;
-and each occupation of each per-side-total sector, from total 0 up, in a
+photon counts, and in a matched-basis round whether Alice has a single click
+and on which detector, with one uniform from a joint table (Walker's alias
+method).  Its entries are each pair configuration in matched bases, where
+the classical per-photon model is exact because the source state keeps its
+form under an identical basis change on both sides, split three ways by
+Alice's outcome: D0 alone, D1 alone, or no single click, from her two
+independent yes/no detectors, each firing with probability 1 - (1 - eta)^n;
+then each occupation of each per-side-total sector, from total 0 up, in a
 mismatched-basis round, drawn from the sector-conditioned Fock distribution
 that both mismatched combos share, which carries the two-photon interference
-the classical model misses.  Each side's two detectors then fire on one
-uniform in ``_two_detectors``, against thresholds that make them independent
-yes/no detectors, each firing with probability 1 - (1 - eta)^n.
+the classical model misses; and last the truncation-exceeded event.  No
+tally reads Alice's outcome in a mismatched round, so nothing draws it, and
+every class the kernel needs is a range of entries: a sift candidate is
+below ``2 M`` for M pair configurations, Alice's bit is 1 from ``M`` on, a
+matched round is below ``3 M`` and the exceeded event is the last entry.
+Bob's two detectors then fire on one uniform in ``_two_detectors``, against
+thresholds that make them independent yes/no detectors in the same way.
 Under attack Bob's arm first passes through the PNS interposer on one more
 uniform, which decides the stored photon of a multi-photon arm or the block
 of a single photon: no arm is both, and the truncation-exceeded entry holds
 no photons, so every entry goes through it.
 Everything that depends only on the drawn entry is tabulated per entry once
-per run context, so a trial indexes the tables with its entry: each side's
-detector thresholds at its counts, and the interposer as an ``_Interposer``,
+per run context, so a trial indexes the tables with its entry: Bob's
+detector thresholds at his counts, and the interposer as an ``_Interposer``,
 one threshold per entry with a low and a high way, each with its own row of
 Bob's thresholds.
 The prepare-and-measure kernel draws the photon number with Alice's bit and
@@ -110,8 +117,10 @@ CHUNK_SIZE = 1 << 13
 # 4: each ep side's two detectors on one uniform, one interposer uniform
 #    (wcs/pdc streams as in 3);
 # 5: each batch draws from SFC64 seeded by SeedSequence (every draw as in 4);
-# 6: one mismatched-basis block in the ep joint table (wcs/pdc streams as in 5).
-STREAM_VERSION = 6
+# 6: one mismatched-basis block in the ep joint table (wcs/pdc streams as in 5);
+# 7: Alice's ep outcome drawn with the joint entry, in a matched-basis block
+#    per outcome, and no Alice uniform (wcs/pdc streams as in 6).
+STREAM_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -235,52 +244,65 @@ def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray
     return np.where(x < cut.take(i), i, alias.take(i))
 
 
-# Entry kinds of the joint table; both mismatched combos share _MISMATCHED.
-_EXCEEDED, _MATCHED, _MISMATCHED = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class _JointTable:
     """One categorical distribution over everything an ``ep`` trial draws
-    before the interposer and the detectors.
+    before the interposer and Bob's detectors.
 
-    Entry ``j`` has probability ``probabilities[j]``, a ``kind`` and the
-    photon counts ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The
-    entries come in array blocks, in this order: the truncation-exceeded
-    event (one entry, no photons); the matched block, each pair
-    configuration (m, n) of ``dist`` at half its probability with counts
-    (m, n, m, n); and one mismatched block per sector total, from 0 up, each
-    occupation of the total's sector table at the total's probability times
-    1/2 (either mismatched combo) times its sector probability.
+    Entry ``j`` has probability ``probabilities[j]`` and the photon counts
+    ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The entries come in
+    array blocks, in this order: three matched blocks of ``pairs`` entries,
+    each pair configuration (m, n) of ``dist`` at half its probability with
+    counts (m, n, m, n), times the probability that Alice's detectors, which
+    fire with ``fire_a`` at m and n, give D0 alone, D1 alone, and no single
+    click; one mismatched block per sector total, from 0 up, each occupation
+    of the total's sector table at the total's probability times 1/2 (either
+    mismatched combo) times its sector probability; and the
+    truncation-exceeded event (one entry, no photons).
     """
 
     probabilities: np.ndarray
-    kind: np.ndarray
     a0: np.ndarray
     a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
     cut: np.ndarray
     alias: np.ndarray
+    pairs: int
 
     @classmethod
-    def build(cls, dist: PairDistribution, sector_tables: dict) -> "_JointTable":
+    def build(
+        cls, dist: PairDistribution, sector_tables: dict, fire_a: np.ndarray
+    ) -> "_JointTable":
         m = np.array([c.m for c in dist.configs])
         n = np.array([c.n for c in dist.configs])
         totals = m + n
-        probabilities = [[dist.tail], 0.5 * dist.probabilities]
-        counts = [np.zeros((4, 1), dtype=np.int64), (m, n, m, n)]
+        f0, f1 = fire_a.take(m), fire_a.take(n)
+        half = 0.5 * dist.probabilities
+        probabilities = [
+            half * (f0 * (1.0 - f1)),
+            half * (f1 * (1.0 - f0)),
+            half * (f0 * f1 + (1.0 - f0) * (1.0 - f1)),
+        ]
+        counts = [np.tile((m, n, m, n), 3)]
         for total, (cdf, *occupations) in sector_tables.items():
             weight = 0.5 * dist.probabilities[totals == total].sum()
             # the last occupation takes all mass beyond the one before, as
             # inverse-CDF sampling of ``cdf`` does
             probabilities.append(weight * np.diff(cdf[:-1], prepend=0.0, append=1.0))
             counts.append(occupations)
+        probabilities.append([dist.tail])
+        counts.append(np.zeros((4, 1), dtype=np.int64))
         probabilities = np.concatenate(probabilities)
         a0, a1, b0, b1 = np.concatenate(counts, axis=1).astype(np.int8)
-        blocks = [1, len(m), len(probabilities) - 1 - len(m)]
-        kind = np.repeat(np.array([_EXCEEDED, _MATCHED, _MISMATCHED], dtype=np.int8), blocks)
-        return cls(probabilities, kind, a0, a1, b0, b1, *_alias_table(probabilities))
+        return cls(probabilities, a0, a1, b0, b1, *_alias_table(probabilities), len(m))
+
+    def classes(self, entry: np.ndarray):
+        """The ``(present, matched, a_single, bit_a)`` masks of ``_tally`` at
+        the entries ``entry``, from the block bounds alone: not exceeded,
+        matched bases, Alice's single click, and her bit where she has one."""
+        pairs, exceeded = self.pairs, len(self.probabilities) - 1
+        return entry != exceeded, entry < 3 * pairs, entry < 2 * pairs, entry >= pairs
 
 
 @dataclass(frozen=True)
@@ -368,10 +390,10 @@ class _EpContext(_BatchContext):
 
     Everything the kernel looks up per trial is tabulated per entry of the
     joint table, and derived from the sector tables on first use, so it
-    always reflects the sector tables the kernel sees: ``alice`` holds
-    Alice's ``_pair_thresholds`` at each entry, ``interposer`` the
-    ``_Interposer`` of Bob's counts, and ``bob`` Bob's thresholds at each
-    entry, or under attack at each row ``2 j + low`` of the interposer.
+    always reflects the sector tables the kernel sees: the joint table holds
+    Alice's outcome in its matched blocks, ``interposer`` is the
+    ``_Interposer`` of Bob's counts, and ``bob`` holds Bob's thresholds at
+    each entry, or under attack at each row ``2 j + low`` of the interposer.
     """
 
     def __init__(self, params: _RunParams):
@@ -390,15 +412,11 @@ class _EpContext(_BatchContext):
 
     @cached_property
     def joint(self) -> _JointTable:
-        return _JointTable.build(self.dist, self.sector_tables)
+        return _JointTable.build(self.dist, self.sector_tables, self.fire_a)
 
     @cached_property
     def interposer(self) -> _Interposer:
         return _Interposer.build(self.joint.b0, self.joint.b1, self.block_probability)
-
-    @cached_property
-    def alice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _pair_thresholds(self.fire_a.take(self.joint.a0), self.fire_a.take(self.joint.a1))
 
     @cached_property
     def bob(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -515,22 +533,20 @@ def _chunks(u: np.ndarray) -> Iterator[np.ndarray]:
 def _ep_chunk(u: np.ndarray, p: _RunParams, ctx: _EpContext) -> _Counts:
     table = ctx.joint
     entry = _alias_draw(table.cut, table.alias, u[0])
-    kind = table.kind.take(entry)
-    valid = kind != _EXCEEDED
 
     eve = None
     row = entry
     if p.block_probability is not None:
         row, eve = ctx.interposer.apply(entry, u[1])
 
-    fa0, fa1 = _two_detectors(u[-2], entry, *ctx.alice)
     fb0, fb1 = _two_detectors(u[-1], row, *ctx.bob)
-    return _tally(valid, valid, kind == _MATCHED, fa0 ^ fa1, fa1, fb0, fb1, eve)
+    present, matched, a_single, bit_a = table.classes(entry)
+    return _tally(present, present, matched, a_single, bit_a, fb0, fb1, eve)
 
 
 def _ep_batch(rng: np.random.Generator, size: int, p: _RunParams, ctx: _EpContext) -> _Counts:
-    # rows: joint entry, then the interposer, then Alice's and Bob's detectors
-    u = ctx.uniforms(rng, 3 + (p.block_probability is not None), size)
+    # rows: joint entry, then the interposer, then Bob's detectors
+    u = ctx.uniforms(rng, 2 + (p.block_probability is not None), size)
     return sum((_ep_chunk(chunk, p, ctx) for chunk in _chunks(u)), _Counts())
 
 

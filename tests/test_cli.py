@@ -584,6 +584,57 @@ class TestAttackedCompare:
         assert row["r_err_z"] is None and row["epsilon_z"] is None
 
 
+class TestZeroSpreadVerdicts:
+    """An estimate of exactly 0 against a nonzero oracle has no standard
+    error, so no z-score; ``compare`` judges its count by its binomial
+    probability at the oracle."""
+
+    EP = ["compare", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.8",
+          "--eta-l", "0.5"]
+
+    def test_no_errors_where_hundreds_are_expected_fails(self, monkeypatch, capsys):
+        real = engine._ep_batch
+
+        def no_errors(*args):
+            counts = real(*args)
+            counts.errors = 0
+            return counts
+
+        monkeypatch.setattr(engine, "_ep_batch", no_errors)
+        code = main([*self.EP, "--trials", "1000000", "--seed", "5", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        assert "point r_key: PASS z=" in err
+        assert "point r_err: FAIL P(count)=" in err and "point epsilon: FAIL P(count)=" in err
+        (row,) = json.loads(out)["rows"]
+        assert row["r_err_mc"] == 0.0 and row["r_err_oracle"] * row["trials"] > 300
+        assert row["r_err_z"] is None and row["epsilon_z"] is None
+
+    def test_no_errors_where_fewer_than_one_is_expected_passes(self, capsys):
+        code = main([*self.EP, "--trials", "1000", "--seed", "1", "--format", "json"])
+        out, err = capsys.readouterr()
+        (row,) = json.loads(out)["rows"]
+        valid = row["trials"] - row["truncation_exceeded"]
+        assert row["r_err_mc"] == 0.0 and row["r_err_oracle"] * valid < 1
+        assert code == 0, err
+        assert "point r_err: PASS P(count)=" in err and "point epsilon: PASS P(count)=" in err
+
+    @pytest.mark.parametrize("eta", [1.0, 0.4])
+    def test_alice_classes_that_ignore_eta_a_fail(self, eta, monkeypatch, capsys):
+        # Alice's outcome classes in the ep joint table weighted at an
+        # efficiency other than her own: ideal detectors, or Bob's
+        build = engine._JointTable.build.__func__
+
+        def ignore_eta_a(cls, dist, sector_tables, fire_a):
+            return build(cls, dist, sector_tables, engine._fire_table(eta, len(fire_a) - 1))
+
+        monkeypatch.setattr(engine._JointTable, "build", classmethod(ignore_eta_a))
+        code = main([*self.EP, "--trials", "2000000", "--seed", "6"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "point r_key: FAIL z=" in err
+
+
 class TestRowSchema:
     """Every row, CSV or JSON, has exactly the ``CSV_COLUMNS`` keys, whatever
     the command, scheme or attack."""

@@ -24,9 +24,6 @@ from pdcqkd.analytics import (
 )
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.engine import (
-    _EXCEEDED,
-    _MATCHED,
-    _MISMATCHED,
     BATCH_SIZE,
     STREAM_VERSION,
     _EpContext,
@@ -81,24 +78,28 @@ class TestEpJointTable:
         table = self.context(g, truncation).joint
         dist = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, g, truncation))
         p = table.probabilities
+        pairs = len(dist.configs)
+        assert table.pairs == pairs
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert set(table.kind.tolist()) == {_EXCEEDED, _MATCHED, _MISMATCHED}
-        (exceeded,) = np.flatnonzero(table.kind == _EXCEEDED)
+        exceeded = len(p) - 1
         assert p[exceeded] == pytest.approx(dist.tail, abs=1e-12)
         assert table.a0[exceeded] == table.a1[exceeded] == 0
         assert table.b0[exceeded] == table.b1[exceeded] == 0
 
-        matched = {
-            (table.a0[j], table.a1[j]): p[j]
-            for j in np.flatnonzero(table.kind == _MATCHED)
-            if table.b0[j] == table.a0[j] and table.b1[j] == table.a1[j]
-        }
-        assert len(matched) == len(dist.configs) == np.count_nonzero(table.kind == _MATCHED)
-        for c, w in zip(dist.configs, dist.probabilities):
-            assert matched[(c.m, c.n)] == pytest.approx(w / 2, abs=1e-12)
+        # three matched blocks, by Alice's outcome at eta_a 0.6: D0 alone, D1
+        # alone, no single click
+        for i, (c, w) in enumerate(zip(dist.configs, dist.probabilities)):
+            f0, f1 = 1.0 - 0.4**c.m, 1.0 - 0.4**c.n
+            classes = (f0 * (1.0 - f1), f1 * (1.0 - f0), f0 * f1 + (1.0 - f0) * (1.0 - f1))
+            rows = [i, pairs + i, 2 * pairs + i]
+            for j, q in zip(rows, classes):
+                assert (table.a0[j], table.a1[j], table.b0[j], table.b1[j]) == (c.m, c.n, c.m, c.n)
+                assert p[j] == pytest.approx(w / 2 * q, abs=1e-12)
+            assert p[rows].sum() == pytest.approx(w / 2, abs=1e-12)
 
         # one mismatched block per total, at P(total)/2 for either combo
-        rows = np.flatnonzero(table.kind == _MISMATCHED)
+        rows = np.arange(3 * pairs, exceeded)
+        seen = 0
         for total in range(truncation + 1):
             p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.m + c.n == total)
             block = [j for j in rows if table.a0[j] + table.a1[j] == total]
@@ -108,10 +109,12 @@ class TestEpJointTable:
             assert p[block].sum() == pytest.approx(p_total / 2, abs=1e-12)
             for occ, q in zip(occs, probs):
                 assert got[occ] == pytest.approx(p_total / 2 * q, abs=1e-12)
+            seen += len(block)
+        assert seen == len(rows)
 
-    @pytest.mark.parametrize("truncation, entries", [(2, 20), (3, 40)])
+    @pytest.mark.parametrize("truncation, entries", [(2, 32), (3, 60)])
     def test_entry_count(self, truncation, entries):
-        # 1 exceeded + (t+1)(t+2)/2 matched + the sector tables' occupations
+        # 3 (t+1)(t+2)/2 matched + the sector tables' occupations + 1 exceeded
         assert len(self.context(0.3, truncation).joint.probabilities) == entries
 
     @pytest.mark.parametrize("truncation", [2, 3])
@@ -190,7 +193,8 @@ class TestTwoDetectors:
     def test_entry_thresholds_past_int8(self, block):
         # at truncation 12 a flat index n0 * 13 + n1 of a count pair would
         # pass the int8 range of the counts; the tables are per entry, and
-        # each row holds the thresholds of its own counts
+        # each row holds the thresholds, or Alice's class weight, of its own
+        # counts
         ctx = self.context(12, 0.6, block)
         table = ctx.joint
         assert table.a0.max() == table.a1.max() == table.b0.max() == table.b1.max() == 12
@@ -198,14 +202,19 @@ class TestTwoDetectors:
         if block is not None:
             bob_counts = (ctx.interposer.f0, ctx.interposer.f1)
             assert len(ctx.interposer.f0) == 2 * len(table.b0)
-        for thresholds, fire, (n0, n1) in (
-            (ctx.alice, ctx.fire_a, (table.a0, table.a1)), (ctx.bob, ctx.fire_b, bob_counts)
-        ):
-            assert all(len(t) == len(n0) for t in thresholds)
-            for (d0, d1_lo, d1_hi), c0, c1 in zip(zip(*thresholds), n0.tolist(), n1.tolist()):
-                f0, f1 = fire[c0], fire[c1]
-                assert (d0, d1_lo, d1_hi) == (f0, f0 * (1.0 - f1), f0 * (1.0 - f1) + f1)
-                assert d1_hi - d1_lo == pytest.approx(f1, abs=1e-15)
+        assert all(len(t) == len(bob_counts[0]) for t in ctx.bob)
+        for (d0, d1_lo, d1_hi), c0, c1 in zip(zip(*ctx.bob), *(n.tolist() for n in bob_counts)):
+            f0, f1 = ctx.fire_b[c0], ctx.fire_b[c1]
+            assert (d0, d1_lo, d1_hi) == (f0, f0 * (1.0 - f1), f0 * (1.0 - f1) + f1)
+            assert d1_hi - d1_lo == pytest.approx(f1, abs=1e-15)
+
+        # Alice's class of each matched entry, at that entry's counts
+        pairs = table.pairs
+        half = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, 0.3, 12)).probabilities / 2
+        for j, (c0, c1) in enumerate(zip(table.a0[: 3 * pairs].tolist(), table.a1.tolist())):
+            f0, f1 = ctx.fire_a[c0], ctx.fire_a[c1]
+            q = (f0 * (1.0 - f1), f1 * (1.0 - f0), f0 * f1 + (1.0 - f0) * (1.0 - f1))[j // pairs]
+            assert table.probabilities[j] == half[j % pairs] * q
 
 
 class TestRunExperiment:
@@ -288,6 +297,18 @@ class TestRunExperiment:
         assert 0 < report.sifted_count <= report.triggered_count
         dark = run_experiment(dataclasses.replace(config, eta_a=0.0))
         assert dark.triggered_count == dark.sifted_count == 0
+
+    @pytest.mark.parametrize("block", [None, 0.5])
+    def test_perfect_alice_detectors_make_no_errors(self, block):
+        # at eta_a 1 Alice has a single click exactly when one mode holds
+        # photons, and then so does Bob's arm: an entry with both or neither
+        # mode occupied has a single-click weight of exactly 0, and a drawn
+        # one could make an error
+        attack = None if block is None else PnsConfig(block_probability=block)
+        report = run_experiment(
+            ep_config(eta_a=1.0, trials=1 << 17, master_seed=8, attack=attack)
+        )
+        assert report.sifted_count > 0 and report.error_count == 0
 
     def test_attacked_run_has_no_matched_double_clicks(self):
         config = ep_config(
@@ -775,15 +796,15 @@ class TestChunks:
 class TestStreams:
     """Exact counts of five runs: ``wcs-pns`` and ``pdc`` recorded when
     STREAM_VERSION was 5, ``ep``, ``ep-pns`` and ``ep-pns-deep`` when it was
-    6."""
+    7."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
     # triggered, blocked
     PINNED = {
-        "ep": (65659, 65505, 154, 3968, 6, 186, 0, 0),
-        "ep-pns": (65659, 65471, 188, 3604, 147, 137, 0, 7402),
-        "ep-pns-deep": (65659, 65658, 1, 8643, 461, 1919, 0, 9681),
+        "ep": (65659, 65472, 187, 4063, 7, 177, 0, 0),
+        "ep-pns": (65659, 65448, 211, 3705, 132, 130, 0, 7448),
+        "ep-pns-deep": (65659, 65659, 0, 8720, 453, 1976, 0, 9674),
         "wcs-pns": (65659, 65659, 0, 9999, 0, 0, 65659, 5897),
         "pdc": (65659, 65659, 0, 1177, 0, 0, 3674, 0),
     }
@@ -801,7 +822,7 @@ class TestStreams:
                 master_seed=62,
                 attack=PnsConfig(block_probability=0.5),
             ),
-            # a joint table of 864 entries, whose mismatched-basis blocks
+            # a joint table of 1,046 entries, whose mismatched-basis blocks
             # reach sector total 12
             "ep-pns-deep": ep_config(
                 g=0.6,

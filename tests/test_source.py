@@ -18,7 +18,6 @@ from pdcqkd.source import (
     pair_distribution,
 )
 from pdcqkd.engine import (
-    _MATCHED,
     _alias_draw,
     _EpContext,
     _ep_batch,
@@ -145,17 +144,21 @@ class TestSamplers:
             assert not column.take(entry).any()
 
     def test_pair_config_frequencies(self):
-        # a matched entry carries its pair configuration (m, n) in both arms
+        # a matched entry carries its pair configuration (m, n) in both arms,
+        # in one block per Alice outcome: D0 alone, D1 alone, no single click
         table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.1, **ETA)).joint
         n = 400_000
         entry = _alias_draw(table.cut, table.alias, np.random.default_rng(7).random(n))
-        hits = np.count_nonzero(
-            (table.kind.take(entry) == _MATCHED)
-            & (table.a0.take(entry) == 1)
-            & (table.a1.take(entry) == 0)
+        one_pair = (
+            (entry < 3 * table.pairs) & (table.a0.take(entry) == 1) & (table.a1.take(entry) == 0)
         )
         p = 0.5 * 0.009801
-        assert abs(hits / n - p) < 5 * freq_se(p, n)
+        assert abs(np.count_nonzero(one_pair) / n - p) < 5 * freq_se(p, n)
+        outcome = entry[one_pair] // table.pairs
+        # D1 cannot fire without a photon, so that entry is never drawn
+        for block, q in enumerate((ETA["eta_a"], 0.0, 1.0 - ETA["eta_a"])):
+            hits = np.count_nonzero(outcome == block)
+            assert abs(hits / n - p * q) <= 5 * freq_se(p * q, n)
 
     def test_same_seed_same_sequence(self):
         params = resolved_point(Scheme.ENTANGLED_PAIRS, g=0.3, **ETA)
