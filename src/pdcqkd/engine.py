@@ -35,15 +35,18 @@ per run context, so a trial indexes the tables with its entry: Bob's
 detector thresholds at his counts, and the interposer as an ``_Interposer``,
 one threshold per entry with a low and a high way, each with its own row of
 Bob's thresholds.
-The prepare-and-measure kernel draws the photon number with Alice's bit and
-both bases from one alias table in the same way; the ``pdc`` herald fires on
-a uniform against 1 - (1 - eta_a)^n, and Bob's two detectors go through
-``_two_detectors`` against per-count thresholds that give the yes/no
-detector law in the matched basis and binomial loss followed by a 50:50
-split in the other.  Both kernels draw only uniforms, all of a batch's with
-one call, and share the sift and tally stage, ``_tally``; under attack the
-prepared kernel goes through an ``_Interposer`` built by the same rule, with
-all of an entry's photons in the mode of Alice's bit.
+The prepare-and-measure kernel draws the photon number, whether the ``pdc``
+herald fires (with probability 1 - (1 - eta_a)^n) and, under attack,
+whether a single photon is blocked, with Alice's bit and both bases, from
+one alias table in the same way.  A prepared signal holds all its photons
+in the mode of Alice's bit, so the interposer's rule leaves nothing else to
+chance: Eve stores a photon of that mode from every multi-photon signal.
+Its outcome, the herald and the count forwarded to Bob are tabulated per
+entry, and the kernel draws no ``_Interposer``; Bob's two detectors go
+through ``_two_detectors`` against per-count thresholds that give the
+yes/no detector law in the matched basis and binomial loss followed by a
+50:50 split in the other.  Both kernels draw only uniforms, all of a
+batch's with one call, and share the sift and tally stage, ``_tally``.
 
 That call goes through the run context's ``uniforms`` into one float64
 buffer, which every batch of a batch range reuses.  The kernel then runs its
@@ -119,8 +122,10 @@ CHUNK_SIZE = 1 << 13
 # 5: each batch draws from SFC64 seeded by SeedSequence (every draw as in 4);
 # 6: one mismatched-basis block in the ep joint table (wcs/pdc streams as in 5);
 # 7: Alice's ep outcome drawn with the joint entry, in a matched-basis block
-#    per outcome, and no Alice uniform (wcs/pdc streams as in 6).
-STREAM_VERSION = 7
+#    per outcome, and no Alice uniform (wcs/pdc streams as in 6);
+# 8: the pdc herald and the single-photon block drawn with the wcs/pdc
+#    entry, and no herald or interposer uniform (ep streams as in 7).
+STREAM_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +314,9 @@ class _JointTable:
 class _Interposer:
     """The PNS interposer on Bob's arm, tabulated over the entries of a
     table whose entry ``j`` holds ``b0[j]``/``b1[j]`` photons in Bob's two
-    modes, for a trial's uniform ``u``.
+    modes, for a trial's uniform ``u``: the ``ep`` joint table's entries,
+    whose multi-photon arms can hold photons in both modes.  The prepared
+    kernel needs none, see ``_PreparedContext``.
 
     A multi-photon signal loses one photon, taken from mode 1 when
     ``u * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
@@ -458,37 +465,56 @@ def _bob_thresholds(eta: float, max_count: int) -> tuple[np.ndarray, np.ndarray,
 class _PreparedContext(_BatchContext):
     """Per-run tables of the prepare-and-measure kernel.
 
-    ``law`` is the photon-number law of ``source.photon_number_law``.  Entry
-    ``8 n + c`` of the alias table ``(cut, alias)`` is n photons with combo
-    c, with probability ``law[n] / 8``: only ``law`` goes through
-    ``_alias_table``, and each of its slots is split into eight, which keeps
-    the build linear in the table length.  ``trigger`` is the ``pdc``
-    herald's fire table over n, and ``bob`` holds Bob's thresholds of
-    ``_bob_thresholds`` over the same flat index.  Under attack
-    ``interposer`` is the ``_Interposer`` of the entries, with all n photons
-    in the mode of Alice's bit, and ``bob`` holds the thresholds at each of
-    its rows ``2 (8 n + c) + low`` instead.
+    ``law`` is the photon-number law of ``source.photon_number_law``.  The
+    alias table ``(cut, alias)`` draws a slot ``s = 4 n + 2 dark + blocked``
+    -- n photons, the ``pdc`` herald dark or fired, a single photon blocked
+    or not -- with probability ``law[n]`` times the herald's fire
+    probability 1 - (1 - eta_a)^n, or the rest when dark, times the
+    blocking probability at n = 1 under attack, or the rest when not
+    blocked.  ``wcs`` always announces and only n = 1 can be blocked, so a
+    ``wcs`` dark slot and a blocked slot at any other n have weight 0.
+    Only the slots go through ``_alias_table``, and each is split into
+    entries ``8 s + c`` for the eight equally likely combos c, which keeps
+    the build linear in the table length.
+
+    A prepared signal holds all its photons in the mode of Alice's bit, so
+    the interposer's split is exactly 0 or 1 on a multi-photon entry: Eve
+    stores a photon of Alice's bit, and only a single photon's block is left
+    to chance, which the slot decides.  So everything but Bob's detectors is
+    tabulated per entry: ``matched``, ``announced``, ``multi`` (n >= 2 under
+    attack) and ``blocked``, the photon count ``forwarded`` to Bob (n - 1
+    when multi, 0 when blocked, n otherwise), and ``bob``, Bob's thresholds
+    of ``_bob_thresholds`` at the forwarded count and the entry's combo.
     """
 
     def __init__(self, params: _RunParams):
         self.law = photon_number_law(params.source)
         n_max = len(self.law) - 1
-        cut, alias = _alias_table(self.law)
+        block = params.block_probability
+        fire = np.ones(n_max + 1)
+        if params.source.scheme is Scheme.TRIGGERED_PDC:
+            fire = _fire_table(params.channel.eta_a, n_max)
+        passes = np.ones(n_max + 1)
+        if block is not None and n_max >= 1:
+            passes[1] = 1.0 - block
+        herald = np.stack([fire, 1.0 - fire], axis=1)
+        blocking = np.stack([passes, 1.0 - passes], axis=1)
+        weights = self.law[:, None, None] * herald[:, :, None] * blocking[:, None, :]
+        cut, alias = _alias_table(weights.ravel())
         slots = np.arange(len(cut))[:, None]
         self.cut = (8 * slots + _COMBOS + (cut[:, None] - slots)).ravel()
         self.alias = (8 * alias[:, None] + _COMBOS).ravel()
-        self.matched = np.tile(_COMBO_MATCHED, n_max + 1)
-        self.trigger = _fire_table(params.channel.eta_a, n_max)
-        self.bob = _bob_thresholds(params.bob_eta, n_max)
-        if params.block_probability is not None:
-            entry = np.arange(8 * (n_max + 1))
-            photons, bit = entry >> 3, entry & 1
-            self.interposer = _Interposer.build(
-                photons * (1 - bit), photons * bit, params.block_probability
-            )
-            # Bob's row 8 k + c at each way's forwarded photon count k
-            row = 8 * (self.interposer.f0 + self.interposer.f1) + np.repeat(entry & 7, 2)
-            self.bob = tuple(t.take(row) for t in self.bob)
+
+        entry = np.arange(32 * (n_max + 1))
+        photons, combo = entry >> 5, entry & 7
+        self.matched = _COMBO_MATCHED.take(combo)
+        self.announced = (entry & 16) == 0
+        self.multi = (photons >= 2) & (block is not None)
+        self.blocked = (entry & 8) != 0
+        self.forwarded = np.where(self.blocked, 0, photons - self.multi)
+        self.bob = tuple(
+            t.take(8 * self.forwarded + combo) for t in _bob_thresholds(params.bob_eta, n_max)
+        )
 
 
 def _tally(present, announced, matched, a_single, bit_a, fb0, fb1, eve=None) -> _Counts:
@@ -555,27 +581,26 @@ def _prepared_chunk(u: np.ndarray, p: _RunParams, ctx: _PreparedContext) -> _Cou
     bit_a = entry & 1
     matched = ctx.matched.take(entry)
     present = np.ones(len(entry), dtype=bool)
+    # a wcs signal is always announced
     pdc = p.source.scheme is Scheme.TRIGGERED_PDC
-    triggered = u[1] < ctx.trigger.take(entry >> 3) if pdc else present
+    announced = ctx.announced.take(entry) if pdc else present
 
     eve = None
-    row = entry
     if p.block_probability is not None:
-        row, eve = ctx.interposer.apply(entry, u[-2])
+        # the stored photon is in the mode of Alice's bit
+        eve = ctx.multi.take(entry), bit_a, ctx.blocked.take(entry)
 
-    fb0, fb1 = _two_detectors(u[-1], row, *ctx.bob)
-    counts = _tally(present, triggered, matched, True, bit_a, fb0, fb1, eve)
-    counts.triggered = int(np.count_nonzero(triggered))
+    fb0, fb1 = _two_detectors(u[1], entry, *ctx.bob)
+    counts = _tally(present, announced, matched, True, bit_a, fb0, fb1, eve)
+    counts.triggered = int(np.count_nonzero(announced))
     return counts
 
 
 def _prepared_batch(
     rng: np.random.Generator, size: int, p: _RunParams, ctx: _PreparedContext
 ) -> _Counts:
-    pdc = p.source.scheme is Scheme.TRIGGERED_PDC
-    attacked = p.block_probability is not None
-    # rows: joint entry, then the pdc herald, then the interposer, then Bob
-    u = ctx.uniforms(rng, 2 + pdc + attacked, size)
+    # rows: the entry with its herald and block, then Bob's detectors
+    u = ctx.uniforms(rng, 2, size)
     return sum((_prepared_chunk(chunk, p, ctx) for chunk in _chunks(u)), _Counts())
 
 

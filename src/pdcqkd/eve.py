@@ -5,9 +5,10 @@ The interceptor sits on Bob's arm: it counts photons nondestructively,
 stores one photon from multi-photon signals, forwards the rest over a
 lossless line with guaranteed detection, and blocks single-photon signals
 with a tunable probability, chosen by default so that the delivered sifted
-rate matches the unattacked one.  The Monte Carlo kernels apply it through
-``engine._Interposer``, tabulated per table entry; this module solves the
-blocking probability in closed form.
+rate matches the unattacked one.  The Monte Carlo kernels apply it per table
+entry: the ``ep`` kernel through ``engine._Interposer``, the prepared kernel
+in the slots of its alias table; this module solves the blocking
+probability in closed form.
 """
 from __future__ import annotations
 

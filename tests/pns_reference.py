@@ -1,6 +1,6 @@
 """The PNS interposer applied trial by trial, kept as an independent
-reference for ``pdcqkd.engine._Interposer``, which tabulates the same rule
-once per table entry.
+reference for ``pdcqkd.engine._Interposer`` and the prepared kernel's
+per-entry tables, which tabulate the same rule once per table entry.
 """
 from __future__ import annotations
 

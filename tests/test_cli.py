@@ -635,6 +635,46 @@ class TestZeroSpreadVerdicts:
         assert "point r_key: FAIL z=" in err
 
 
+class TestPreparedSlotWeights:
+    """The herald and block weights of the prepared alias table are seen by
+    ``compare``: a table weighted at the wrong ones fails it."""
+
+    SOURCES = {
+        "wcs": ["--scheme", "wcs", "--mu-prime", "0.5"],
+        "pdc": ["--scheme", "pdc", "--g", "0.3", "--eta-a", "0.6"],
+    }
+
+    @staticmethod
+    def build_from(monkeypatch, mutate):
+        """Every ``_PreparedContext`` built from ``mutate`` of its point,
+        while the report keeps the point as it is."""
+        init = engine._PreparedContext.__init__
+        monkeypatch.setattr(
+            engine._PreparedContext, "__init__", lambda self, params: init(self, mutate(params))
+        )
+
+    @pytest.mark.parametrize("attack", [[], ["--attack", "pns", "--block-probability", "0.4"]])
+    def test_herald_weighted_at_ideal_detectors_fails(self, attack, monkeypatch, capsys):
+        self.build_from(monkeypatch, lambda params: dataclasses.replace(
+            params, channel=dataclasses.replace(params.channel, eta_a=1.0)
+        ))
+        code = main(["compare", *self.SOURCES["pdc"], *attack, "--trials", "2000000", "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "point r_key: FAIL z=" in err
+
+    @pytest.mark.parametrize("scheme", sorted(SOURCES))
+    def test_blocks_weighted_at_zero_fail(self, scheme, monkeypatch, capsys):
+        self.build_from(
+            monkeypatch, lambda params: dataclasses.replace(params, block_probability=0.0)
+        )
+        args = [*self.SOURCES[scheme], "--attack", "pns", "--block-probability", "0.4"]
+        code = main(["compare", *args, "--trials", "2000000", "--seed", "8"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "point r_key: FAIL z=" in err
+
+
 class TestRowSchema:
     """Every row, CSV or JSON, has exactly the ``CSV_COLUMNS`` keys, whatever
     the command, scheme or attack."""

@@ -322,6 +322,23 @@ class TestRunExperiment:
         assert report.eve_touched_fraction == 1.0
         assert report.block_probability == 1.0
 
+    @pytest.mark.parametrize("block", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize(
+        "source", [dict(scheme=Scheme.WEAK_COHERENT, mu_prime=0.5), dict(scheme=Scheme.TRIGGERED_PDC, g=0.3)]
+    )
+    def test_prepared_eve_stores_alices_bit(self, source, block):
+        # every photon of a prepared signal is in the mode of Alice's bit, so
+        # is the one Eve stores, and so is Bob's bit in a sifted round
+        params = resolved_point(block_probability=block, eta_a=0.6, eta_b=0.8, eta_l=0.5, **source)
+        counts = _prepared_batch(_batch_rng(3, 0), BATCH_SIZE, params, _PreparedContext(params))
+        assert counts.touched_sifted > 0
+        assert counts.eve_alice_hits == counts.eve_bob_hits == counts.touched_sifted
+        # only single photons are blocked; with all of them blocked, every
+        # sifted round is a touched multi-photon one
+        assert (counts.blocked == 0) == (block == 0.0)
+        if block == 1.0:
+            assert counts.touched_sifted == counts.sifted
+
 
 # Largest |z| a statistical check below accepts.  The seeds are fixed, so a
 # correct kernel fails one of the sixteen checks with probability about 1e-4.
@@ -388,17 +405,20 @@ class TestEpStatistics:
 
 class TestPreparedTable:
     """The prepared kernel's alias table reproduces the photon-number law
-    times the eight equally likely combos, and Bob's thresholds reproduce
-    binomial thinning followed by a 50:50 split."""
+    times the herald and block outcomes and the eight equally likely combos,
+    and Bob's thresholds reproduce binomial thinning followed by a 50:50
+    split."""
 
     CASES = [(Scheme.WEAK_COHERENT, mu) for mu in (0.0, 0.1, 0.5, 3.0, 100.0)] + [
         (Scheme.TRIGGERED_PDC, g) for g in (0.0, 0.1, 0.3, 0.6, 0.9, 0.99)
     ]
 
     @staticmethod
-    def context(scheme, x, eta_a=0.6, bob_eta=0.4):
+    def context(scheme, x, eta_a=0.6, bob_eta=0.4, block=None):
         mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
-        return _PreparedContext(resolved_point(scheme, eta_a=eta_a, eta_b=bob_eta, **mean))
+        return _PreparedContext(
+            resolved_point(scheme, block, eta_a=eta_a, eta_b=bob_eta, **mean)
+        )
 
     @staticmethod
     def exact_law(scheme, x, count):
@@ -432,24 +452,41 @@ class TestPreparedTable:
         assert (n * law).sum() == pytest.approx(mu, rel=1e-12)
         assert (n * n * law).sum() - mu * mu == pytest.approx(mu, rel=1e-9)
 
+    @pytest.mark.parametrize("block", [None, 0.0, 0.3, 1.0])
     @pytest.mark.parametrize("scheme, x", CASES)
-    def test_alias_table_reproduces_probabilities(self, scheme, x):
-        ctx = self.context(scheme, x)
+    def test_alias_table_reproduces_probabilities(self, scheme, x, block):
+        ctx = self.context(scheme, x, block=block)
         k = len(ctx.cut)
         keep = ctx.cut - np.arange(k)
         assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
         implied = np.zeros(k)
         np.add.at(implied, np.arange(k), keep / k)
         np.add.at(implied, ctx.alias, (1.0 - keep) / k)
-        expected = np.repeat(ctx.law / 8, 8)
+        # entry 32 n + 16 dark + 8 blocked + c, with combo
+        # c = bit | basis_a << 1 | basis_b << 2
+        entry = np.arange(32 * len(ctx.law))
+        n, c = entry >> 5, entry % 8
+        np.testing.assert_array_equal(ctx.matched, (c >> 1 & 1) == c >> 2)
+        np.testing.assert_array_equal(ctx.announced, (entry & 16) == 0)
+        np.testing.assert_array_equal(ctx.blocked, (entry & 8) != 0)
+        # the herald fires with 1 - (1 - eta_a)^n, a wcs signal is always
+        # announced, and only a single photon can be blocked
+        fire = 1.0 - 0.4**n if scheme is Scheme.TRIGGERED_PDC else np.ones(len(n))
+        herald = np.where(ctx.announced, fire, 1.0 - fire)
+        block_at_n = np.where(n == 1, block or 0.0, 0.0)
+        blocking = np.where(ctx.blocked, block_at_n, 1.0 - block_at_n)
+        expected = ctx.law[n] * herald * blocking / 8
         np.testing.assert_allclose(implied[: len(expected)], expected, rtol=0, atol=1e-12)
         assert np.all(implied[len(expected) :] == 0.0)
-        # entry 8 n + c is combo c = bit | basis_a << 1 | basis_b << 2
-        c = np.arange(len(expected)) % 8
-        np.testing.assert_array_equal(ctx.matched, (c >> 1 & 1) == c >> 2)
-        np.testing.assert_allclose(
-            ctx.trigger, 1.0 - 0.4 ** np.arange(len(ctx.law)), rtol=0, atol=1e-12
-        )
+        zero = expected == 0.0
+        assert np.all(implied[: len(expected)][zero] == 0.0)
+        assert np.all(zero[ctx.blocked & (n != 1)])
+        if scheme is Scheme.WEAK_COHERENT:
+            assert np.all(zero[~ctx.announced])
+        elif x == 0.0:
+            assert np.all(zero[n > 0]) and np.all(zero[ctx.announced])
+        if block in (0.0, 1.0):
+            assert np.all(zero[(n == 1) & (ctx.blocked == (block == 0.0))])
 
     @pytest.mark.parametrize("eta", [0.0, 0.05, 0.4, 0.8, 1.0])
     def test_bob_thresholds_match_thin_then_split(self, eta):
@@ -794,9 +831,9 @@ class TestChunks:
 
 
 class TestStreams:
-    """Exact counts of five runs: ``wcs-pns`` and ``pdc`` recorded when
-    STREAM_VERSION was 5, ``ep``, ``ep-pns`` and ``ep-pns-deep`` when it was
-    7."""
+    """Exact counts of five runs: ``ep``, ``ep-pns`` and ``ep-pns-deep``
+    recorded when STREAM_VERSION was 7, ``wcs-pns`` and ``pdc`` when it was
+    8."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
@@ -805,8 +842,8 @@ class TestStreams:
         "ep": (65659, 65472, 187, 4063, 7, 177, 0, 0),
         "ep-pns": (65659, 65448, 211, 3705, 132, 130, 0, 7448),
         "ep-pns-deep": (65659, 65659, 0, 8720, 453, 1976, 0, 9674),
-        "wcs-pns": (65659, 65659, 0, 9999, 0, 0, 65659, 5897),
-        "pdc": (65659, 65659, 0, 1177, 0, 0, 3674, 0),
+        "wcs-pns": (65659, 65659, 0, 9787, 0, 0, 65659, 5956),
+        "pdc": (65659, 65659, 0, 1296, 0, 0, 3770, 0),
     }
 
     def configs(self):

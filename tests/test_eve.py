@@ -221,21 +221,41 @@ class TestTabulatedInterposer:
         (Scheme.WEAK_COHERENT, 0.5), (Scheme.WEAK_COHERENT, 3.0), (Scheme.TRIGGERED_PDC, 0.3),
     ])
     def test_prepared_entries(self, scheme, x, p_block):
+        # a prepared entry holds all its photons in the mode of Alice's bit,
+        # so only a single photon's block depends on the uniform, and the
+        # entry's slot decides that: its tables must give the rule's outcome
+        # at every uniform on the entry's side of p_block
         mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
         ctx = _PreparedContext(resolved_point(scheme, p_block, eta_b=0.8, eta_l=0.5, **mean))
-        entries = np.arange(len(ctx.interposer.split))
-        photons, bit = entries >> 3, entries & 1
-        assert len(entries) == 8 * len(ctx.law)
-        entry, row, w0, w1 = self.assert_matches_reference(
-            ctx.interposer, photons * (1 - bit), photons * bit, p_block
+        entries = np.arange(len(ctx.forwarded))
+        assert len(entries) == 32 * len(ctx.law)
+        grid = np.clip([0.0, 0.25, 0.5, U_MAX, p_block, np.nextafter(p_block, 0.0)], 0.0, U_MAX)
+        entry, u = (a.ravel() for a in np.meshgrid(entries, grid, indexing="ij"))
+        photons, bit = entry >> 5, entry & 1
+        w0, w1, multi, stored, blocked = pns_reference.intercept(
+            u, photons * (1 - bit), photons * bit, p_block
         )
-        # Bob's thresholds on each row are those of the forwarded photon
-        # count with the entry's combo: every photon in the mode of the bit
-        assert np.all(np.minimum(w0, w1) == 0)
+        # the uniforms that reach an entry: every one at n != 1 when it is
+        # not blocked, and at n = 1 those on the entry's side of p_block
+        reached = blocked == ctx.blocked.take(entry)
+        possible = np.where(
+            (entries >> 5) == 1, np.where(ctx.blocked, p_block > 0, p_block < 1), ~ctx.blocked
+        )
+        np.testing.assert_array_equal(np.isin(entries, entry[reached]), possible)
+        entry, bit, w0, w1, multi, stored = (
+            a[reached] for a in (entry, bit, w0, w1, multi, stored)
+        )
+        forwarded = ctx.forwarded.take(entry)
+        np.testing.assert_array_equal(w0, forwarded * (1 - bit))
+        np.testing.assert_array_equal(w1, forwarded * bit)
+        np.testing.assert_array_equal(multi, ctx.multi.take(entry))
+        # Eve stores a photon of Alice's bit
+        np.testing.assert_array_equal(stored[multi], bit[multi] == 1)
+        # Bob's thresholds at each entry are those of its forwarded photon
+        # count with its combo
         bob = _bob_thresholds(1.0, len(ctx.law) - 1)
-        want_row = 8 * (w0 + w1) + entry % 8
         for got, want in zip(ctx.bob, bob):
-            np.testing.assert_array_equal(got.take(row), want.take(want_row))
+            np.testing.assert_array_equal(got.take(entry), want.take(8 * forwarded + entry % 8))
 
 
 class TestBlockSolver:
