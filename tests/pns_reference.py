@@ -1,6 +1,7 @@
 """The PNS interposer applied trial by trial, kept as an independent
-reference for ``pdcqkd.engine._Interposer`` and the prepared kernel's
-per-entry tables, which tabulate the same rule once per table entry.
+reference for the engine's tables, which tabulate the same rule once per
+row: the ``ep`` rows of ``pdcqkd.engine._Interposer``, and the class bytes
+and Bob's thresholds of ``_PreparedContext``'s entries.
 """
 from __future__ import annotations
 

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from pdcqkd.detection import ChannelParams, compose_bob_efficiency
-from pdcqkd.engine import _fire_table, _tally
+from pdcqkd.engine import ANNOUNCED, BIT, CANDIDATE, KEPT, PRESENT, _fire_table, _tally
 
 from conftest import freq_se
 
 
 def tally(fb0, fb1, bit_a, matched=True, announced=True):
-    fb0, fb1 = np.array(fb0), np.array(fb1)
-    present = np.ones(len(fb0), dtype=bool)
-    return _tally(present, announced, matched, True, np.array(bit_a), fb0, fb1)
+    """``_tally`` of present rows where Alice holds ``bit_a``, announced
+    where ``announced`` and kept, so sift candidates, where also
+    ``matched``."""
+    fb0, fb1 = np.array(fb0, dtype=bool), np.array(fb1, dtype=bool)
+    announced = np.broadcast_to(announced, fb0.shape)
+    classes = np.full(len(fb0), PRESENT, dtype=np.uint8)
+    classes[announced] |= ANNOUNCED
+    classes[announced & matched] |= KEPT | CANDIDATE
+    classes[np.array(bit_a, dtype=bool)] |= BIT
+    return _tally(classes, fb0, fb1, False)
 
 
 class TestBobClicks:
@@ -44,7 +51,7 @@ class TestDetectSide:
         np.testing.assert_array_equal(_fire_table(0.0, 4), np.zeros(5))
 
     def test_fire_probability_matches_yes_no_projector(self):
-        # the kernels fire a detector seeing n photons when u < table[n]
+        # the kernel fires a detector seeing n photons when u < table[n]
         n, eta, count = 60_000, 0.3, 3
         p = 1.0 - (1.0 - eta) ** count
         table = _fire_table(eta, 4)

@@ -24,7 +24,11 @@ from pdcqkd.analytics import (
 )
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.engine import (
+    ANNOUNCED,
     BATCH_SIZE,
+    KEPT,
+    LOW,
+    MULTI,
     STREAM_VERSION,
     _EpContext,
     _PreparedContext,
@@ -43,6 +47,7 @@ from pdcqkd.engine import (
 from pdcqkd.eve import PnsConfig
 from pdcqkd.source import Scheme, SourceParams, pair_distribution
 
+import pns_reference
 from conftest import resolved_point
 
 
@@ -330,7 +335,7 @@ class TestRunExperiment:
         # every photon of a prepared signal is in the mode of Alice's bit, so
         # is the one Eve stores, and so is Bob's bit in a sifted round
         params = resolved_point(block_probability=block, eta_a=0.6, eta_b=0.8, eta_l=0.5, **source)
-        counts = _prepared_batch(_batch_rng(3, 0), BATCH_SIZE, params, _PreparedContext(params))
+        counts = _prepared_batch(_batch_rng(3, 0), BATCH_SIZE, _PreparedContext(params))
         assert counts.touched_sifted > 0
         assert counts.eve_alice_hits == counts.eve_bob_hits == counts.touched_sifted
         # only single photons are blocked; with all of them blocked, every
@@ -404,7 +409,7 @@ class TestEpStatistics:
 
 
 class TestPreparedTable:
-    """The prepared kernel's alias table reproduces the photon-number law
+    """The prepared context's alias table reproduces the photon-number law
     times the herald and block outcomes and the eight equally likely combos,
     and Bob's thresholds reproduce binomial thinning followed by a 50:50
     split."""
@@ -466,27 +471,33 @@ class TestPreparedTable:
         # c = bit | basis_a << 1 | basis_b << 2
         entry = np.arange(32 * len(ctx.law))
         n, c = entry >> 5, entry % 8
-        np.testing.assert_array_equal(ctx.matched, (c >> 1 & 1) == c >> 2)
-        np.testing.assert_array_equal(ctx.announced, (entry & 16) == 0)
-        np.testing.assert_array_equal(ctx.blocked, (entry & 8) != 0)
+        announced, blocked = (entry & 16) == 0, (entry & 8) != 0
+        # the class byte: announced with the herald, kept in matched bases
+        np.testing.assert_array_equal((ctx.classes & ANNOUNCED) != 0, announced)
+        np.testing.assert_array_equal(
+            (ctx.classes & KEPT) != 0, announced & ((c >> 1 & 1) == c >> 2)
+        )
         # the herald fires with 1 - (1 - eta_a)^n, a wcs signal is always
         # announced, and only a single photon can be blocked
         fire = 1.0 - 0.4**n if scheme is Scheme.TRIGGERED_PDC else np.ones(len(n))
-        herald = np.where(ctx.announced, fire, 1.0 - fire)
+        herald = np.where(announced, fire, 1.0 - fire)
         block_at_n = np.where(n == 1, block or 0.0, 0.0)
-        blocking = np.where(ctx.blocked, block_at_n, 1.0 - block_at_n)
+        blocking = np.where(blocked, block_at_n, 1.0 - block_at_n)
         expected = ctx.law[n] * herald * blocking / 8
         np.testing.assert_allclose(implied[: len(expected)], expected, rtol=0, atol=1e-12)
         assert np.all(implied[len(expected) :] == 0.0)
         zero = expected == 0.0
         assert np.all(implied[: len(expected)][zero] == 0.0)
-        assert np.all(zero[ctx.blocked & (n != 1)])
+        assert np.all(zero[blocked & (n != 1)])
+        # the tally reads a blocked slot as a low row that is not multi
+        tally_blocked = (ctx.classes & (MULTI | LOW)) == LOW
+        np.testing.assert_array_equal(tally_blocked[~zero], blocked[~zero])
         if scheme is Scheme.WEAK_COHERENT:
-            assert np.all(zero[~ctx.announced])
+            assert np.all(zero[~announced])
         elif x == 0.0:
-            assert np.all(zero[n > 0]) and np.all(zero[ctx.announced])
+            assert np.all(zero[n > 0]) and np.all(zero[announced])
         if block in (0.0, 1.0):
-            assert np.all(zero[(n == 1) & (ctx.blocked == (block == 0.0))])
+            assert np.all(zero[(n == 1) & (blocked == (block == 0.0))])
 
     @pytest.mark.parametrize("eta", [0.0, 0.05, 0.4, 0.8, 1.0])
     def test_bob_thresholds_match_thin_then_split(self, eta):
@@ -508,6 +519,94 @@ class TestPreparedTable:
                 got = (d0[k, c] - both, d1_hi[k, c] - d1_lo[k, c] - both, both)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 assert 0.0 <= d1_lo[k, c] <= d1_hi[k, c] <= 1.0 and 0.0 <= d0[k, c] <= 1.0
+
+
+class TestClassBytes:
+    """Every row's class byte against a derivation of its own: an ``ep`` row
+    from the joint table's block bounds and, per interposer row, from
+    ``pns_reference.intercept``; a prepared row from its entry's bit fields.
+    The truncation does not enter a prepared table, whose length the mean
+    sets, so its cases vary the mean instead."""
+
+    ATTACKS = [None, 0.0, 0.5, 1.0]
+    # the last double below 1: the largest uniform a generator returns
+    U_MAX = np.nextafter(1.0, 0.0)
+
+    @staticmethod
+    def flags(**masks):
+        """Class bytes with each named flag set where its mask holds."""
+        return sum(np.where(mask, getattr(engine, name), 0) for name, mask in masks.items())
+
+    @pytest.mark.parametrize("block", ATTACKS)
+    @pytest.mark.parametrize("truncation", [2, 3, 4])
+    def test_ep_rows(self, truncation, block):
+        ctx = _EpContext(resolved_point(
+            Scheme.ENTANGLED_PAIRS, block, g=0.3, eta_a=0.6, truncation_order=truncation
+        ))
+        table = ctx.joint
+        pairs, exceeded = table.pairs, len(table.probabilities) - 1
+        j = np.arange(exceeded + 1)
+        # Alice's single click is in the first two matched blocks, bit 1 in
+        # the second; a pair holds no herald
+        want = self.flags(
+            PRESENT=j != exceeded, ANNOUNCED=j != exceeded, KEPT=j < 3 * pairs,
+            CANDIDATE=j < 2 * pairs, BIT=(j >= pairs) & (j < 2 * pairs),
+        )
+        if block is None:
+            np.testing.assert_array_equal(ctx.classes, want)
+            return
+        assert len(ctx.classes) == 2 * len(j)
+        np.testing.assert_array_equal(ctx.classes & ~(MULTI | LOW), np.repeat(want, 2))
+        # each entry at the uniforms where its interposer outcome can turn
+        split = ctx.split
+        u = np.clip(np.stack([
+            np.zeros_like(split), np.full_like(split, self.U_MAX), split,
+            np.nextafter(split, -np.inf), np.nextafter(split, np.inf),
+        ], axis=1), 0.0, self.U_MAX)
+        entry = np.repeat(j, u.shape[1])
+        u = u.ravel()
+        _, _, multi, stored, blocked = pns_reference.intercept(
+            u, table.b0.take(entry), table.b1.take(entry), block
+        )
+        # the rule's low way: the photon of mode 1 stored, or a block
+        low = np.where(multi, stored, blocked)
+        row = 2 * entry + low
+        np.testing.assert_array_equal(row, 2 * entry + (u < split.take(entry)))
+        classes = ctx.classes.take(row)
+        np.testing.assert_array_equal((classes & MULTI) != 0, multi)
+        np.testing.assert_array_equal((classes & LOW) != 0, low)
+
+    @pytest.mark.parametrize("block", ATTACKS)
+    @pytest.mark.parametrize("scheme, x", [
+        (Scheme.WEAK_COHERENT, 0.5), (Scheme.WEAK_COHERENT, 3.0),
+        (Scheme.TRIGGERED_PDC, 0.3), (Scheme.TRIGGERED_PDC, 0.9),
+    ])
+    def test_prepared_rows(self, scheme, x, block):
+        mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
+        ctx = _PreparedContext(resolved_point(scheme, block, eta_a=0.6, **mean))
+        # entry 32 n + 16 dark + 8 blocked + c, with combo
+        # c = bit | basis_a << 1 | basis_b << 2
+        entry = np.arange(len(ctx.classes))
+        assert len(entry) == 32 * len(ctx.law)
+        n, c = entry >> 5, entry & 7
+        bit, announced = (c & 1) == 1, (entry & 16) == 0
+        kept = announced & ((c >> 1 & 1) == c >> 2)
+        multi = (n >= 2) & (block is not None)
+        want = self.flags(
+            PRESENT=True, ANNOUNCED=announced, KEPT=kept, CANDIDATE=kept, BIT=bit,
+            MULTI=multi, LOW=np.where(multi, bit, (entry & 8) != 0), HERALD=announced,
+        )
+        np.testing.assert_array_equal(ctx.classes, want)
+        if block is None:
+            return
+        # on a multi-photon row the low way is Alice's bit: the mode of the
+        # photon the rule stores, as all of a signal's photons are in it
+        assert np.any(multi)
+        u = np.random.default_rng(3).random(np.count_nonzero(multi))
+        photons, ones = n[multi], bit[multi]
+        stored = pns_reference.intercept(u, photons * ~ones, photons * ones, block)[3]
+        np.testing.assert_array_equal((ctx.classes[multi] & LOW) != 0, stored)
+        np.testing.assert_array_equal(stored, ones)
 
 
 class TestPreparedStatistics:
@@ -802,7 +901,7 @@ class TestChunks:
         if ctx is None:
             ctx = _EpContext(params) if ep else _PreparedContext(params)
         kernel = _ep_batch if ep else _prepared_batch
-        return kernel(_batch_rng(71, batch_index), size, params, ctx)
+        return kernel(_batch_rng(71, batch_index), size, ctx)
 
     @pytest.mark.parametrize("size", [BATCH_SIZE, 5_123])
     @pytest.mark.parametrize("name", sorted(PARAMS))

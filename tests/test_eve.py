@@ -15,6 +15,8 @@ from pdcqkd import eve
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.detection import ChannelParams, compose_bob_efficiency
 from pdcqkd.engine import (
+    LOW,
+    MULTI,
     _EpContext,
     _Interposer,
     _PreparedContext,
@@ -52,14 +54,31 @@ class TestPnsConfig:
             PnsConfig(block_probability="half")
 
 
+def interposer_rows(tap, entry, u):
+    """The rows ``2 j + low`` that the kernel gives entries ``entry`` of the
+    tabulated interposer ``tap`` on their uniforms ``u``, and the ``(multi,
+    stored, blocked)`` masks that the tally reads off the rows' class bits:
+    the stored mode is the low way, and a low row that is not multi is a
+    blocked single photon."""
+    row = 2 * entry + (u < tap.split.take(entry))
+    classes = tap.classes.take(row)
+    multi, low = (classes & MULTI) != 0, (classes & LOW) != 0
+    return row, (multi, low, low & ~multi)
+
+
+def entry_multi(tap):
+    """Whether each entry of ``tap`` is multi, from its rows' class bits."""
+    return (tap.classes[::2] & MULTI) != 0
+
+
 def intercept(counts, p_block, u=0.5):
     """The tabulated interposer on events that all carry ``counts`` photons
     in Bob's two modes, one event per uniform: the forwarded counts and the
-    ``(multi, stored, blocked)`` masks, as the kernels read them."""
+    ``(multi, stored, blocked)`` masks, as the kernel reads them."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     b0, b1 = (np.array([n], dtype=np.int8) for n in counts)
     tap = _Interposer.build(b0, b1, p_block)
-    row, (multi, stored, blocked) = tap.apply(np.zeros(len(u), dtype=np.intp), u)
+    row, (multi, stored, blocked) = interposer_rows(tap, np.zeros(len(u), dtype=np.intp), u)
     return tap.f0.take(row), tap.f1.take(row), multi, stored, blocked
 
 
@@ -119,7 +138,7 @@ class TestIntercept:
         assert abs(freq - 2.0 / 3.0) < 5 * freq_se(2.0 / 3.0, n)
 
     def test_auto_must_be_resolved_first(self):
-        # the kernels get the solved probability, never the AUTO marker
+        # the kernel gets the solved probability, never the AUTO marker
         config = ExperimentConfig(
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(AUTO)
         )
@@ -175,7 +194,7 @@ class TestTabulatedInterposer:
         u = self.edge_uniforms(tap.split)
         entry = np.repeat(np.arange(len(b0)), u.shape[1])
         u = u.ravel()
-        row, (multi, stored, blocked) = tap.apply(entry, u)
+        row, (multi, stored, blocked) = interposer_rows(tap, entry, u)
         w0, w1, w_multi, w_stored, w_blocked = pns_reference.intercept(
             u, b0.take(entry), b1.take(entry), p_block
         )
@@ -187,7 +206,7 @@ class TestTabulatedInterposer:
         np.testing.assert_array_equal(stored[multi], w_stored[multi])
         # split is the turning point: the rule stores mode 1 one ulp below it
         # and not at it
-        turning = tap.multi & (tap.split > 0.0) & (tap.split < 1.0)
+        turning = entry_multi(tap) & (tap.split > 0.0) & (tap.split < 1.0)
         below = np.nextafter(tap.split[turning], 0.0)
         total = (b0 + b1)[turning]
         assert np.all(below * total < b1[turning])
@@ -201,7 +220,7 @@ class TestTabulatedInterposer:
             Scheme.ENTANGLED_PAIRS, p_block, g=0.3, eta_a=0.6, truncation_order=truncation
         ))
         table = ctx.joint
-        assert np.count_nonzero(ctx.interposer.multi) > 0
+        assert np.count_nonzero(entry_multi(ctx.interposer)) > 0
         self.assert_matches_reference(ctx.interposer, table.b0, table.b1, p_block)
 
     def test_every_count_pair_to_the_deepest_truncation(self):
@@ -212,8 +231,8 @@ class TestTabulatedInterposer:
         total = b0 + b1
         quotient = np.divide(b1, total, out=np.zeros(len(total)), where=total > 0)
         tap = _Interposer.build(b0, b1, 0.5)
-        assert np.any(tap.multi & (tap.split > quotient))
-        assert np.any(tap.multi & (tap.split < quotient))
+        assert np.any(entry_multi(tap) & (tap.split > quotient))
+        assert np.any(entry_multi(tap) & (tap.split < quotient))
         self.assert_matches_reference(tap, b0, b1, 0.5)
 
     @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
@@ -227,8 +246,11 @@ class TestTabulatedInterposer:
         # at every uniform on the entry's side of p_block
         mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
         ctx = _PreparedContext(resolved_point(scheme, p_block, eta_b=0.8, eta_l=0.5, **mean))
-        entries = np.arange(len(ctx.forwarded))
+        entries = np.arange(len(ctx.classes))
         assert len(entries) == 32 * len(ctx.law)
+        # the tally's multi and blocked masks and the stored mode, per entry
+        multi_at, low_at = (ctx.classes & MULTI) != 0, (ctx.classes & LOW) != 0
+        blocked_at = low_at & ~multi_at
         grid = np.clip([0.0, 0.25, 0.5, U_MAX, p_block, np.nextafter(p_block, 0.0)], 0.0, U_MAX)
         entry, u = (a.ravel() for a in np.meshgrid(entries, grid, indexing="ij"))
         photons, bit = entry >> 5, entry & 1
@@ -237,20 +259,21 @@ class TestTabulatedInterposer:
         )
         # the uniforms that reach an entry: every one at n != 1 when it is
         # not blocked, and at n = 1 those on the entry's side of p_block
-        reached = blocked == ctx.blocked.take(entry)
+        reached = blocked == blocked_at.take(entry)
         possible = np.where(
-            (entries >> 5) == 1, np.where(ctx.blocked, p_block > 0, p_block < 1), ~ctx.blocked
+            (entries >> 5) == 1, np.where(blocked_at, p_block > 0, p_block < 1), ~blocked_at
         )
         np.testing.assert_array_equal(np.isin(entries, entry[reached]), possible)
         entry, bit, w0, w1, multi, stored = (
             a[reached] for a in (entry, bit, w0, w1, multi, stored)
         )
-        forwarded = ctx.forwarded.take(entry)
-        np.testing.assert_array_equal(w0, forwarded * (1 - bit))
-        np.testing.assert_array_equal(w1, forwarded * bit)
-        np.testing.assert_array_equal(multi, ctx.multi.take(entry))
-        # Eve stores a photon of Alice's bit
+        # every forwarded photon is in the mode of Alice's bit
+        forwarded = w0 + w1
+        assert not np.any(w0 * bit) and not np.any(w1 * (1 - bit))
+        np.testing.assert_array_equal(multi, multi_at.take(entry))
+        # Eve stores a photon of Alice's bit, the entry's low way
         np.testing.assert_array_equal(stored[multi], bit[multi] == 1)
+        np.testing.assert_array_equal(stored[multi], low_at.take(entry)[multi])
         # Bob's thresholds at each entry are those of its forwarded photon
         # count with its combo
         bob = _bob_thresholds(1.0, len(ctx.law) - 1)

@@ -163,16 +163,14 @@ class TestSamplers:
     def test_same_seed_same_sequence(self):
         params = resolved_point(Scheme.ENTANGLED_PAIRS, g=0.3, **ETA)
         ctx = _EpContext(params)
-        first = _ep_batch(np.random.default_rng(3), 5_000, params, ctx)
-        second = _ep_batch(np.random.default_rng(3), 5_000, params, ctx)
+        first = _ep_batch(np.random.default_rng(3), 5_000, ctx)
+        second = _ep_batch(np.random.default_rng(3), 5_000, ctx)
         assert first == second
         assert first.sifted > 0
 
     def test_wcs_zero_mean(self):
         params = resolved_point(Scheme.WEAK_COHERENT, mu_prime=0.0, **ETA)
-        counts = _prepared_batch(
-            np.random.default_rng(9), 2_000, params, _PreparedContext(params)
-        )
+        counts = _prepared_batch(np.random.default_rng(9), 2_000, _PreparedContext(params))
         assert counts.sifted == 0 and counts.bob_no_click == 2_000
 
     def test_wcs_rejects_negative(self):
@@ -181,9 +179,7 @@ class TestSamplers:
 
     def test_pdc_single_arm_zero_gain(self):
         params = resolved_point(Scheme.TRIGGERED_PDC, g=0.0, **ETA)
-        counts = _prepared_batch(
-            np.random.default_rng(15), 2_000, params, _PreparedContext(params)
-        )
+        counts = _prepared_batch(np.random.default_rng(15), 2_000, _PreparedContext(params))
         assert counts.triggered == 0 and counts.sifted == 0
 
     def test_pdc_rejects_bad_gain(self):
