@@ -9,29 +9,25 @@ of the reproducibility contract; so is any change to the generator or to the
 draws a kernel makes, which bumps STREAM_VERSION.
 
 One kernel, ``_chunk``, serves every scheme.  A trial draws a row of its
-run context's alias table (Walker's alias method) on one uniform, and under
-an ``ep`` attack turns it into the PNS interposer's row ``2 j + low`` on one
-more; Bob's two detectors then fire on one last uniform in
-``_two_detectors``, against thresholds that make them independent yes/no
-detectors, and ``_tally`` sifts and counts the rows by bit tests on their
-class bytes.  The class byte and Bob's thresholds depend only on the row, so
-each context tabulates them once per run, and a trial only indexes tables.
-The contexts differ in their rows.
+run context's alias table (Walker's alias method) on one uniform; Bob's two
+detectors then fire on the other in ``_two_detectors``, against thresholds
+that make them independent yes/no detectors, and ``_tally`` sifts and counts
+the rows by bit tests on their class bytes.  The class byte and Bob's
+thresholds depend only on the row, so each context tabulates them once per
+run, and a trial only indexes tables.  The contexts differ in their rows.
 
-``_EpContext`` draws a joint table over everything before the interposer:
-each pair configuration in matched bases, where the classical per-photon
-model is exact because the source state keeps its form under an identical
-basis change on both sides, split three ways by Alice's outcome (D0 alone,
-D1 alone, no single click) from her two independent yes/no detectors, each
+``_EpContext`` draws a joint table over the source and Alice's side: each
+pair configuration in matched bases, where the classical per-photon model is
+exact because the source state keeps its form under an identical basis
+change on both sides, split three ways by Alice's outcome (D0 alone, D1
+alone, no single click) from her two independent yes/no detectors, each
 firing with probability 1 - (1 - eta)^n; then each occupation of each
 per-side-total sector, from total 0 up, in a mismatched-basis round, drawn
 from the sector-conditioned Fock distribution that both mismatched combos
-share, which carries the two-photon interference the classical model
-misses; and last the truncation-exceeded event.  No tally reads Alice's
-outcome in a mismatched round, so nothing draws it.  The interposer,
-``_Interposer``, decides on its uniform the stored photon of a multi-photon
-arm or the block of a single photon: no arm is both, and the exceeded entry
-holds no photons, so every entry goes through it.
+share, which carries the two-photon interference the classical model misses;
+and last the truncation-exceeded event.  No tally reads Alice's outcome in a
+mismatched round, so nothing draws it.  Under attack each entry is two rows,
+the two ways of the PNS interposer, ``_Interposer``.
 
 ``_PreparedContext`` draws the ``wcs``/``pdc`` photon number, whether the
 ``pdc`` herald fires (with probability 1 - (1 - eta_a)^n) and, under attack,
@@ -118,8 +114,11 @@ CHUNK_SIZE = 1 << 13
 # 7: Alice's ep outcome drawn with the joint entry, in a matched-basis block
 #    per outcome, and no Alice uniform (wcs/pdc streams as in 6);
 # 8: the pdc herald and the single-photon block drawn with the wcs/pdc
-#    entry, and no herald or interposer uniform (ep streams as in 7).
-STREAM_VERSION = 8
+#    entry, and no herald or interposer uniform (ep streams as in 7);
+# 9: the ep interposer's way drawn with the joint entry, in two rows per
+#    entry, and no interposer uniform (unattacked ep and wcs/pdc streams as
+#    in 8).
+STREAM_VERSION = 9
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +210,15 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = 1 << (len(weights) - 1).bit_length()
     scaled = np.zeros(k)
     scaled[: len(weights)] = weights * (k / weights.sum())
-    # The indices are typed arrays, not lists of boxed ints, which at
-    # truncation 127 (k = 2^20) were the peak memory of the whole run.  The
-    # weights are a list: Python floats round as float64 scalars do, and the
-    # loop runs faster on them than on numpy's.
+    # The loop works on typed arrays, not lists of boxed numbers, which at
+    # truncation 127 under attack (k = 2^21) would be the run's peak memory;
+    # their elements read as Python floats and ints, which round as float64
+    # scalars do, and the loop runs faster on them than on numpy's.
     small, large = (
         array.array("q", np.flatnonzero(side).astype(np.int64, copy=False).tobytes())
         for side in (scaled < 1.0, scaled >= 1.0)
     )
-    scaled = scaled.tolist()
+    scaled = array.array("d", scaled.tobytes())
     alias = array.array("q", np.arange(k, dtype=np.int64).tobytes())
     while small and large:
         s, l = small.pop(), large.pop()
@@ -230,10 +229,9 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in itertools.chain(small, large):
         scaled[i] = 1.0
     del small, large
-    cut = np.array(scaled)
+    cut = np.frombuffer(scaled) + np.arange(k)
     del scaled
-    cut += np.arange(k)
-    return cut, np.array(alias, dtype=np.intp)
+    return cut, np.frombuffer(alias, dtype=np.int64).astype(np.intp)
 
 
 def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -246,7 +244,8 @@ def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray
 @dataclass(frozen=True)
 class _JointTable:
     """One categorical distribution over everything an ``ep`` trial draws
-    before the interposer and Bob's detectors.
+    before the interposer and Bob's detectors; its entries are the rows of an
+    unattacked ``_EpContext``.
 
     Entry ``j`` has probability ``probabilities[j]`` and the photon counts
     ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The entries come in
@@ -265,8 +264,6 @@ class _JointTable:
     a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
-    cut: np.ndarray
-    alias: np.ndarray
     pairs: int
 
     @classmethod
@@ -294,7 +291,7 @@ class _JointTable:
         counts.append(np.zeros((4, 1), dtype=np.int64))
         probabilities = np.concatenate(probabilities)
         a0, a1, b0, b1 = np.concatenate(counts, axis=1).astype(np.int8)
-        return cls(probabilities, a0, a1, b0, b1, *_alias_table(probabilities), len(m))
+        return cls(probabilities, a0, a1, b0, b1, len(m))
 
 
 # A row's class byte, one bit per flag that ``_tally`` reads: present (not
@@ -309,26 +306,21 @@ PRESENT, ANNOUNCED, KEPT, CANDIDATE, BIT, MULTI, LOW, HERALD = (np.uint8(1 << i)
 class _Interposer:
     """The PNS interposer on Bob's arm, tabulated over the entries of a
     table whose entry ``j`` holds ``b0[j]``/``b1[j]`` photons in Bob's two
-    modes, for a trial's uniform ``u``: the ``ep`` joint table's entries,
-    whose multi-photon arms can hold photons in both modes.  A prepared
-    signal needs none, see ``_PreparedContext``.
+    modes: the ``ep`` joint table's, whose multi-photon arms can hold photons
+    in both modes (a prepared signal needs none, see ``_PreparedContext``).
 
-    A multi-photon signal loses one photon, taken from mode 1 when
-    ``u * (b0 + b1) < b1`` (each photon equally likely) and from mode 0
-    otherwise; a single photon is blocked when ``u < p_block``; vacuum, which
-    includes the truncation-exceeded entry, passes.  No entry is both multi
-    and single, so one threshold per entry, ``split``, decides each: a trial
-    goes to row ``2 j + low``, where ``low = u < split``.  For a multi-photon
-    entry ``split`` is the least double ``t`` with ``t * total >= b1``, so
-    ``u < split`` exactly when ``u * total < b1``; for a single photon it is
-    ``p_block``, and for vacuum 0.
-
-    Per row, ``classes`` holds the ``MULTI`` and ``LOW`` bits of the class
+    Entry ``j`` goes the high way, row ``2 j``, or the low way, row
+    ``2 j + 1``, as in ``analytics._bob_arm``: a multi-photon signal loses one
+    photon, each equally likely, and the low way stores the photon of mode 1,
+    with probability s = b1 / (b0 + b1); a single photon is blocked, the low
+    way, with s = ``p_block``; vacuum, the truncation-exceeded entry
+    included, passes (s = 0).  Per row, ``share`` is its way's probability,
+    1 - s or s, ``classes`` holds the ``MULTI`` and ``LOW`` bits of the class
     byte, and ``f0``/``f1`` the counts forwarded to Bob.  A low row that is
-    not multi is a blocked single photon, as vacuum never goes the low way.
+    not multi is a blocked single photon.
     """
 
-    split: np.ndarray
+    share: np.ndarray
     classes: np.ndarray
     f0: np.ndarray
     f1: np.ndarray
@@ -337,23 +329,17 @@ class _Interposer:
     def build(cls, b0: np.ndarray, b1: np.ndarray, p_block: float) -> "_Interposer":
         total = b0 + b1
         multi, single = total >= 2, total == 1
-        # from the rounded quotient, one ulp at a time to the least such t
-        t = np.divide(b1, total, out=np.zeros(len(total)), where=multi)
-        while True:
-            below = np.nextafter(t, -np.inf)
-            up = multi & (t * total < b1)
-            down = multi & (below * total >= b1)
-            if not (up.any() or down.any()):
-                break
-            t = np.where(up, np.nextafter(t, np.inf), np.where(down, below, t))
+        low_share = np.divide(b1, total, out=np.zeros(len(total)), where=multi)
+        low_share[single] = p_block
         # a multi-photon entry with no photon in one mode never goes that
-        # mode's way (its split is 0 or 1); the clamp keeps that row's counts
+        # mode's way (its row has share 0); the clamp keeps that row's counts
         high = (np.maximum(b0 - multi, 0), b1)
         low = (np.where(single, 0, b0), np.where(single, 0, np.maximum(b1 - multi, 0)))
+        share = np.stack([1.0 - low_share, low_share], axis=1).ravel()
         f0, f1 = (np.stack(way, axis=1).ravel() for way in zip(high, low))
         classes = np.repeat(multi.astype(np.uint8) * MULTI, 2)
         classes[1::2] |= LOW
-        return cls(np.where(single, p_block, t), classes, f0, f1)
+        return cls(share, classes, f0, f1)
 
 
 class _BatchContext:
@@ -361,8 +347,8 @@ class _BatchContext:
     context serves; empty until the first batch.
 
     A run context also holds what ``_chunk`` reads per row: the alias table
-    ``(cut, alias)``, the interposer's ``split`` or None, the class bytes
-    ``classes``, Bob's thresholds ``bob``, and whether it is ``attacked``.
+    ``(cut, alias)``, the class bytes ``classes``, Bob's thresholds ``bob``,
+    and whether it is ``attacked``.
     """
 
     _buffer = np.empty(0)
@@ -390,12 +376,12 @@ class _EpContext(_BatchContext):
     The row tables are derived from the sector tables on first use, so they
     always reflect the sector tables the kernel sees.  The rows are the
     entries of the joint table, which holds Alice's outcome in its matched
-    blocks, or under attack the rows ``2 j + low`` of ``interposer``, the
-    ``_Interposer`` of Bob's counts.  The class byte's other bits follow the
-    joint table's block bounds: every entry but the exceeded one is present
-    and announced, the three matched blocks are kept, the first two (Alice's
-    single click) are sift candidates, and the second has bit 1.  ``bob``
-    holds Bob's thresholds at each row's counts.
+    blocks, or under attack the rows of ``interposer``, the ``_Interposer``
+    of Bob's counts, and ``weights`` holds their probabilities.  The class
+    byte's other bits follow the joint table's block bounds: every entry but
+    the exceeded one is present and announced, the three matched blocks are
+    kept, the first two (Alice's single click) are sift candidates, and the
+    second has bit 1.  ``bob`` holds Bob's thresholds at each row's counts.
     """
 
     def __init__(self, params: _RunParams):
@@ -421,12 +407,18 @@ class _EpContext(_BatchContext):
     def interposer(self) -> _Interposer:
         return _Interposer.build(self.joint.b0, self.joint.b1, self.block_probability)
 
-    cut = property(lambda self: self.joint.cut)
-    alias = property(lambda self: self.joint.alias)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        if not self.attacked:
+            return self.joint.probabilities
+        return np.repeat(self.joint.probabilities, 2) * self.interposer.share
 
     @cached_property
-    def split(self) -> Optional[np.ndarray]:
-        return self.interposer.split if self.attacked else None
+    def alias_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _alias_table(self.weights)
+
+    cut = property(lambda self: self.alias_table[0])
+    alias = property(lambda self: self.alias_table[1])
 
     @cached_property
     def classes(self) -> np.ndarray:
@@ -492,10 +484,10 @@ class _PreparedContext(_BatchContext):
     entries ``8 s + c`` for the eight equally likely combos c, which keeps
     the build linear in the table length.
 
-    A prepared signal holds all its photons in the mode of Alice's bit, so
-    the interposer's split is exactly 0 or 1 on a multi-photon entry, and the
-    slot decides a single photon's block: the rows are the entries, with no
-    ``split``.  An entry's class byte comes from its bit fields: it is
+    A prepared signal holds all its photons in the mode of Alice's bit, so a
+    multi-photon entry goes one way of the interposer only, the way of that
+    mode, and the slot decides a single photon's block: the rows are the
+    entries.  An entry's class byte comes from its bit fields: it is
     present; announced and triggered when the herald fired, and then kept in
     matched bases and a sift candidate, as Alice always holds her bit; multi
     at n >= 2 under attack, where low is Alice's bit, the mode of the photon
@@ -503,8 +495,6 @@ class _PreparedContext(_BatchContext):
     thresholds of ``_bob_thresholds`` at the entry's combo and the count
     forwarded to him: n - 1 when multi, 0 when blocked, n otherwise.
     """
-
-    split = None
 
     def __init__(self, params: _RunParams):
         self.law = photon_number_law(params.source)
@@ -586,15 +576,13 @@ def _chunks(u: np.ndarray) -> Iterator[np.ndarray]:
 
 def _chunk(u: np.ndarray, ctx: _EpContext | _PreparedContext) -> _Counts:
     row = _alias_draw(ctx.cut, ctx.alias, u[0])
-    if ctx.split is not None:
-        row = 2 * row + (u[1] < ctx.split.take(row))
-    fb0, fb1 = _two_detectors(u[-1], row, *ctx.bob)
+    fb0, fb1 = _two_detectors(u[1], row, *ctx.bob)
     return _tally(ctx.classes.take(row), fb0, fb1, ctx.attacked)
 
 
 def _batch(rng: np.random.Generator, size: int, ctx: _EpContext | _PreparedContext) -> _Counts:
-    # rows: the alias draw, the ep interposer under attack, Bob's detectors
-    u = ctx.uniforms(rng, 2 + (ctx.split is not None), size)
+    # rows: the alias draw, Bob's detectors
+    u = ctx.uniforms(rng, 2, size)
     return sum((_chunk(chunk, ctx) for chunk in _chunks(u)), _Counts())
 
 

@@ -5,10 +5,10 @@ The interceptor sits on Bob's arm: it counts photons nondestructively,
 stores one photon from multi-photon signals, forwards the rest over a
 lossless line with guaranteed detection, and blocks single-photon signals
 with a tunable probability, chosen by default so that the delivered sifted
-rate matches the unattacked one.  The Monte Carlo kernel applies it per table
-row: to an ``ep`` row through ``engine._Interposer``, to a prepared one in
-the slots of its alias table; this module solves the blocking probability
-in closed form.
+rate matches the unattacked one.  The Monte Carlo kernel draws its way with
+the source's: in two alias rows per ``ep`` joint entry (``engine._Interposer``)
+and in the slots of a prepared alias table; this module solves the blocking
+probability in closed form.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import multiprocessing
 import os
@@ -129,20 +130,51 @@ class TestEpJointTable:
         cdf, *occupations = tables[0]
         assert cdf.tolist() == [1.0] and [o.tolist() for o in occupations] == [[0]] * 4
 
+    @pytest.mark.parametrize("block", [None, 0.0, 0.5, 1.0])
     @pytest.mark.parametrize("g, truncation", CASES)
-    def test_alias_table_reproduces_probabilities(self, g, truncation):
-        table = self.context(g, truncation).joint
-        k = len(table.cut)
-        keep = table.cut - np.arange(k)
+    def test_alias_table_reproduces_probabilities(self, g, truncation, block):
+        # the rows are the joint entries, or under attack each entry's ways
+        # of the interposer rule at their probabilities
+        ctx = self.context(g, truncation, block)
+        table = ctx.joint
+        want = table.probabilities
+        if block is not None:
+            want = pns_reference.rows(want, table.b0, table.b1, block)[0]
+        k = len(ctx.cut)
+        keep = ctx.cut - np.arange(k)
         assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
         implied = np.zeros(k)
         np.add.at(implied, np.arange(k), keep / k)
-        np.add.at(implied, table.alias, (1.0 - keep) / k)
-        n = len(table.probabilities)
-        np.testing.assert_allclose(implied[:n], table.probabilities, rtol=0, atol=1e-12)
+        np.add.at(implied, ctx.alias, (1.0 - keep) / k)
+        n = len(want)
+        np.testing.assert_allclose(implied[:n], want, rtol=0, atol=1e-12)
+        # a row of weight 0, the padding included, is never drawn
+        assert np.all(implied[:n][want == 0.0] == 0.0)
         assert np.all(implied[n:] == 0.0)
         edges = np.array([0.0, np.nextafter(1.0, 0.0)])
-        assert np.all(_alias_draw(table.cut, table.alias, edges) < n)
+        assert np.all(_alias_draw(ctx.cut, ctx.alias, edges) < n)
+
+    # sha256 of the cut and alias arrays, recorded at stream version 8: a
+    # table built with the working weights in a list of Python floats
+    ALIAS_DIGESTS = {
+        "ep-t43": "45413cfa01f517610748ff3134a1f627a0f06609b06a74bf3ea15e0637da98ba",
+        "wcs-mu3": "864d5cdb472ac10e5cd5824aa9526e6ea2f73569296306178aaaaebeb2663e44",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ALIAS_DIGESTS))
+    def test_alias_tables_are_pinned(self, name):
+        # no stream pin reaches a table this size: an unattacked ep table of
+        # 31,786 entries, and a wcs table of 128 slots
+        channel = dict(eta_b=0.8, eta_l=0.5)
+        if name == "ep-t43":
+            ctx = _EpContext(resolved_point(
+                Scheme.ENTANGLED_PAIRS, g=0.9, eta_a=0.6, truncation_order=43, **channel
+            ))
+        else:
+            ctx = _PreparedContext(resolved_point(Scheme.WEAK_COHERENT, mu_prime=3.0, **channel))
+        assert ctx.alias.dtype == np.intp
+        digest = hashlib.sha256(ctx.cut.tobytes() + ctx.alias.astype(np.int64).tobytes())
+        assert digest.hexdigest() == self.ALIAS_DIGESTS[name]
 
     @pytest.mark.parametrize("block, bob_eta", [(None, 0.8 * 0.5), (0.5, 1.0)])
     @pytest.mark.parametrize("g, truncation", CASES)
@@ -524,13 +556,12 @@ class TestPreparedTable:
 class TestClassBytes:
     """Every row's class byte against a derivation of its own: an ``ep`` row
     from the joint table's block bounds and, per interposer row, from
-    ``pns_reference.intercept``; a prepared row from its entry's bit fields.
+    ``pns_reference.rows``, with the row's weight; a prepared row from its
+    entry's bit fields.
     The truncation does not enter a prepared table, whose length the mean
     sets, so its cases vary the mean instead."""
 
     ATTACKS = [None, 0.0, 0.5, 1.0]
-    # the last double below 1: the largest uniform a generator returns
-    U_MAX = np.nextafter(1.0, 0.0)
 
     @staticmethod
     def flags(**masks):
@@ -554,27 +585,20 @@ class TestClassBytes:
         )
         if block is None:
             np.testing.assert_array_equal(ctx.classes, want)
+            np.testing.assert_array_equal(ctx.weights, table.probabilities)
             return
         assert len(ctx.classes) == 2 * len(j)
         np.testing.assert_array_equal(ctx.classes & ~(MULTI | LOW), np.repeat(want, 2))
-        # each entry at the uniforms where its interposer outcome can turn
-        split = ctx.split
-        u = np.clip(np.stack([
-            np.zeros_like(split), np.full_like(split, self.U_MAX), split,
-            np.nextafter(split, -np.inf), np.nextafter(split, np.inf),
-        ], axis=1), 0.0, self.U_MAX)
-        entry = np.repeat(j, u.shape[1])
-        u = u.ravel()
-        _, _, multi, stored, blocked = pns_reference.intercept(
-            u, table.b0.take(entry), table.b1.take(entry), block
+        # every row's probability is its entry's times that of the rule's
+        # way the row stands for, and a row of no way has weight 0
+        weight, _, _, multi, low = pns_reference.rows(
+            table.probabilities, table.b0, table.b1, block
         )
-        # the rule's low way: the photon of mode 1 stored, or a block
-        low = np.where(multi, stored, blocked)
-        row = 2 * entry + low
-        np.testing.assert_array_equal(row, 2 * entry + (u < split.take(entry)))
-        classes = ctx.classes.take(row)
-        np.testing.assert_array_equal((classes & MULTI) != 0, multi)
-        np.testing.assert_array_equal((classes & LOW) != 0, low)
+        np.testing.assert_allclose(ctx.weights, weight, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(ctx.weights == 0.0, weight == 0.0)
+        reached = weight > 0.0
+        np.testing.assert_array_equal(((ctx.classes & MULTI) != 0)[reached], multi[reached])
+        np.testing.assert_array_equal((ctx.classes & LOW) != 0, low)
 
     @pytest.mark.parametrize("block", ATTACKS)
     @pytest.mark.parametrize("scheme, x", [
@@ -600,13 +624,13 @@ class TestClassBytes:
         if block is None:
             return
         # on a multi-photon row the low way is Alice's bit: the mode of the
-        # photon the rule stores, as all of a signal's photons are in it
+        # photon the rule stores, its one way, as all of a signal's photons
+        # are in it
         assert np.any(multi)
-        u = np.random.default_rng(3).random(np.count_nonzero(multi))
-        photons, ones = n[multi], bit[multi]
-        stored = pns_reference.intercept(u, photons * ~ones, photons * ones, block)[3]
-        np.testing.assert_array_equal((ctx.classes[multi] & LOW) != 0, stored)
-        np.testing.assert_array_equal(stored, ones)
+        for entry in np.flatnonzero(multi).tolist():
+            photons, one = entry >> 5, entry & 1
+            ((q, *_, stored, _),) = pns_reference.ways(photons * (1 - one), photons * one, block)
+            assert q == 1.0 and stored == one == bool(ctx.classes[entry] & LOW)
 
 
 class TestPreparedStatistics:
@@ -930,17 +954,17 @@ class TestChunks:
 
 
 class TestStreams:
-    """Exact counts of five runs: ``ep``, ``ep-pns`` and ``ep-pns-deep``
-    recorded when STREAM_VERSION was 7, ``wcs-pns`` and ``pdc`` when it was
-    8."""
+    """Exact counts of five runs: ``ep`` recorded when STREAM_VERSION was 7,
+    ``wcs-pns`` and ``pdc`` when it was 8, ``ep-pns`` and ``ep-pns-deep``
+    when it was 9."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
     # triggered, blocked
     PINNED = {
         "ep": (65659, 65472, 187, 4063, 7, 177, 0, 0),
-        "ep-pns": (65659, 65448, 211, 3705, 132, 130, 0, 7448),
-        "ep-pns-deep": (65659, 65659, 0, 8720, 453, 1976, 0, 9674),
+        "ep-pns": (65659, 65448, 211, 3661, 131, 121, 0, 7371),
+        "ep-pns-deep": (65659, 65659, 0, 8687, 471, 1932, 0, 9696),
         "wcs-pns": (65659, 65659, 0, 9787, 0, 0, 65659, 5956),
         "pdc": (65659, 65659, 0, 1296, 0, 0, 3770, 0),
     }

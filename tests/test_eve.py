@@ -34,7 +34,7 @@ from pdcqkd.eve import (
 from pdcqkd.source import Scheme, SourceParams
 
 import pns_reference
-from conftest import freq_se, resolved_point
+from conftest import resolved_point
 
 
 class TestPnsConfig:
@@ -54,88 +54,72 @@ class TestPnsConfig:
             PnsConfig(block_probability="half")
 
 
-def interposer_rows(tap, entry, u):
-    """The rows ``2 j + low`` that the kernel gives entries ``entry`` of the
-    tabulated interposer ``tap`` on their uniforms ``u``, and the ``(multi,
-    stored, blocked)`` masks that the tally reads off the rows' class bits:
-    the stored mode is the low way, and a low row that is not multi is a
-    blocked single photon."""
-    row = 2 * entry + (u < tap.split.take(entry))
-    classes = tap.classes.take(row)
-    multi, low = (classes & MULTI) != 0, (classes & LOW) != 0
-    return row, (multi, low, low & ~multi)
+def interposer_rows(tap):
+    """Per row of the tabulated interposer ``tap``: its share of its entry's
+    probability, the counts forwarded to Bob, and the ``(multi, stored,
+    blocked)`` masks that the tally reads off the row's class bits: the
+    stored mode is the low way, and a low row that is not multi is a blocked
+    single photon."""
+    multi, low = (tap.classes & MULTI) != 0, (tap.classes & LOW) != 0
+    return tap.share, tap.f0, tap.f1, multi, low, low & ~multi
 
 
-def entry_multi(tap):
-    """Whether each entry of ``tap`` is multi, from its rows' class bits."""
-    return (tap.classes[::2] & MULTI) != 0
-
-
-def intercept(counts, p_block, u=0.5):
-    """The tabulated interposer on events that all carry ``counts`` photons
-    in Bob's two modes, one event per uniform: the forwarded counts and the
-    ``(multi, stored, blocked)`` masks, as the kernel reads them."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+def intercept(counts, p_block):
+    """The two rows of the tabulated interposer of one entry with ``counts``
+    photons in Bob's two modes, high then low, as ``interposer_rows``."""
     b0, b1 = (np.array([n], dtype=np.int8) for n in counts)
-    tap = _Interposer.build(b0, b1, p_block)
-    row, (multi, stored, blocked) = interposer_rows(tap, np.zeros(len(u), dtype=np.intp), u)
-    return tap.f0.take(row), tap.f1.take(row), multi, stored, blocked
-
-
-# the last double below 1: the largest uniform a generator returns
-U_MAX = np.nextafter(1.0, 0.0)
-EDGES = [0.0, 0.25, 0.5, U_MAX]
+    return interposer_rows(_Interposer.build(b0, b1, p_block))
 
 
 class TestIntercept:
     """The tabulated PNS interposer on Bob's arm, on hand-built photon
-    counts."""
+    counts: each row's share of its entry, and what it forwards."""
 
     def test_vacuum_passes_untouched(self):
         # the truncation-exceeded entry of the ep joint table is vacuum too
-        b0, b1, multi, _, blocked = intercept((0, 0), 1.0, EDGES)
-        assert not b0.any() and not b1.any()
-        assert not multi.any() and not blocked.any()
+        share, b0, b1, multi, _, blocked = intercept((0, 0), 1.0)
+        np.testing.assert_array_equal(share, [1.0, 0.0])
+        assert not b0[0] and not b1[0] and not multi[0] and not blocked[0]
 
     def test_single_always_blocked(self):
-        b0, b1, multi, _, blocked = intercept((1, 0), 1.0, EDGES)
-        assert blocked.all() and not multi.any()
-        assert not b0.any() and not b1.any()
+        share, b0, b1, multi, _, blocked = intercept((1, 0), 1.0)
+        np.testing.assert_array_equal(share, [0.0, 1.0])
+        assert blocked[1] and not multi[1] and not b0[1] and not b1[1]
 
     def test_single_never_blocked(self):
-        b0, b1, _, _, blocked = intercept((0, 1), 0.0, EDGES)
-        assert not blocked.any()
-        assert (b0 == 0).all() and (b1 == 1).all()
+        share, b0, b1, _, _, blocked = intercept((0, 1), 0.0)
+        np.testing.assert_array_equal(share, [1.0, 0.0])
+        assert not blocked[0] and (b0[0], b1[0]) == (0, 1)
 
-    def test_single_blocked_below_threshold(self):
-        b0, _, _, _, blocked = intercept((1, 0), 0.5, [0.0, 0.4999, 0.5, U_MAX])
-        np.testing.assert_array_equal(blocked, [True, True, False, False])
-        np.testing.assert_array_equal(b0, [0, 0, 1, 1])
+    def test_single_blocked_with_its_probability(self):
+        share, b0, _, _, _, blocked = intercept((1, 0), 0.3)
+        np.testing.assert_array_equal(share, [1.0 - 0.3, 0.3])
+        np.testing.assert_array_equal(blocked, [False, True])
+        np.testing.assert_array_equal(b0, [1, 0])
 
     def test_multi_photon_stores_exactly_one(self):
-        u = np.random.default_rng(37).random(200)
         for counts in ((2, 0), (0, 2), (1, 1), (3, 2)):
-            b0, b1, multi, stored, blocked = intercept(counts, 1.0, u)
+            share, b0, b1, multi, stored, blocked = intercept(counts, 1.0)
             assert multi.all() and not blocked.any()
-            np.testing.assert_array_equal(b0 + b1, sum(counts) - 1)
-            np.testing.assert_array_equal(b0, counts[0] - ~stored)
-            np.testing.assert_array_equal(b1, counts[1] - stored)
+            # a mode with no photon is a way of share 0
+            np.testing.assert_array_equal(share == 0.0, np.array(counts) == 0)
+            reached = share > 0.0
+            np.testing.assert_array_equal((b0 + b1)[reached], sum(counts) - 1)
+            np.testing.assert_array_equal(b0[reached], (counts[0] - ~stored)[reached])
+            np.testing.assert_array_equal(b1[reached], (counts[1] - stored)[reached])
 
     def test_knowledge_classes(self):
         # both photons in one mode: the stored mode is certain
-        assert not intercept((2, 0), 0.0, EDGES)[3].any()
-        assert intercept((0, 2), 0.0, EDGES)[3].all()
+        np.testing.assert_array_equal(intercept((2, 0), 0.0)[0], [1.0, 0.0])
+        np.testing.assert_array_equal(intercept((0, 2), 0.0)[0], [0.0, 1.0])
         # one photon per mode: each is stored half the time
-        n = 60_000
-        u = np.random.default_rng(43).random(n)
-        freq = intercept((1, 1), 0.0, u)[3].mean()
-        assert abs(freq - 0.5) < 5 * freq_se(0.5, n)
+        np.testing.assert_array_equal(intercept((1, 1), 0.0)[0], [0.5, 0.5])
 
     def test_stored_mode_is_uniform_over_photons(self):
-        n = 60_000
-        u = np.random.default_rng(41).random(n)
-        freq = intercept((1, 2), 0.0, u)[3].mean()
-        assert abs(freq - 2.0 / 3.0) < 5 * freq_se(2.0 / 3.0, n)
+        share, _, _, _, stored, _ = intercept((1, 2), 0.0)
+        np.testing.assert_array_equal(stored, [False, True])
+        assert share[1] == 2.0 / 3.0
+        assert share[0] == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
 
     def test_auto_must_be_resolved_first(self):
         # the kernel gets the solved probability, never the AUTO marker
@@ -156,62 +140,43 @@ class TestIntercept:
         assert _resolve_run_params(config).block_probability == 0.25
 
 
-class TestSharedInterposerUniform:
-    """One uniform decides both the store choice and the block: they never
-    apply to one event."""
-
-    GRID = np.arange(1 << 12) / (1 << 12)
+class TestOneWayPerRow:
+    """An entry's two rows split its probability between the store choice
+    and the block, which never apply to one signal."""
 
     @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
-    def test_no_event_is_both_multi_and_blocked(self, p_block):
+    def test_no_row_is_both_multi_and_blocked(self, p_block):
         for counts in [(n0, n1) for n0 in range(4) for n1 in range(4)]:
-            _, _, multi, _, blocked = intercept(counts, p_block, self.GRID)
+            share, _, _, multi, _, blocked = intercept(counts, p_block)
             assert not (multi & blocked).any()
+            assert share.sum() == 1.0
 
-    def test_store_choice_on_the_shared_uniform(self):
-        b0, b1, multi, stored, blocked = intercept((2, 1), 1.0, self.GRID)
+    def test_store_choice_shares(self):
+        share, b0, b1, multi, stored, blocked = intercept((2, 1), 1.0)
         assert multi.all() and not blocked.any()
-        np.testing.assert_array_equal(stored, self.GRID < 1.0 / 3.0)
-        np.testing.assert_array_equal(b1, np.where(self.GRID < 1.0 / 3.0, 0, 1))
+        np.testing.assert_array_equal(stored, [False, True])
+        assert share[1] == 1.0 / 3.0 and share[0] == 1.0 - 1.0 / 3.0
+        np.testing.assert_array_equal(b0, [1, 2])
+        np.testing.assert_array_equal(b1, [1, 0])
 
 
 class TestTabulatedInterposer:
-    """The interposer tabulated per entry gives, bit for bit, the forwarded
-    counts and masks of the trial-by-trial rule in ``pns_reference``, at
-    every entry and at the uniforms where an outcome can turn."""
+    """The interposer tabulated per entry gives every row the share, the
+    forwarded counts and the masks of the one way of the signal-by-signal
+    rule in ``pns_reference`` that it stands for, at every entry, and share
+    0 to a row that stands for no way."""
 
     @staticmethod
-    def edge_uniforms(split):
-        """Per entry: 0, U_MAX, its split and one ulp either side of it, all
-        clipped to the uniforms a generator returns."""
-        u = np.stack([
-            np.zeros_like(split), np.full_like(split, U_MAX), split,
-            np.nextafter(split, -np.inf), np.nextafter(split, np.inf),
-        ], axis=1)
-        return np.clip(u, 0.0, U_MAX)
-
-    def assert_matches_reference(self, tap, b0, b1, p_block):
-        u = self.edge_uniforms(tap.split)
-        entry = np.repeat(np.arange(len(b0)), u.shape[1])
-        u = u.ravel()
-        row, (multi, stored, blocked) = interposer_rows(tap, entry, u)
-        w0, w1, w_multi, w_stored, w_blocked = pns_reference.intercept(
-            u, b0.take(entry), b1.take(entry), p_block
-        )
-        np.testing.assert_array_equal(tap.f0.take(row), w0)
-        np.testing.assert_array_equal(tap.f1.take(row), w1)
-        np.testing.assert_array_equal(multi, w_multi)
-        np.testing.assert_array_equal(blocked, w_blocked)
-        # the stored mode is meaningful, and read by the tally, where multi
-        np.testing.assert_array_equal(stored[multi], w_stored[multi])
-        # split is the turning point: the rule stores mode 1 one ulp below it
-        # and not at it
-        turning = entry_multi(tap) & (tap.split > 0.0) & (tap.split < 1.0)
-        below = np.nextafter(tap.split[turning], 0.0)
-        total = (b0 + b1)[turning]
-        assert np.all(below * total < b1[turning])
-        assert np.all(tap.split[turning] * total >= b1[turning])
-        return entry, row, w0, w1
+    def assert_matches_reference(tap, b0, b1, p_block):
+        share, f0, f1, multi, stored, blocked = interposer_rows(tap)
+        w_share, w0, w1, w_multi, w_low = pns_reference.rows(np.ones(len(b0)), b0, b1, p_block)
+        # a high row's share is 1 - s, the rule's b0 / total, to rounding
+        np.testing.assert_allclose(share, w_share, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(share == 0.0, w_share == 0.0)
+        np.testing.assert_array_equal(stored, w_low)
+        reached = w_share > 0.0
+        for got, want in ((f0, w0), (f1, w1), (multi, w_multi), (blocked, w_low & ~w_multi)):
+            np.testing.assert_array_equal(got[reached], want[reached])
 
     @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("truncation", [2, 3, 12])
@@ -220,19 +185,13 @@ class TestTabulatedInterposer:
             Scheme.ENTANGLED_PAIRS, p_block, g=0.3, eta_a=0.6, truncation_order=truncation
         ))
         table = ctx.joint
-        assert np.count_nonzero(entry_multi(ctx.interposer)) > 0
+        assert np.count_nonzero(ctx.interposer.classes & MULTI) > 0
         self.assert_matches_reference(ctx.interposer, table.b0, table.b1, p_block)
 
     def test_every_count_pair_to_the_deepest_truncation(self):
-        # the rounded quotient b1 / total is one ulp off the least split on
-        # either side for some pairs past total 12
         pairs = [(n0, total - n0) for total in range(128) for n0 in range(total + 1)]
         b0, b1 = np.array(pairs, dtype=np.int8).T
-        total = b0 + b1
-        quotient = np.divide(b1, total, out=np.zeros(len(total)), where=total > 0)
         tap = _Interposer.build(b0, b1, 0.5)
-        assert np.any(entry_multi(tap) & (tap.split > quotient))
-        assert np.any(entry_multi(tap) & (tap.split < quotient))
         self.assert_matches_reference(tap, b0, b1, 0.5)
 
     @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
@@ -241,9 +200,9 @@ class TestTabulatedInterposer:
     ])
     def test_prepared_entries(self, scheme, x, p_block):
         # a prepared entry holds all its photons in the mode of Alice's bit,
-        # so only a single photon's block depends on the uniform, and the
-        # entry's slot decides that: its tables must give the rule's outcome
-        # at every uniform on the entry's side of p_block
+        # so a multi-photon signal goes one way of the rule only, and the
+        # entry's slot decides a single photon's block: each entry must give
+        # the outcome of the rule's way that its slot stands for
         mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
         ctx = _PreparedContext(resolved_point(scheme, p_block, eta_b=0.8, eta_l=0.5, **mean))
         entries = np.arange(len(ctx.classes))
@@ -251,34 +210,34 @@ class TestTabulatedInterposer:
         # the tally's multi and blocked masks and the stored mode, per entry
         multi_at, low_at = (ctx.classes & MULTI) != 0, (ctx.classes & LOW) != 0
         blocked_at = low_at & ~multi_at
-        grid = np.clip([0.0, 0.25, 0.5, U_MAX, p_block, np.nextafter(p_block, 0.0)], 0.0, U_MAX)
-        entry, u = (a.ravel() for a in np.meshgrid(entries, grid, indexing="ij"))
-        photons, bit = entry >> 5, entry & 1
-        w0, w1, multi, stored, blocked = pns_reference.intercept(
-            u, photons * (1 - bit), photons * bit, p_block
-        )
-        # the uniforms that reach an entry: every one at n != 1 when it is
-        # not blocked, and at n = 1 those on the entry's side of p_block
-        reached = blocked == blocked_at.take(entry)
+        bob = _bob_thresholds(1.0, len(ctx.law) - 1)
+        reached = []
+        for entry in entries.tolist():
+            photons, bit = entry >> 5, entry & 1
+            for q, w0, w1, stored, blocked in pns_reference.ways(
+                photons * (1 - bit), photons * bit, p_block
+            ):
+                if blocked != blocked_at[entry] or q == 0.0:
+                    continue
+                reached.append(entry)
+                # every forwarded photon is in the mode of Alice's bit, and
+                # Eve stores a photon of that mode, the entry's low way
+                assert (w0, w1)[1 - bit] == 0
+                assert q == 1.0 or photons == 1
+                assert multi_at[entry] == (stored is not None)
+                if stored is not None:
+                    assert stored == bit == low_at[entry]
+                # Bob's thresholds are those of the forwarded count with the
+                # entry's combo
+                for got, want in zip(ctx.bob, bob):
+                    assert got[entry] == want[8 * (w0 + w1) + entry % 8]
+        # the entries that a way of nonzero probability reaches: every one
+        # at n != 1 that is not blocked, and at n = 1 those on the side of
+        # p_block that has probability
         possible = np.where(
             (entries >> 5) == 1, np.where(blocked_at, p_block > 0, p_block < 1), ~blocked_at
         )
-        np.testing.assert_array_equal(np.isin(entries, entry[reached]), possible)
-        entry, bit, w0, w1, multi, stored = (
-            a[reached] for a in (entry, bit, w0, w1, multi, stored)
-        )
-        # every forwarded photon is in the mode of Alice's bit
-        forwarded = w0 + w1
-        assert not np.any(w0 * bit) and not np.any(w1 * (1 - bit))
-        np.testing.assert_array_equal(multi, multi_at.take(entry))
-        # Eve stores a photon of Alice's bit, the entry's low way
-        np.testing.assert_array_equal(stored[multi], bit[multi] == 1)
-        np.testing.assert_array_equal(stored[multi], low_at.take(entry)[multi])
-        # Bob's thresholds at each entry are those of its forwarded photon
-        # count with its combo
-        bob = _bob_thresholds(1.0, len(ctx.law) - 1)
-        for got, want in zip(ctx.bob, bob):
-            np.testing.assert_array_equal(got.take(entry), want.take(8 * forwarded + entry % 8))
+        np.testing.assert_array_equal(np.isin(entries, reached), possible)
 
 
 class TestBlockSolver:

@@ -25,6 +25,7 @@ from pdcqkd.engine import (
     _PreparedContext,
 )
 
+import pns_reference
 from conftest import freq_se, resolved_point
 
 
@@ -134,21 +135,28 @@ class TestMeanPairs:
 
 
 class TestSamplers:
-    """The kernels' photon draws: the ``ep`` joint table and the photon
-    numbers of ``_prepared_batch``."""
+    """The kernels' photon draws: the rows of an ``ep`` context, its joint
+    entries or under attack their interposer ways, and the photon numbers of
+    ``_prepared_batch``."""
 
-    def test_deterministic_pair_config(self):
-        table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.0, **ETA)).joint
-        entry = _alias_draw(table.cut, table.alias, np.random.default_rng(5).random(1_000))
+    @pytest.mark.parametrize("block", [None, 0.5])
+    def test_deterministic_pair_config(self, block):
+        ctx = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, block, g=0.0, **ETA))
+        row = _alias_draw(ctx.cut, ctx.alias, np.random.default_rng(5).random(1_000))
+        # vacuum goes the high way only
+        entry = row if block is None else row // 2
+        assert block is None or not np.any(row % 2)
+        table = ctx.joint
         for column in (table.a0, table.a1, table.b0, table.b1):
             assert not column.take(entry).any()
 
     def test_pair_config_frequencies(self):
         # a matched entry carries its pair configuration (m, n) in both arms,
         # in one block per Alice outcome: D0 alone, D1 alone, no single click
-        table = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.1, **ETA)).joint
+        ctx = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.1, **ETA))
+        table = ctx.joint
         n = 400_000
-        entry = _alias_draw(table.cut, table.alias, np.random.default_rng(7).random(n))
+        entry = _alias_draw(ctx.cut, ctx.alias, np.random.default_rng(7).random(n))
         one_pair = (
             (entry < 3 * table.pairs) & (table.a0.take(entry) == 1) & (table.a1.take(entry) == 0)
         )
@@ -159,6 +167,21 @@ class TestSamplers:
         for block, q in enumerate((ETA["eta_a"], 0.0, 1.0 - ETA["eta_a"])):
             hits = np.count_nonzero(outcome == block)
             assert abs(hits / n - p * q) <= 5 * freq_se(p * q, n)
+
+    def test_interposer_way_frequencies(self):
+        # under attack each row is an entry's way: Eve stores a photon of
+        # mode 1 or of mode 0 from a multi-photon arm, or blocks a single one
+        ctx = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, 0.3, g=0.3, **ETA))
+        table = ctx.joint
+        weight, _, _, multi, low = pns_reference.rows(
+            table.probabilities, table.b0, table.b1, 0.3
+        )
+        n = 400_000
+        row = _alias_draw(ctx.cut, ctx.alias, np.random.default_rng(11).random(n))
+        for way in (multi & low, multi & ~low, low & ~multi):
+            p = weight[way].sum()
+            assert p > 0.0
+            assert abs(np.count_nonzero(way.take(row)) / n - p) < 5 * freq_se(p, n)
 
     def test_same_seed_same_sequence(self):
         params = resolved_point(Scheme.ENTANGLED_PAIRS, g=0.3, **ETA)
