@@ -42,23 +42,17 @@ from .source import BLOCK_PROBABILITY, Rule, Scheme
 # and i_e
 # 5: every *_formula key comes from analytics.PRINTED: eps_prime_formula is
 # the printed ε′, and i_e_formula is new
-SCHEMA_VERSION = 5
+# 6: every judged rate of engine.RATES has *_se and *_z keys: the double
+# clicks and no-clicks gain them, and the CSV lists each rate's four together
+SCHEMA_VERSION = 6
+
+# the rates compare judges, each with four columns: mc, se, oracle and z
+JUDGED = tuple(rate for rate in engine.RATES if rate.judged)
 
 CSV_COLUMNS = [
     "sweep_param",
     "sweep_value",
-    "r_key_mc",
-    "r_key_se",
-    "r_key_oracle",
-    "r_key_z",
-    "r_err_mc",
-    "r_err_se",
-    "r_err_oracle",
-    "r_err_z",
-    "epsilon_mc",
-    "epsilon_se",
-    "epsilon_oracle",
-    "epsilon_z",
+    *(f"{rate.stem}_{part}" for rate in JUDGED for part in ("mc", "se", "oracle", "z")),
     "r_key_formula",
     "r_err_formula",
     "epsilon_formula",
@@ -67,12 +61,6 @@ CSV_COLUMNS = [
     "i_e",
     "i_e_formula",
     "i_e_saturated",
-    "double_click_matched_mc",
-    "double_click_matched_oracle",
-    "double_click_mismatched_mc",
-    "double_click_mismatched_oracle",
-    "bob_no_click_mc",
-    "bob_no_click_oracle",
     "eve_touched_fraction",
     "p_ae_hat",
     "p_ae_oracle",
@@ -92,10 +80,6 @@ CSV_COLUMNS = [
     "sifted_count",
     "trials",
 ]
-
-# the rates that have a Monte Carlo estimate, an oracle and a z-score column;
-# compare judges each
-JUDGED = ("r_key", "r_err", "epsilon")
 
 _SCHEME_NAMES = {s.value: s for s in Scheme}
 
@@ -324,18 +308,11 @@ def analytic_row(point: engine._RunParams) -> dict:
     return row
 
 
-def _z_score(mc: Optional[float], se: Optional[float], oracle: Optional[float]):
-    # an oracle of exactly 0 is judged exactly, with no z-score
-    if mc is None or se is None or not oracle or not se > 0:
-        return None
-    return (mc - oracle) / se
-
-
-def _verdict(row: dict, name: str, sigma: float) -> tuple[Optional[bool], str]:
-    """``compare``'s verdict on the judged rate ``name`` of a Monte Carlo
-    row, and its status; None with ``n/a`` when there is nothing to judge."""
-    mc, oracle, z = (row[f"{name}_{part}"] for part in ("mc", "oracle", "z"))
-    if mc is None or oracle is None:
+def _verdict(row: dict, rate: engine.Rate, sigma: float) -> tuple[Optional[bool], str]:
+    """``compare``'s verdict on a judged rate of a Monte Carlo row that holds
+    its oracle, and its status; None with ``n/a`` when it has no estimate."""
+    mc, oracle, z = (row[f"{rate.stem}_{part}"] for part in ("mc", "oracle", "z"))
+    if mc is None:
         return None, "n/a"
     if oracle == 0.0:
         # an oracle of exactly 0 is judged exactly
@@ -345,7 +322,8 @@ def _verdict(row: dict, name: str, sigma: float) -> tuple[Optional[bool], str]:
     # an estimate of 0 or 1 has no spread, so no z-score: its count, none or
     # all of its n trials, is judged by its binomial probability at the
     # oracle against the two-sided normal tail at sigma
-    n = row["sifted_count"] if name == "epsilon" else row["trials"] - row["truncation_exceeded"]
+    valid = row["trials"] - row["truncation_exceeded"]
+    n = {"valid": valid, "sifted": row["sifted_count"]}[rate.share_of]
     chance = (1.0 - oracle) ** n if mc == 0.0 else oracle ** n
     return chance >= math.erfc(sigma / math.sqrt(2.0)), f"P(count)={chance:.3g}"
 
@@ -359,17 +337,16 @@ def point_row(
     row = analytic_row(point)
     if point.config.trials > 0:
         report = next(reports)
-        for name in JUDGED:
-            mc, se = getattr(report, name), getattr(report, f"{name}_se")
-            row.update({f"{name}_mc": mc, f"{name}_se": se})
-            row[f"{name}_z"] = _z_score(mc, se, row[f"{name}_oracle"])
+        for rate in engine.RATES:
+            mc = row[f"{rate.stem}_mc" if rate.judged else rate.field] = getattr(report, rate.field)
+            if rate.judged:
+                se = row[f"{rate.stem}_se"] = getattr(report, f"{rate.stem}_se")
+                oracle = row[f"{rate.stem}_oracle"]
+                # no z-score against an oracle of exactly 0, which is judged
+                # exactly, nor for an estimate of 0 or 1, which has no spread
+                if se and oracle:
+                    row[f"{rate.stem}_z"] = (mc - oracle) / se
         row.update(
-            double_click_matched_mc=report.double_click_matched,
-            double_click_mismatched_mc=report.double_click_mismatched,
-            bob_no_click_mc=report.bob_no_click_rate,
-            eve_touched_fraction=report.eve_touched_fraction,
-            p_ae_hat=report.p_ae_hat,
-            p_eb_hat=report.p_eb_hat,
             i_ae_mc=report.i_ae,
             i_eb_mc=report.i_eb,
             truncation_exceeded=report.truncation_exceeded_count,
@@ -540,13 +517,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         rows = run_sweep(config)
         failed = False
         for row in rows if args.command == "compare" else ():
-            for name in JUDGED:
-                ok, status = _verdict(row, name, sigma)
+            label = row["sweep_param"] and f"{row['sweep_param']}={row['sweep_value']}"
+            for rate in JUDGED:
+                if row[f"{rate.stem}_oracle"] is None:
+                    # no oracle at the row's scheme and attack: no line
+                    continue
+                ok, status = _verdict(row, rate, sigma)
                 if ok is not None:
                     failed = failed or not ok
                     status = f"{'PASS' if ok else 'FAIL'} {status}"
-                label = row["sweep_param"] and f"{row['sweep_param']}={row['sweep_value']}"
-                print(f"{label or 'point'} {name}: {status}", file=sys.stderr)
+                print(f"{label or 'point'} {rate.stem}: {status}", file=sys.stderr)
         print(emit(rows, config.out_format, config.out_path, config), end="")
         return 1 if failed else 0
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:

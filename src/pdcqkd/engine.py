@@ -614,14 +614,34 @@ def _run_batch_range(params: _RunParams, start: int, stop: int) -> _Counts:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(count: int, n: int) -> Optional[float]:
-    """``count / n``, or None when ``n`` is 0: every rate of a report."""
-    return count / n if n else None
+@dataclass(frozen=True)
+class Rate:
+    """A report's rate: its row stem, the ``_Counts`` tally it counts, what
+    it is a share of (``valid``, the trials inside the truncation, or a
+    tally) and its ``RateReport`` field.  A judged rate also has the report
+    field ``<stem>_se`` and the row columns ``<stem>_mc``, ``_se``,
+    ``_oracle`` and ``_z``; an unjudged rate's row column is its field."""
+
+    stem: str
+    tally: str
+    share_of: str
+    field: str
+    judged: bool = True
 
 
-def _binomial_se(p: Optional[float], n: int) -> Optional[float]:
-    """Standard error of a rate ``p`` over ``n`` trials; None with the rate."""
-    return None if p is None else math.sqrt(max(p * (1.0 - p), 0.0) / n)
+# Every rate of a report.  compare judges those with an oracle column and a
+# denominator that a row carries; no row carries the touched bits.
+RATES = (
+    Rate("r_key", "sifted", "valid", "r_key"),
+    Rate("r_err", "errors", "valid", "r_err"),
+    Rate("epsilon", "errors", "sifted", "epsilon"),
+    Rate("double_click_matched", "dc_matched", "valid", "double_click_matched"),
+    Rate("double_click_mismatched", "dc_mismatched", "valid", "double_click_mismatched"),
+    Rate("bob_no_click", "bob_no_click", "valid", "bob_no_click_rate"),
+    Rate("eve_touched", "touched_sifted", "sifted", "eve_touched_fraction", judged=False),
+    Rate("p_ae", "eve_alice_hits", "touched_sifted", "p_ae_hat", judged=False),
+    Rate("p_eb", "eve_bob_hits", "touched_sifted", "p_eb_hat", judged=False),
+)
 
 
 @dataclass(frozen=True)
@@ -639,9 +659,12 @@ class RateReport:
     epsilon: Optional[float]
     epsilon_se: Optional[float]
     double_click_matched: Optional[float]
+    double_click_matched_se: Optional[float]
     double_click_mismatched: Optional[float]
+    double_click_mismatched_se: Optional[float]
     double_click_matched_count: int
     bob_no_click_rate: Optional[float]
+    bob_no_click_se: Optional[float]
     triggered_count: int
     eve_touched_fraction: Optional[float]
     p_ae_hat: Optional[float]
@@ -658,12 +681,14 @@ class RateReport:
 
 def _build_report(counts: _Counts, point: _RunParams) -> RateReport:
     valid = counts.trials - counts.excluded
-    r_key = _ratio(counts.sifted, valid)
-    r_err = _ratio(counts.errors, valid)
-    epsilon = _ratio(counts.errors, counts.sifted)
-    touched = _ratio(counts.touched_sifted, counts.sifted)
-    p_ae = _ratio(counts.eve_alice_hits, counts.touched_sifted)
-    p_eb = _ratio(counts.eve_bob_hits, counts.touched_sifted)
+    rates = {}
+    for rate in RATES:
+        n = valid if rate.share_of == "valid" else getattr(counts, rate.share_of)
+        # a rate over an empty denominator, and its standard error, is None
+        rates[rate.field] = p = getattr(counts, rate.tally) / n if n else None
+        if rate.judged:
+            rates[f"{rate.stem}_se"] = None if p is None else math.sqrt(p * (1.0 - p) / n)
+    touched, p_ae, p_eb = (rates[k] for k in ("eve_touched_fraction", "p_ae_hat", "p_eb_hat"))
     if p_ae is not None:
         # Eq. 10: Eve knows a touched bit with her hit probability and guesses
         # every other one
@@ -678,25 +703,14 @@ def _build_report(counts: _Counts, point: _RunParams) -> RateReport:
         truncation_exceeded_count=counts.excluded,
         sifted_count=counts.sifted,
         error_count=counts.errors,
-        r_key=r_key,
-        r_key_se=_binomial_se(r_key, valid),
-        r_err=r_err,
-        r_err_se=_binomial_se(r_err, valid),
-        epsilon=epsilon,
-        epsilon_se=_binomial_se(epsilon, counts.sifted),
-        double_click_matched=_ratio(counts.dc_matched, valid),
-        double_click_mismatched=_ratio(counts.dc_mismatched, valid),
         double_click_matched_count=counts.dc_matched,
-        bob_no_click_rate=_ratio(counts.bob_no_click, valid),
         triggered_count=counts.triggered,
-        eve_touched_fraction=touched,
-        p_ae_hat=p_ae,
-        p_eb_hat=p_eb,
         i_ae=i_ae,
         i_eb=i_eb,
         eve_blocked_count=counts.blocked,
         block_probability=point.block_probability,
         master_seed=point.config.master_seed,
+        **rates,
     )
 
 

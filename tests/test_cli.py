@@ -536,7 +536,7 @@ class TestAttackedCompare:
         )
         err = capsys.readouterr().err
         assert code == 0, err
-        assert err.count("PASS") == 3
+        assert err.count("PASS") == 4
 
     @pytest.mark.parametrize(
         "scheme, block, seed",
@@ -635,6 +635,37 @@ class TestZeroSpreadVerdicts:
         assert "point r_key: FAIL z=" in err
 
 
+class TestSectorWeights:
+    """``compare`` judges the mismatched-basis double clicks, so it fails an
+    ``ep`` kernel that draws each total's mismatched occupations at the wrong
+    weights, although the matched-basis rounds, and with them ``r_key``,
+    ``r_err`` and ``epsilon``, are unchanged.  The mutant is the "uniform
+    sector weights" one of ``perfbench/selftest.py``.
+
+    An attacked ``ep`` row has no mismatched-basis oracle, so the same mutant
+    passes ``compare`` under ``--attack pns``; judging it needs that oracle,
+    an open item of ROADMAP.md.
+    """
+
+    @pytest.mark.parametrize("truncation", ["2", "3"])
+    def test_uniform_sector_weights_fail(self, truncation, monkeypatch, capsys):
+        class UniformSectorWeights(engine._EpContext):
+            def __init__(self, params):
+                super().__init__(params)
+                self.sector_tables = {
+                    total: (np.linspace(1.0 / len(cdf), 1.0, len(cdf)), *occupations)
+                    for total, (cdf, *occupations) in self.sector_tables.items()
+                }
+
+        monkeypatch.setattr(engine, "_EpContext", UniformSectorWeights)
+        code = main(["compare", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.7",
+                     "--eta-l", "0.5", "--truncation", truncation, "--trials", "2000000",
+                     "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "point double_click_mismatched: FAIL z=" in err
+
+
 class TestPreparedSlotWeights:
     """The herald and block weights of the prepared alias table are seen by
     ``compare``: a table weighted at the wrong ones fails it."""
@@ -698,6 +729,37 @@ class TestRowSchema:
 
     def test_columns_are_unique(self):
         assert len(set(CSV_COLUMNS)) == len(CSV_COLUMNS)
+
+    def test_rates_name_tallies_columns_and_fields(self):
+        tallies = {field.name for field in dataclasses.fields(engine._Counts)}
+        report = {field.name for field in dataclasses.fields(engine.RateReport)}
+        for rate in engine.RATES:
+            assert rate.tally in tallies and rate.share_of in tallies | {"valid"}, rate
+            assert rate.field in report, rate
+        assert [rate.stem for rate in cli.JUDGED] == [
+            "r_key", "r_err", "epsilon", "double_click_matched", "double_click_mismatched",
+            "bob_no_click",
+        ]
+        for rate in cli.JUDGED:
+            assert {f"{rate.stem}_{part}" for part in ("mc", "se", "oracle", "z")} <= set(CSV_COLUMNS)
+            assert f"{rate.stem}_se" in report, rate
+        for rate in engine.RATES:
+            assert rate.judged or rate.field in CSV_COLUMNS, rate
+
+    @pytest.mark.parametrize("scheme", SOURCES)
+    @pytest.mark.parametrize("attack", ATTACKS)
+    def test_judged_z_scores(self, scheme, attack, capsys):
+        args = ["simulate", "--scheme", scheme, *self.SOURCES[scheme], *self.ATTACKS[attack],
+                "--trials", "20000", "--format", "json"]
+        assert main(args) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        scored = 0
+        for rate in cli.JUDGED:
+            mc, se, oracle, z = (row[f"{rate.stem}_{part}"] for part in ("mc", "se", "oracle", "z"))
+            if z is not None:
+                assert z == (mc - oracle) / se, rate
+                scored += 1
+        assert scored >= 1
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("scheme", SOURCES)
@@ -875,7 +937,7 @@ class TestMain:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION == 5
+        assert payload["schema_version"] == SCHEMA_VERSION == 6
         (row,) = payload["rows"]
         exact = analytics.ep_pns_oracle(0.3, 0.6, 1.0 - row["block_probability"], 2)
         assert row["i_ae_oracle"] == exact.i_ae
@@ -1256,6 +1318,6 @@ class TestInputRules:
         assert main(args) == 0
         out, err = capsys.readouterr()
         (row,) = json.loads(out)["rows"]
-        assert err.splitlines() == [
-            f"point {key}: PASS z={row[key + '_z']:+.3f}" for key in ("r_key", "r_err", "epsilon")
-        ]
+        judged = ("r_key", "r_err", "epsilon", "double_click_matched", "double_click_mismatched",
+                  "bob_no_click")
+        assert err.splitlines() == [f"point {key}: PASS z={row[key + '_z']:+.3f}" for key in judged]

@@ -425,7 +425,8 @@ class TestReportNoneRule:
         assert rep.valid_trials == 0
         for name in (
             "r_key", "r_key_se", "r_err", "r_err_se", "double_click_matched",
-            "double_click_mismatched", "bob_no_click_rate",
+            "double_click_matched_se", "double_click_mismatched", "double_click_mismatched_se",
+            "bob_no_click_rate", "bob_no_click_se",
         ):
             assert getattr(rep, name) is None, name
 
