@@ -311,6 +311,7 @@ class EpAttackOracle:
     i_ae: Optional[float]
     i_eb: Optional[float]
     dc_matched: float
+    bob_no_click: float
 
 
 def ep_pns_oracle(
@@ -323,7 +324,11 @@ def ep_pns_oracle(
 
     The interceptor removes one photon uniformly from multi-photon arms,
     blocks singles with probability 1 - ``pass_probability`` and forwards the
-    rest over a lossless, guaranteed-detection channel.
+    rest over a lossless, guaranteed-detection channel.  Bob's side of a
+    sector is maximally mixed in any basis (see ``fock``), and the
+    configurations of a total are equally likely, so a mismatched round gives
+    his arm the law of a matched one: his double clicks and no-clicks are the
+    matched-basis sums in either round.
     """
     GAIN.require(g=g)
     UNIT.require(eta_a=eta_a, pass_probability=pass_probability)
@@ -331,24 +336,21 @@ def ep_pns_oracle(
     s = _matched_basis(g, eta_a, 1.0, truncation, pass_probability)
 
     delivered = 0.5 * s.sift / s.retained
-    dc_matched = 0.5 * s.dc / s.retained
-    if delivered <= 0.0:
-        return EpAttackOracle(delivered, None, None, None, None, None, None, dc_matched)
-    error_rate = (0.5 * s.err / s.retained) / delivered
-    touched_fraction = s.touched / s.sift
-    p_ae = s.hits_a / s.touched if s.touched > 0 else None
-    p_eb = s.hits_b / s.touched if s.touched > 0 else None
-    i_ae = touched_fraction * binary_information(p_ae) if p_ae is not None else None
-    i_eb = touched_fraction * binary_information(p_eb) if p_eb is not None else None
+    rated = delivered > 0.0
+    touched = s.touched / s.sift if rated else None
+    # a touched round is a sifted one, so without a sifted rate none is touched
+    p_ae, p_eb = (hits / s.touched if s.touched > 0 else None for hits in (s.hits_a, s.hits_b))
+    i_ae, i_eb = (None if p is None else touched * binary_information(p) for p in (p_ae, p_eb))
     return EpAttackOracle(
         delivered_rate=delivered,
-        error_rate=error_rate,
+        error_rate=(0.5 * s.err / s.retained) / delivered if rated else None,
         p_ae=p_ae,
         p_eb=p_eb,
-        touched_fraction=touched_fraction,
+        touched_fraction=touched,
         i_ae=i_ae,
         i_eb=i_eb,
-        dc_matched=dc_matched,
+        dc_matched=0.5 * s.dc / s.retained,
+        bob_no_click=s.no_click / s.retained,
     )
 
 

@@ -44,7 +44,8 @@ from .source import BLOCK_PROBABILITY, Rule, Scheme
 # the printed ε′, and i_e_formula is new
 # 6: every judged rate of engine.RATES has *_se and *_z keys: the double
 # clicks and no-clicks gain them, and the CSV lists each rate's four together
-SCHEMA_VERSION = 6
+# 7: attacked ep rows hold the mismatched double-click and no-click oracles
+SCHEMA_VERSION = 7
 
 # the rates compare judges, each with four columns: mc, se, oracle and z
 JUDGED = tuple(rate for rate in engine.RATES if rate.judged)
@@ -286,6 +287,9 @@ def analytic_row(point: engine._RunParams) -> dict:
                 r_err_oracle=attack.delivered_rate * (attack.error_rate or 0.0),
                 epsilon_oracle=attack.error_rate,
                 double_click_matched_oracle=attack.dc_matched,
+                # Bob's arm has one law in either basis
+                double_click_mismatched_oracle=attack.dc_matched,
+                bob_no_click_oracle=attack.bob_no_click,
                 p_ae_oracle=attack.p_ae,
                 p_eb_oracle=attack.p_eb,
                 i_ae_oracle=attack.i_ae,

@@ -21,13 +21,13 @@ pair configuration in matched bases, where the classical per-photon model is
 exact because the source state keeps its form under an identical basis
 change on both sides, split three ways by Alice's outcome (D0 alone, D1
 alone, no single click) from her two independent yes/no detectors, each
-firing with probability 1 - (1 - eta)^n; then each occupation of each
-per-side-total sector, from total 0 up, in a mismatched-basis round, drawn
-from the sector-conditioned Fock distribution that both mismatched combos
-share, which carries the two-photon interference the classical model misses;
-and last the truncation-exceeded event.  No tally reads Alice's outcome in a
-mismatched round, so nothing draws it.  Under attack each entry is two rows,
-the two ways of the PNS interposer, ``_Interposer``.
+firing with probability 1 - (1 - eta)^n; then each count pair of Bob's in a
+mismatched-basis round, at its probability under the sector-conditioned Fock
+distribution that both mismatched combos share, which carries the two-photon
+interference the classical model misses; and last the truncation-exceeded
+event.  No tally reads Alice's side of a mismatched round, so its entries
+sum over her occupations.  Under attack each entry is two rows, the two ways
+of the PNS interposer, ``_Interposer``.
 
 ``_PreparedContext`` draws the ``wcs``/``pdc`` photon number, whether the
 ``pdc`` herald fires (with probability 1 - (1 - eta_a)^n) and, under attack,
@@ -74,7 +74,6 @@ pickled with it, in its ``_RunParams``, so reuse changes no report.
 """
 from __future__ import annotations
 
-import array
 import contextlib
 import itertools
 import math
@@ -117,8 +116,10 @@ CHUNK_SIZE = 1 << 13
 #    entry, and no herald or interposer uniform (ep streams as in 7);
 # 9: the ep interposer's way drawn with the joint entry, in two rows per
 #    entry, and no interposer uniform (unattacked ep and wcs/pdc streams as
-#    in 8).
-STREAM_VERSION = 9
+#    in 8);
+# 10: one mismatched-basis ep entry per count pair of Bob's, summed over
+#    Alice's side, so every ep stream moves (wcs/pdc streams as in 9).
+STREAM_VERSION = 10
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +211,21 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = 1 << (len(weights) - 1).bit_length()
     scaled = np.zeros(k)
     scaled[: len(weights)] = weights * (k / weights.sum())
-    # The loop works on typed arrays, not lists of boxed numbers, which at
-    # truncation 127 under attack (k = 2^21) would be the run's peak memory;
-    # their elements read as Python floats and ints, which round as float64
-    # scalars do, and the loop runs faster on them than on numpy's.
-    small, large = (
-        array.array("q", np.flatnonzero(side).astype(np.int64, copy=False).tobytes())
-        for side in (scaled < 1.0, scaled >= 1.0)
-    )
-    scaled = array.array("d", scaled.tobytes())
-    alias = array.array("q", np.arange(k, dtype=np.int64).tobytes())
+    # Python floats round as float64 scalars do, and the loop runs faster
+    # on them than on numpy's
+    scaled = scaled.tolist()
+    alias = list(range(k))
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
     while small and large:
         s, l = small.pop(), large.pop()
         alias[s] = l
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
     # what is left over holds weight 1 up to rounding
-    for i in itertools.chain(small, large):
+    for i in small + large:
         scaled[i] = 1.0
-    del small, large
-    cut = np.frombuffer(scaled) + np.arange(k)
-    del scaled
-    return cut, np.frombuffer(alias, dtype=np.int64).astype(np.intp)
+    return np.arange(k) + np.array(scaled), np.array(alias, dtype=np.intp)
 
 
 def _alias_draw(cut: np.ndarray, alias: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -247,51 +241,46 @@ class _JointTable:
     before the interposer and Bob's detectors; its entries are the rows of an
     unattacked ``_EpContext``.
 
-    Entry ``j`` has probability ``probabilities[j]`` and the photon counts
-    ``a0, a1, b0, b1`` in the analyzer modes, all int8.  The entries come in
-    array blocks, in this order: three matched blocks of ``pairs`` entries,
-    each pair configuration (m, n) of ``dist`` at half its probability with
-    counts (m, n, m, n), times the probability that Alice's detectors, which
-    fire with ``fire_a`` at m and n, give D0 alone, D1 alone, and no single
-    click; one mismatched block per sector total, from 0 up, each occupation
-    of the total's sector table at the total's probability times 1/2 (either
-    mismatched combo) times its sector probability; and the
-    truncation-exceeded event (one entry, no photons).
+    Entry ``j`` has probability ``probabilities[j]`` and Bob's photon counts
+    ``b0, b1`` in his analyzer modes, int8.  Four blocks of ``pairs`` entries
+    hold the pair configurations (m, n) of ``dist``, with Bob at (m, n), and
+    the truncation-exceeded event (one entry, no photons) comes last.  The
+    three matched blocks hold each configuration at half its probability
+    times the probability that Alice's detectors, which fire with ``fire_a``
+    at m and n, give D0 alone, D1 alone, and no single click.  The mismatched
+    block holds each count pair of Bob's at the sum, over the sector tables'
+    occupations where he holds it, of the total's probability times 1/2
+    (either mismatched combo) times the sector probability.
     """
 
     probabilities: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
     pairs: int
 
     @classmethod
-    def build(
-        cls, dist: PairDistribution, sector_tables: dict, fire_a: np.ndarray
-    ) -> "_JointTable":
-        m = np.array([c.m for c in dist.configs])
-        n = np.array([c.n for c in dist.configs])
-        totals = m + n
+    def build(cls, dist: PairDistribution, sector_tables: dict, fire_a: np.ndarray) -> _JointTable:
+        m, n = np.array([(c.m, c.n) for c in dist.configs]).T
         f0, f1 = fire_a.take(m), fire_a.take(n)
         half = 0.5 * dist.probabilities
-        probabilities = [
-            half * (f0 * (1.0 - f1)),
-            half * (f1 * (1.0 - f0)),
-            half * (f0 * f1 + (1.0 - f0) * (1.0 - f1)),
-        ]
-        counts = [np.tile((m, n, m, n), 3)]
-        for total, (cdf, *occupations) in sector_tables.items():
-            weight = 0.5 * dist.probabilities[totals == total].sum()
-            # the last occupation takes all mass beyond the one before, as
-            # inverse-CDF sampling of ``cdf`` does
-            probabilities.append(weight * np.diff(cdf[:-1], prepend=0.0, append=1.0))
-            counts.append(occupations)
-        probabilities.append([dist.tail])
-        counts.append(np.zeros((4, 1), dtype=np.int64))
-        probabilities = np.concatenate(probabilities)
-        a0, a1, b0, b1 = np.concatenate(counts, axis=1).astype(np.int8)
-        return cls(probabilities, a0, a1, b0, b1, len(m))
+        alice = (f0 * (1.0 - f1), f1 * (1.0 - f0), f0 * f1 + (1.0 - f0) * (1.0 - f1))
+        # each occupation at half its total's probability times its sector
+        # probability, the last one taking all mass beyond the one before, as
+        # inverse-CDF sampling of ``cdf`` does
+        half_total = np.bincount(m + n, weights=half)
+        cdfs, b0, b1 = zip(*sector_tables.values())
+        weights = np.concatenate([
+            half_total[total] * np.diff(cdf[:-1], prepend=0.0, append=1.0)
+            for total, cdf in zip(sector_tables, cdfs)
+        ])
+        # dist.configs run by total, then by m, so Bob's (b0, b1) is
+        # configuration s (s + 1) / 2 + b0 at s = b0 + b1
+        b0, b1 = np.concatenate(b0), np.concatenate(b1)
+        s = b0 + b1
+        mismatched = np.bincount(s * (s + 1) // 2 + b0, weights=weights, minlength=len(m))
+        probabilities = np.concatenate([*(half * q for q in alice), mismatched, [dist.tail]])
+        b0, b1 = (np.append(np.tile(k, 4), 0).astype(np.int8) for k in (m, n))
+        return cls(probabilities, b0, b1, len(m))
 
 
 # A row's class byte, one bit per flag that ``_tally`` reads: present (not
@@ -348,10 +337,11 @@ class _BatchContext:
 
     A run context also holds what ``_chunk`` reads per row: the alias table
     ``(cut, alias)``, the class bytes ``classes``, Bob's thresholds ``bob``,
-    and whether it is ``attacked``.
+    whether it is ``attacked``, and whether a row can herald (``heralds``).
     """
 
     _buffer = np.empty(0)
+    heralds = False
 
     def uniforms(self, rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
         """A batch's ``(rows, size)`` uniforms from one ``rng.random`` call:
@@ -368,10 +358,10 @@ class _EpContext(_BatchContext):
     """Per-run tables of the entangled-pair kernel.
 
     ``sector_tables`` maps each sector total, from 0 (the vacuum, one
-    occupation) to the truncation, to the inverse-CDF table
-    ``(cdf, a0, a1, b0, b1)`` of its mismatched-basis occupations, which both
-    mismatched combos share (see ``fock``).  ``fire_a``/``fire_b`` are each
-    side's per-count fire tables.
+    occupation) to the truncation, to the inverse-CDF table ``(cdf, b0, b1)``
+    of its mismatched-basis occupations, which both mismatched combos share
+    (see ``fock``), with Bob's counts of each.  ``fire_a``/``fire_b`` are
+    each side's per-count fire tables.
 
     The row tables are derived from the sector tables on first use, so they
     always reflect the sector tables the kernel sees.  The rows are the
@@ -392,9 +382,8 @@ class _EpContext(_BatchContext):
         self.sector_tables = {}
         for total in range(truncation + 1):
             occs, probs = fock.sector_distribution(total)
-            self.sector_tables[total] = (
-                np.cumsum(np.asarray(probs)), *np.array(occs, dtype=np.int64).T
-            )
+            b0 = np.fromiter((occ[2] for occ in occs), np.int64, len(occs))
+            self.sector_tables[total] = (np.cumsum(probs), b0, total - b0)
         # no mode holds more photons than the truncation allows pairs
         self.fire_a = _fire_table(params.channel.eta_a, truncation)
         self.fire_b = _fire_table(params.bob_eta, truncation)
@@ -496,6 +485,8 @@ class _PreparedContext(_BatchContext):
     forwarded to him: n - 1 when multi, 0 when blocked, n otherwise.
     """
 
+    heralds = True
+
     def __init__(self, params: _RunParams):
         self.law = photon_number_law(params.source)
         n_max = len(self.law) - 1
@@ -534,9 +525,12 @@ class _PreparedContext(_BatchContext):
         )
 
 
-def _tally(classes: np.ndarray, fb0: np.ndarray, fb1: np.ndarray, attacked: bool) -> _Counts:
+def _tally(
+    classes: np.ndarray, fb0: np.ndarray, fb1: np.ndarray, attacked: bool, heralds: bool = False
+) -> _Counts:
     """Sift one chunk of rows with the class bytes ``classes`` and count it;
-    ``fb0``/``fb1`` say which of Bob's detectors fired.
+    ``fb0``/``fb1`` say which of Bob's detectors fired.  Only rows that can
+    herald (``heralds``) are counted for ``triggered``.
 
     A sifted bit needs a sift candidate and a single click on Bob's side,
     which carries his bit; an absent row holds no photons, so no click.
@@ -557,7 +551,7 @@ def _tally(classes: np.ndarray, fb0: np.ndarray, fb1: np.ndarray, attacked: bool
         dc_matched=int(np.count_nonzero(kept & b_double)),
         dc_mismatched=int(np.count_nonzero(mismatched & b_double)),
         bob_no_click=present - int(np.count_nonzero(fb0 | fb1)),
-        triggered=int(np.count_nonzero(classes & HERALD)),
+        triggered=int(np.count_nonzero(classes & HERALD)) if heralds else 0,
     )
     if attacked:
         touched = sifted & (classes & MULTI).astype(bool)
@@ -577,7 +571,7 @@ def _chunks(u: np.ndarray) -> Iterator[np.ndarray]:
 def _chunk(u: np.ndarray, ctx: _EpContext | _PreparedContext) -> _Counts:
     row = _alias_draw(ctx.cut, ctx.alias, u[0])
     fb0, fb1 = _two_detectors(u[1], row, *ctx.bob)
-    return _tally(ctx.classes.take(row), fb0, fb1, ctx.attacked)
+    return _tally(ctx.classes.take(row), fb0, fb1, ctx.attacked, ctx.heralds)
 
 
 def _batch(rng: np.random.Generator, size: int, ctx: _EpContext | _PreparedContext) -> _Counts:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcqkd import eve
+from pdcqkd import eve, fock
 from pdcqkd.analytics import (
     PRINTED,
     AttackRates,
     FormulaPoint,
+    _bob_arm,
     binary_information,
     ep_pns_oracle,
     ep_rates_approx,
@@ -221,6 +222,26 @@ class TestAttackOracle:
     def test_saturated_error_rate(self):
         oracle = ep_pns_oracle(0.6, 0.6, pass_probability=0.0)
         assert oracle.error_rate == pytest.approx(0.4 / 3.6, abs=1e-12)
+
+    @pytest.mark.parametrize("g, truncation, pass_probability", [
+        (0.3, 2, 0.5), (0.3, 3, 0.0), (0.6, 6, 1.0), (0.7, 12, 0.0), (0.9, 20, 0.3),
+    ])
+    def test_mismatched_rounds_match_the_matched_sums(self, g, truncation, pass_probability):
+        # every occupation of every sector table in a mismatched round, Bob's
+        # arm through the interposer's ways and then his ideal detectors
+        xi4 = (1.0 - g * g) ** 2
+        retained = dc = no_click = 0.0
+        for total in range(truncation + 1):
+            sector_w = (total + 1) * xi4 * g ** (2 * total)
+            retained += sector_w
+            for (_, _, b0, b1), q in zip(*fock.sector_distribution(total)):
+                for p, f0, f1, _ in _bob_arm(b0, b1, pass_probability):
+                    dc += sector_w * q * p * (f0 > 0 and f1 > 0)
+                    no_click += sector_w * q * p * (f0 == f1 == 0)
+        oracle = ep_pns_oracle(g, 0.6, pass_probability, truncation)
+        assert 0.5 * dc / retained == pytest.approx(oracle.dc_matched, rel=1e-12)
+        # both bases give Bob's arm one law, so one basis's rate is the rate
+        assert no_click / retained == pytest.approx(oracle.bob_no_click, rel=1e-12)
 
     @pytest.mark.parametrize("truncation", [1, -1])
     def test_rejects_truncation_below_two(self, truncation):

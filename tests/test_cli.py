@@ -536,7 +536,7 @@ class TestAttackedCompare:
         )
         err = capsys.readouterr().err
         assert code == 0, err
-        assert err.count("PASS") == 4
+        assert err.count("PASS") == 6
 
     @pytest.mark.parametrize(
         "scheme, block, seed",
@@ -642,13 +642,18 @@ class TestSectorWeights:
     ``r_err`` and ``epsilon``, are unchanged.  The mutant is the "uniform
     sector weights" one of ``perfbench/selftest.py``.
 
-    An attacked ``ep`` row has no mismatched-basis oracle, so the same mutant
-    passes ``compare`` under ``--attack pns``; judging it needs that oracle,
-    an open item of ROADMAP.md.
+    Under attack the interposer forwards Bob's arm over a lossless line to
+    ideal detectors, so at g 0.3 and truncation 2 or 3 the mutant leaves his
+    double clicks as they are; at g 0.7 and truncation 12, where the ``auto``
+    attack saturates, it moves them.
     """
 
-    @pytest.mark.parametrize("truncation", ["2", "3"])
-    def test_uniform_sector_weights_fail(self, truncation, monkeypatch, capsys):
+    @pytest.mark.parametrize("point", [
+        ["--g", "0.3", "--truncation", "2"],
+        ["--g", "0.3", "--truncation", "3"],
+        ["--g", "0.7", "--truncation", "12", "--attack", "pns"],
+    ], ids=["2", "3", "12-pns"])
+    def test_uniform_sector_weights_fail(self, point, monkeypatch, capsys):
         class UniformSectorWeights(engine._EpContext):
             def __init__(self, params):
                 super().__init__(params)
@@ -658,9 +663,8 @@ class TestSectorWeights:
                 }
 
         monkeypatch.setattr(engine, "_EpContext", UniformSectorWeights)
-        code = main(["compare", "--scheme", "ep", "--g", "0.3", "--eta-a", "0.6", "--eta-b", "0.7",
-                     "--eta-l", "0.5", "--truncation", truncation, "--trials", "2000000",
-                     "--seed", "5"])
+        code = main(["compare", "--scheme", "ep", *point, "--eta-a", "0.6", "--eta-b", "0.7",
+                     "--eta-l", "0.5", "--trials", "2000000", "--seed", "5"])
         err = capsys.readouterr().err
         assert code == 1, err
         assert "point double_click_mismatched: FAIL z=" in err
@@ -937,7 +941,7 @@ class TestMain:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION == 6
+        assert payload["schema_version"] == SCHEMA_VERSION == 7
         (row,) = payload["rows"]
         exact = analytics.ep_pns_oracle(0.3, 0.6, 1.0 - row["block_probability"], 2)
         assert row["i_ae_oracle"] == exact.i_ae
@@ -972,7 +976,8 @@ class TestMain:
             if key.endswith(("_oracle", "_formula")) and key != "eps_prime_formula"
             or key in ("r_exp", "r_multi")
         }
-        assert (row["double_click_mismatched_oracle"] is None) == bool(attack)
+        assert row["double_click_mismatched_oracle"] is not None
+        assert row["bob_no_click_oracle"] is not None
         assert (row["r_multi"] is None) != bool(attack)
         assert all(0.0 <= v <= 1.0 for v in probabilities.values() if v is not None), row
 

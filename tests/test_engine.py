@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pdcqkd import engine, fock
+from pdcqkd import engine
 from pdcqkd.analytics import (
     binary_information,
     ep_pns_oracle,
@@ -36,6 +39,7 @@ from pdcqkd.engine import (
     _alias_draw,
     _batch_rng,
     _bob_thresholds,
+    _COUNT_FIELDS,
     _Counts,
     _ep_batch,
     _pair_thresholds,
@@ -46,7 +50,7 @@ from pdcqkd.engine import (
     run_experiments,
 )
 from pdcqkd.eve import PnsConfig
-from pdcqkd.source import Scheme, SourceParams, pair_distribution
+from pdcqkd.source import AUTO, Scheme, SourceParams, pair_distribution
 
 import pns_reference
 from conftest import resolved_point
@@ -66,11 +70,71 @@ def ep_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def exact_law(ctx) -> dict[str, float]:
+    """Each ``_Counts`` tally's exact per-trial probability under a run
+    context's tables: a sum over its rows of the row's weight, its class bits
+    and the probability of Bob's outcome, read off the row's thresholds."""
+    w = ctx.weights / ctx.weights.sum()
+    d0, d1_lo, d1_hi = ctx.bob
+    both = np.maximum(np.minimum(d0, d1_hi) - d1_lo, 0.0)
+    d0_only, d1_only = d0 - both, d1_hi - d1_lo - both
+    single = d0_only + d1_only
+    flag = {name: (ctx.classes & getattr(engine, name)) != 0 for name in (
+        "PRESENT", "ANNOUNCED", "KEPT", "CANDIDATE", "BIT", "MULTI", "LOW", "HERALD"
+    )}
+    touched = flag["CANDIDATE"] & flag["MULTI"]
+    return dict(
+        excluded=w[~flag["PRESENT"]].sum(),
+        sifted=(w * single)[flag["CANDIDATE"]].sum(),
+        # Bob's click opposite to Alice's bit
+        errors=(w * np.where(flag["BIT"], d0_only, d1_only))[flag["CANDIDATE"]].sum(),
+        dc_matched=(w * both)[flag["KEPT"]].sum(),
+        dc_mismatched=(w * both)[flag["ANNOUNCED"] & ~flag["KEPT"]].sum(),
+        bob_no_click=(w * (1.0 - single - both))[flag["PRESENT"]].sum(),
+        triggered=w[flag["HERALD"]].sum() if ctx.heralds else 0.0,
+        touched_sifted=(w * single)[touched].sum(),
+        eve_alice_hits=(w * single)[touched & (flag["LOW"] == flag["BIT"])].sum(),
+        eve_bob_hits=(w * np.where(flag["LOW"], d1_only, d0_only))[touched].sum(),
+        blocked=w[flag["LOW"] & ~flag["MULTI"]].sum(),
+    )
+
+
+def oracle_law(params) -> dict[str, float]:
+    """The same per-trial probabilities from the oracles: ``exact_rates_oracle``
+    without the attack, ``ep_pns_oracle`` under it, and the truncation tail."""
+    source, eta_a = params.source, params.config.eta_a
+    g, truncation = source.g, source.truncation_order
+    dist = pair_distribution(source)
+    block = params.block_probability
+    if block is None:
+        o = exact_rates_oracle(g, eta_a, params.bob_eta, truncation)
+        per_valid = dict(
+            sifted=o.r_key, errors=o.r_err, dc_matched=o.dc_matched,
+            dc_mismatched=o.dc_mismatched, bob_no_click=o.bob_no_click,
+        )
+    else:
+        o = ep_pns_oracle(g, eta_a, 1.0 - block, truncation)
+        touched = o.delivered_rate * (o.touched_fraction or 0.0)
+        per_valid = dict(
+            sifted=o.delivered_rate, errors=o.delivered_rate * (o.error_rate or 0.0),
+            dc_matched=o.dc_matched, dc_mismatched=o.dc_matched, bob_no_click=o.bob_no_click,
+            touched_sifted=touched, eve_alice_hits=touched * (o.p_ae or 0.0),
+            eve_bob_hits=touched * (o.p_eb or 0.0),
+        )
+    valid = 1.0 - dist.tail
+    law = dict.fromkeys(_COUNT_FIELDS[1:], 0.0)
+    law.update({k: v * valid for k, v in per_valid.items()}, excluded=dist.tail)
+    if block is not None:
+        # a single photon at Bob, (0, 1) or (1, 0) in either basis, is blocked
+        law["blocked"] = block * dist.probabilities[1:3].sum()
+    return law
+
+
 class TestEpJointTable:
-    """The ep kernel's joint table reproduces the source and sector
-    distributions it is built from."""
+    """The ep kernel's tables give every tally the law of the oracles."""
 
     CASES = [(g, t) for g in (0.0, 0.1, 0.3, 0.6, 0.9) for t in (2, 3, 4, 12)]
+    ATTACKS = [None, AUTO, 0.0, 0.4, 1.0]
 
     @staticmethod
     def context(g, truncation, block=None):
@@ -79,56 +143,60 @@ class TestEpJointTable:
             truncation_order=truncation,
         ))
 
-    @pytest.mark.parametrize("g, truncation", CASES)
-    def test_entries_match_source_and_sectors(self, g, truncation):
-        table = self.context(g, truncation).joint
-        dist = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, g, truncation))
-        p = table.probabilities
-        pairs = len(dist.configs)
-        assert table.pairs == pairs
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        exceeded = len(p) - 1
-        assert p[exceeded] == pytest.approx(dist.tail, abs=1e-12)
-        assert table.a0[exceeded] == table.a1[exceeded] == 0
-        assert table.b0[exceeded] == table.b1[exceeded] == 0
+    @staticmethod
+    def assert_exact_law(params):
+        law, want = exact_law(_EpContext(params)), oracle_law(params)
+        # every tally but the trials
+        assert law.keys() == want.keys() == set(_COUNT_FIELDS[1:])
+        for tally, p in law.items():
+            # a tally that the oracle puts at exactly 0 is within rounding of 0
+            assert p == pytest.approx(want[tally], rel=1e-12, abs=1e-15), tally
 
-        # three matched blocks, by Alice's outcome at eta_a 0.6: D0 alone, D1
-        # alone, no single click
-        for i, (c, w) in enumerate(zip(dist.configs, dist.probabilities)):
-            f0, f1 = 1.0 - 0.4**c.m, 1.0 - 0.4**c.n
-            classes = (f0 * (1.0 - f1), f1 * (1.0 - f0), f0 * f1 + (1.0 - f0) * (1.0 - f1))
-            rows = [i, pairs + i, 2 * pairs + i]
-            for j, q in zip(rows, classes):
-                assert (table.a0[j], table.a1[j], table.b0[j], table.b1[j]) == (c.m, c.n, c.m, c.n)
-                assert p[j] == pytest.approx(w / 2 * q, abs=1e-12)
-            assert p[rows].sum() == pytest.approx(w / 2, abs=1e-12)
+    # auto has no rate to match without pairs
+    @pytest.mark.parametrize("g, truncation, block", [
+        (g, t, block) for (g, t), block in itertools.product(CASES, ATTACKS) if g or block != AUTO
+    ])
+    def test_tallies_follow_the_oracles(self, g, truncation, block):
+        self.assert_exact_law(resolved_point(
+            Scheme.ENTANGLED_PAIRS, block, g=g, eta_a=0.6, eta_b=0.8, eta_l=0.5,
+            truncation_order=truncation,
+        ))
 
-        # one mismatched block per total, at P(total)/2 for either combo
-        rows = np.arange(3 * pairs, exceeded)
-        seen = 0
-        for total in range(truncation + 1):
-            p_total = sum(w for c, w in zip(dist.configs, dist.probabilities) if c.m + c.n == total)
-            block = [j for j in rows if table.a0[j] + table.a1[j] == total]
-            got = {(table.a0[j], table.a1[j], table.b0[j], table.b1[j]): p[j] for j in block}
-            occs, probs = fock.sector_distribution(total)
-            assert len(block) == len(got) and sorted(got) == sorted(occs)
-            assert p[block].sum() == pytest.approx(p_total / 2, abs=1e-12)
-            for occ, q in zip(occs, probs):
-                assert got[occ] == pytest.approx(p_total / 2 * q, abs=1e-12)
-            seen += len(block)
-        assert seen == len(rows)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.floats(0.01, 0.95),
+        etas=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        truncation=st.integers(2, 12),
+        block=st.sampled_from(ATTACKS) | st.floats(0.0, 1.0),
+    )
+    def test_tallies_follow_the_oracles_anywhere(self, g, etas, truncation, block):
+        eta_a, eta_b, eta_l = etas
+        try:
+            params = resolved_point(
+                Scheme.ENTANGLED_PAIRS, block, g=g, eta_a=eta_a, eta_b=eta_b, eta_l=eta_l,
+                truncation_order=truncation,
+            )
+        except ConfigError:
+            # auto with no sifted rate to match
+            assume(False)
+        self.assert_exact_law(params)
 
-    @pytest.mark.parametrize("truncation, entries", [(2, 32), (3, 60)])
-    def test_entry_count(self, truncation, entries):
-        # 3 (t+1)(t+2)/2 matched + the sector tables' occupations + 1 exceeded
-        assert len(self.context(0.3, truncation).joint.probabilities) == entries
+    @pytest.mark.parametrize(
+        "truncation, entries, padded", [(2, 25, 64), (3, 41, 128), (127, 33_025, 1 << 17)]
+    )
+    def test_entry_count(self, truncation, entries, padded):
+        # four blocks of (t+1)(t+2)/2 pair configurations + 1 exceeded, two
+        # rows per entry under attack
+        ctx = self.context(0.3, truncation, 0.5)
+        assert len(ctx.joint.probabilities) == entries
+        assert len(ctx.weights) == 2 * entries and len(ctx.cut) == padded
 
     @pytest.mark.parametrize("truncation", [2, 3])
     def test_sector_tables_cover_every_total_from_vacuum(self, truncation):
         tables = self.context(0.3, truncation).sector_tables
         assert list(tables) == list(range(truncation + 1))
         cdf, *occupations = tables[0]
-        assert cdf.tolist() == [1.0] and [o.tolist() for o in occupations] == [[0]] * 4
+        assert cdf.tolist() == [1.0] and [o.tolist() for o in occupations] == [[0]] * 2
 
     @pytest.mark.parametrize("block", [None, 0.0, 0.5, 1.0])
     @pytest.mark.parametrize("g, truncation", CASES)
@@ -154,17 +222,18 @@ class TestEpJointTable:
         edges = np.array([0.0, np.nextafter(1.0, 0.0)])
         assert np.all(_alias_draw(ctx.cut, ctx.alias, edges) < n)
 
-    # sha256 of the cut and alias arrays, recorded at stream version 8: a
-    # table built with the working weights in a list of Python floats
+    # sha256 of the cut and alias arrays, of a table built with the working
+    # weights in a list of Python floats: wcs-mu3 recorded at stream version
+    # 8, ep-t43 at 10
     ALIAS_DIGESTS = {
-        "ep-t43": "45413cfa01f517610748ff3134a1f627a0f06609b06a74bf3ea15e0637da98ba",
+        "ep-t43": "5dc74f407132c520ad9233dc1d76c12a29a570fb9d7c9412cf3b4ea93cd23b4b",
         "wcs-mu3": "864d5cdb472ac10e5cd5824aa9526e6ea2f73569296306178aaaaebeb2663e44",
     }
 
     @pytest.mark.parametrize("name", sorted(ALIAS_DIGESTS))
     def test_alias_tables_are_pinned(self, name):
         # no stream pin reaches a table this size: an unattacked ep table of
-        # 31,786 entries, and a wcs table of 128 slots
+        # 3,961 entries, and a wcs table of 128 slots
         channel = dict(eta_b=0.8, eta_l=0.5)
         if name == "ep-t43":
             ctx = _EpContext(resolved_point(
@@ -181,13 +250,11 @@ class TestEpJointTable:
     def test_fire_tables_cover_every_count(self, g, truncation, block, bob_eta):
         ctx = self.context(g, truncation, block)
         table = ctx.joint
-        for fire, eta, modes in (
-            (ctx.fire_a, 0.6, (table.a0, table.a1)),
-            (ctx.fire_b, bob_eta, (table.b0, table.b1)),
-        ):
+        # a matched entry holds its pair configuration on both sides
+        for fire, eta in ((ctx.fire_a, 0.6), (ctx.fire_b, bob_eta)):
             counts = np.arange(len(fire))
             np.testing.assert_allclose(fire, 1.0 - (1.0 - eta) ** counts, rtol=0, atol=1e-12)
-            assert max(mode.max() for mode in modes) < len(fire)
+            assert max(table.b0.max(), table.b1.max()) < len(fire)
 
 
 class TestTwoDetectors:
@@ -234,7 +301,7 @@ class TestTwoDetectors:
         # counts
         ctx = self.context(12, 0.6, block)
         table = ctx.joint
-        assert table.a0.max() == table.a1.max() == table.b0.max() == table.b1.max() == 12
+        assert table.b0.max() == table.b1.max() == 12
         bob_counts = (table.b0, table.b1)
         if block is not None:
             bob_counts = (ctx.interposer.f0, ctx.interposer.f1)
@@ -245,10 +312,11 @@ class TestTwoDetectors:
             assert (d0, d1_lo, d1_hi) == (f0, f0 * (1.0 - f1), f0 * (1.0 - f1) + f1)
             assert d1_hi - d1_lo == pytest.approx(f1, abs=1e-15)
 
-        # Alice's class of each matched entry, at that entry's counts
+        # Alice's class of each matched entry, at that entry's counts, which
+        # are hers too
         pairs = table.pairs
         half = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, 0.3, 12)).probabilities / 2
-        for j, (c0, c1) in enumerate(zip(table.a0[: 3 * pairs].tolist(), table.a1.tolist())):
+        for j, (c0, c1) in enumerate(zip(table.b0[: 3 * pairs].tolist(), table.b1.tolist())):
             f0, f1 = ctx.fire_a[c0], ctx.fire_a[c1]
             q = (f0 * (1.0 - f1), f1 * (1.0 - f0), f0 * f1 + (1.0 - f0) * (1.0 - f1))[j // pairs]
             assert table.probabilities[j] == half[j % pairs] * q
@@ -954,17 +1022,17 @@ class TestChunks:
 
 
 class TestStreams:
-    """Exact counts of five runs: ``ep`` recorded when STREAM_VERSION was 7,
-    ``wcs-pns`` and ``pdc`` when it was 8, ``ep-pns`` and ``ep-pns-deep``
-    when it was 9."""
+    """Exact counts of five runs: ``wcs-pns`` and ``pdc`` recorded when
+    STREAM_VERSION was 8, ``ep``, ``ep-pns`` and ``ep-pns-deep`` when it was
+    10."""
 
     TRIALS = BATCH_SIZE + 123
     # trials, valid, excluded, sifted, errors, matched double clicks,
     # triggered, blocked
     PINNED = {
-        "ep": (65659, 65472, 187, 4063, 7, 177, 0, 0),
-        "ep-pns": (65659, 65448, 211, 3661, 131, 121, 0, 7371),
-        "ep-pns-deep": (65659, 65659, 0, 8687, 471, 1932, 0, 9696),
+        "ep": (65659, 65479, 180, 4063, 7, 177, 0, 0),
+        "ep-pns": (65659, 65452, 207, 3661, 131, 121, 0, 7413),
+        "ep-pns-deep": (65659, 65657, 2, 8789, 490, 1897, 0, 9752),
         "wcs-pns": (65659, 65659, 0, 9787, 0, 0, 65659, 5956),
         "pdc": (65659, 65659, 0, 1296, 0, 0, 3770, 0),
     }
@@ -982,8 +1050,8 @@ class TestStreams:
                 master_seed=62,
                 attack=PnsConfig(block_probability=0.5),
             ),
-            # a joint table of 1,046 entries, whose mismatched-basis blocks
-            # reach sector total 12
+            # a joint table of 365 entries, whose mismatched-basis block
+            # reaches sector total 12
             "ep-pns-deep": ep_config(
                 g=0.6,
                 eta_a=0.6,

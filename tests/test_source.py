@@ -147,18 +147,19 @@ class TestSamplers:
         entry = row if block is None else row // 2
         assert block is None or not np.any(row % 2)
         table = ctx.joint
-        for column in (table.a0, table.a1, table.b0, table.b1):
+        for column in (table.b0, table.b1):
             assert not column.take(entry).any()
 
     def test_pair_config_frequencies(self):
-        # a matched entry carries its pair configuration (m, n) in both arms,
-        # in one block per Alice outcome: D0 alone, D1 alone, no single click
+        # a matched entry carries its pair configuration (m, n), in both
+        # arms, in one block per Alice outcome: D0 alone, D1 alone, no single
+        # click
         ctx = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, g=0.1, **ETA))
         table = ctx.joint
         n = 400_000
         entry = _alias_draw(ctx.cut, ctx.alias, np.random.default_rng(7).random(n))
         one_pair = (
-            (entry < 3 * table.pairs) & (table.a0.take(entry) == 1) & (table.a1.take(entry) == 0)
+            (entry < 3 * table.pairs) & (table.b0.take(entry) == 1) & (table.b1.take(entry) == 0)
         )
         p = 0.5 * 0.009801
         assert abs(np.count_nonzero(one_pair) / n - p) < 5 * freq_se(p, n)

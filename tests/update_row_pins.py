@@ -33,7 +33,8 @@ def update(keys: set[str]) -> None:
         if others != {k: v for k, v in old.items() if k not in keys}:
             sys.exit(f"{argv}: a key outside {sorted(keys)} changed")
         for key in keys:
-            moved[key] += new.get(key) != old.get(key)
+            # a key that is new to a row, or gone from it, moved there too
+            moved[key] += key not in old or key not in new or new[key] != old[key]
         pins[argv] = new
     lines = (f" {json.dumps(a)}: {json.dumps(row, sort_keys=True)}" for a, row in pins.items())
     PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
