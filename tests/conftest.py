@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pdcqkd import engine
@@ -8,6 +9,17 @@ from pdcqkd.eve import PnsConfig
 
 def freq_se(p: float, n: int) -> float:
     return (p * (1.0 - p) / n) ** 0.5
+
+
+def alias_probabilities(cut, alias) -> np.ndarray:
+    """The probability that ``engine._alias_draw`` gives each entry of the
+    alias table ``(cut, alias)``: each of its k cells, of width 1 / k, keeps
+    its own entry on a share ``cut[i] - i`` and passes the rest to
+    ``alias[i]``."""
+    k = len(cut)
+    keep = cut - np.arange(k)
+    assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
+    return (keep + np.bincount(alias, 1.0 - keep, minlength=k)) / k
 
 
 def resolved_point(scheme, block_probability=None, **fields):

@@ -23,22 +23,18 @@ from pdcqkd.analytics import (
     binary_information,
     ep_pns_oracle,
     exact_rates_oracle,
+    pdc_attack_delivered,
     pdc_rates_closed,
+    wcs_attack_delivered,
     wcs_leakage,
 )
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.engine import (
-    ANNOUNCED,
     BATCH_SIZE,
-    KEPT,
-    LOW,
-    MULTI,
     STREAM_VERSION,
     _EpContext,
     _PreparedContext,
-    _alias_draw,
     _batch_rng,
-    _bob_thresholds,
     _COUNT_FIELDS,
     _Counts,
     _ep_batch,
@@ -52,8 +48,7 @@ from pdcqkd.engine import (
 from pdcqkd.eve import PnsConfig
 from pdcqkd.source import AUTO, Scheme, SourceParams, pair_distribution
 
-import pns_reference
-from conftest import resolved_point
+from conftest import alias_probabilities, resolved_point
 
 
 def ep_config(**overrides):
@@ -72,9 +67,13 @@ def ep_config(**overrides):
 
 def exact_law(ctx) -> dict[str, float]:
     """Each ``_Counts`` tally's exact per-trial probability under a run
-    context's tables: a sum over its rows of the row's weight, its class bits
-    and the probability of Bob's outcome, read off the row's thresholds."""
-    w = ctx.weights / ctx.weights.sum()
+    context's tables: a sum over its rows of the probability that its alias
+    table draws the row, the row's class bits and the probability of Bob's
+    outcome, read off the row's thresholds."""
+    w = alias_probabilities(ctx.cut, ctx.alias)
+    # the padding past the last row is never drawn
+    assert not w[len(ctx.classes) :].any()
+    w = w[: len(ctx.classes)]
     d0, d1_lo, d1_hi = ctx.bob
     both = np.maximum(np.minimum(d0, d1_hi) - d1_lo, 0.0)
     d0_only, d1_only = d0 - both, d1_hi - d1_lo - both
@@ -99,8 +98,8 @@ def exact_law(ctx) -> dict[str, float]:
     )
 
 
-def oracle_law(params) -> dict[str, float]:
-    """The same per-trial probabilities from the oracles: ``exact_rates_oracle``
+def ep_law(params) -> dict[str, float]:
+    """An ``ep`` point's tallies from the oracles: ``exact_rates_oracle``
     without the attack, ``ep_pns_oracle`` under it, and the truncation tail."""
     source, eta_a = params.source, params.config.eta_a
     g, truncation = source.g, source.truncation_order
@@ -122,60 +121,128 @@ def oracle_law(params) -> dict[str, float]:
             eve_bob_hits=touched * (o.p_eb or 0.0),
         )
     valid = 1.0 - dist.tail
-    law = dict.fromkeys(_COUNT_FIELDS[1:], 0.0)
-    law.update({k: v * valid for k, v in per_valid.items()}, excluded=dist.tail)
+    law = {k: v * valid for k, v in per_valid.items()}
+    law["excluded"] = dist.tail
     if block is not None:
         # a single photon at Bob, (0, 1) or (1, 0) in either basis, is blocked
         law["blocked"] = block * dist.probabilities[1:3].sum()
     return law
 
 
-class TestEpJointTable:
-    """The ep kernel's tables give every tally the law of the oracles."""
+def prepared_law(params) -> dict[str, float]:
+    """A ``wcs``/``pdc`` point's tallies: the sifted rate from the library's
+    closed forms, the rest from the photon-number law P(n) through its
+    generating function G(x) = sum P(n) x^n, and that of the heralded
+    signals, H(x) = sum P(n) F(n) x^n, where the herald fires with
+    F(n) = 1 - (1 - eta_a)^n (always for ``wcs``).  Every photon of a
+    prepared signal is in the mode of Alice's bit, so no matched-basis round
+    errs or double-clicks, and the photon Eve stores carries both bits."""
+    source, eta_a, block = params.source, params.config.eta_a, params.block_probability
+    g, mu = source.g, source.mu_prime
+    if source.scheme is Scheme.WEAK_COHERENT:
+        def G(x):
+            return math.exp(-mu * (1.0 - x))
 
-    CASES = [(g, t) for g in (0.0, 0.1, 0.3, 0.6, 0.9) for t in (2, 3, 4, 12)]
+        H, p1, fire1 = G, mu * math.exp(-mu), 1.0
+        rate = wcs_leakage(mu, params.bob_eta).r_exp
+        delivered = functools.partial(wcs_attack_delivered, mu)
+    else:
+        def G(x):
+            return (1.0 - g * g) / (1.0 - g * g * x)
+
+        def H(x):
+            return G(x) - G(x * (1.0 - eta_a))
+
+        p1, fire1 = (1.0 - g * g) * g * g, eta_a
+        rate = pdc_rates_closed(g, eta_a, params.bob_eta)[0]
+        delivered = functools.partial(pdc_attack_delivered, g, eta_a)
+    law = dict(triggered=H(1.0))
+    if block is None:
+        # in mismatched bases each photon reaches D0 or D1 with eta / 2
+        eta = params.bob_eta
+        return dict(
+            law, sifted=rate, bob_no_click=G(1.0 - eta),
+            dc_mismatched=0.5 * (H(1.0) - 2.0 * H(1.0 - eta / 2) + H(1.0 - eta)),
+        )
+    touched = delivered(0.0)
+    # Bob detects every photon forwarded to him, n - 1 of a multi-photon
+    # signal, split 50:50 in mismatched bases: both fire with 1 - 4 / 2^n at
+    # n >= 2, and the sum over n >= 2 drops H's terms at n = 0 and 1
+    return dict(
+        law, sifted=delivered(1.0 - block), bob_no_click=G(0.0) + block * p1,
+        dc_mismatched=0.5 * (H(1.0) - 4.0 * H(0.5) + 3.0 * H(0.0) + p1 * fire1),
+        touched_sifted=touched, eve_alice_hits=touched, eve_bob_hits=touched,
+        blocked=block * p1,
+    )
+
+
+def oracle_law(params) -> dict[str, float]:
+    """The tallies of ``exact_law`` from the oracles and closed forms, 0
+    where a point's oracle has no term."""
+    ep = params.source.scheme is Scheme.ENTANGLED_PAIRS
+    law = dict.fromkeys(_COUNT_FIELDS[1:], 0.0)
+    law.update(ep_law(params) if ep else prepared_law(params))
+    return law
+
+
+def source_fields(scheme, x):
+    """The config field of a source's mean: ``mu_prime`` for wcs, else ``g``."""
+    return {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
+
+
+class TestTableLaw:
+    """Every run context's tables give every tally the law of the oracles."""
+
+    EP = [(Scheme.ENTANGLED_PAIRS, g, t) for g in (0.0, 0.1, 0.3, 0.6, 0.9) for t in (2, 3, 4, 12)]
+    # the mean, not the truncation, sets a prepared table's length
+    PREPARED = [(Scheme.WEAK_COHERENT, mu, None) for mu in (0.0, 0.1, 0.5, 3.0, 100.0)] + [
+        (Scheme.TRIGGERED_PDC, g, None) for g in (0.0, 0.1, 0.3, 0.6, 0.9, 0.99)
+    ]
     ATTACKS = [None, AUTO, 0.0, 0.4, 1.0]
 
     @staticmethod
-    def context(g, truncation, block=None):
-        return _EpContext(resolved_point(
-            Scheme.ENTANGLED_PAIRS, block, g=g, eta_a=0.6, eta_b=0.8, eta_l=0.5,
-            truncation_order=truncation,
-        ))
+    def point(scheme, x, truncation, block, eta_a=0.6, eta_b=0.8, eta_l=0.5):
+        fields = source_fields(scheme, x)
+        if truncation is not None:
+            fields["truncation_order"] = truncation
+        return resolved_point(scheme, block, eta_a=eta_a, eta_b=eta_b, eta_l=eta_l, **fields)
 
     @staticmethod
     def assert_exact_law(params):
-        law, want = exact_law(_EpContext(params)), oracle_law(params)
+        ep = params.source.scheme is Scheme.ENTANGLED_PAIRS
+        ctx = _EpContext(params) if ep else _PreparedContext(params)
+        law, want = exact_law(ctx), oracle_law(params)
         # every tally but the trials
         assert law.keys() == want.keys() == set(_COUNT_FIELDS[1:])
+        # each of the k cells of the alias table splits at a double, which
+        # places its share of the unit interval to 2^-53, so a sum over rows
+        # is exact to k 2^-53: a small tally of a large table can miss the
+        # oracle by more than 1e-12 of itself
+        resolution = len(ctx.cut) * 2.0**-53
         for tally, p in law.items():
-            # a tally that the oracle puts at exactly 0 is within rounding of 0
-            assert p == pytest.approx(want[tally], rel=1e-12, abs=1e-15), tally
+            assert p == pytest.approx(want[tally], rel=1e-12, abs=resolution), tally
 
-    # auto has no rate to match without pairs
-    @pytest.mark.parametrize("g, truncation, block", [
-        (g, t, block) for (g, t), block in itertools.product(CASES, ATTACKS) if g or block != AUTO
+    # auto has no rate to match without photons
+    @pytest.mark.parametrize("scheme, x, truncation, block", [
+        (*point, block) for point, block in itertools.product(EP + PREPARED, ATTACKS)
+        if point[1] or block != AUTO
     ])
-    def test_tallies_follow_the_oracles(self, g, truncation, block):
-        self.assert_exact_law(resolved_point(
-            Scheme.ENTANGLED_PAIRS, block, g=g, eta_a=0.6, eta_b=0.8, eta_l=0.5,
-            truncation_order=truncation,
-        ))
+    def test_tallies_follow_the_oracles(self, scheme, x, truncation, block):
+        self.assert_exact_law(self.point(scheme, x, truncation, block))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        g=st.floats(0.01, 0.95),
+        source=st.one_of(
+            st.tuples(st.just(Scheme.ENTANGLED_PAIRS), st.floats(0.01, 0.95), st.integers(2, 12)),
+            st.tuples(st.just(Scheme.WEAK_COHERENT), st.floats(0.0, 10.0), st.none()),
+            st.tuples(st.just(Scheme.TRIGGERED_PDC), st.floats(0.0, 0.95), st.none()),
+        ),
         etas=st.tuples(*[st.floats(0.0, 1.0)] * 3),
-        truncation=st.integers(2, 12),
         block=st.sampled_from(ATTACKS) | st.floats(0.0, 1.0),
     )
-    def test_tallies_follow_the_oracles_anywhere(self, g, etas, truncation, block):
-        eta_a, eta_b, eta_l = etas
+    def test_tallies_follow_the_oracles_anywhere(self, source, etas, block):
         try:
-            params = resolved_point(
-                Scheme.ENTANGLED_PAIRS, block, g=g, eta_a=eta_a, eta_b=eta_b, eta_l=eta_l,
-                truncation_order=truncation,
-            )
+            params = self.point(*source, block, *etas)
         except ConfigError:
             # auto with no sifted rate to match
             assume(False)
@@ -187,40 +254,9 @@ class TestEpJointTable:
     def test_entry_count(self, truncation, entries, padded):
         # four blocks of (t+1)(t+2)/2 pair configurations + 1 exceeded, two
         # rows per entry under attack
-        ctx = self.context(0.3, truncation, 0.5)
+        ctx = _EpContext(self.point(Scheme.ENTANGLED_PAIRS, 0.3, truncation, 0.5))
         assert len(ctx.joint.probabilities) == entries
         assert len(ctx.weights) == 2 * entries and len(ctx.cut) == padded
-
-    @pytest.mark.parametrize("truncation", [2, 3])
-    def test_sector_tables_cover_every_total_from_vacuum(self, truncation):
-        tables = self.context(0.3, truncation).sector_tables
-        assert list(tables) == list(range(truncation + 1))
-        cdf, *occupations = tables[0]
-        assert cdf.tolist() == [1.0] and [o.tolist() for o in occupations] == [[0]] * 2
-
-    @pytest.mark.parametrize("block", [None, 0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("g, truncation", CASES)
-    def test_alias_table_reproduces_probabilities(self, g, truncation, block):
-        # the rows are the joint entries, or under attack each entry's ways
-        # of the interposer rule at their probabilities
-        ctx = self.context(g, truncation, block)
-        table = ctx.joint
-        want = table.probabilities
-        if block is not None:
-            want = pns_reference.rows(want, table.b0, table.b1, block)[0]
-        k = len(ctx.cut)
-        keep = ctx.cut - np.arange(k)
-        assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
-        implied = np.zeros(k)
-        np.add.at(implied, np.arange(k), keep / k)
-        np.add.at(implied, ctx.alias, (1.0 - keep) / k)
-        n = len(want)
-        np.testing.assert_allclose(implied[:n], want, rtol=0, atol=1e-12)
-        # a row of weight 0, the padding included, is never drawn
-        assert np.all(implied[:n][want == 0.0] == 0.0)
-        assert np.all(implied[n:] == 0.0)
-        edges = np.array([0.0, np.nextafter(1.0, 0.0)])
-        assert np.all(_alias_draw(ctx.cut, ctx.alias, edges) < n)
 
     # sha256 of the cut and alias arrays, of a table built with the working
     # weights in a list of Python floats: wcs-mu3 recorded at stream version
@@ -244,17 +280,6 @@ class TestEpJointTable:
         assert ctx.alias.dtype == np.intp
         digest = hashlib.sha256(ctx.cut.tobytes() + ctx.alias.astype(np.int64).tobytes())
         assert digest.hexdigest() == self.ALIAS_DIGESTS[name]
-
-    @pytest.mark.parametrize("block, bob_eta", [(None, 0.8 * 0.5), (0.5, 1.0)])
-    @pytest.mark.parametrize("g, truncation", CASES)
-    def test_fire_tables_cover_every_count(self, g, truncation, block, bob_eta):
-        ctx = self.context(g, truncation, block)
-        table = ctx.joint
-        # a matched entry holds its pair configuration on both sides
-        for fire, eta in ((ctx.fire_a, 0.6), (ctx.fire_b, bob_eta)):
-            counts = np.arange(len(fire))
-            np.testing.assert_allclose(fire, 1.0 - (1.0 - eta) ** counts, rtol=0, atol=1e-12)
-            assert max(table.b0.max(), table.b1.max()) < len(fire)
 
 
 class TestTwoDetectors:
@@ -297,8 +322,7 @@ class TestTwoDetectors:
     def test_entry_thresholds_past_int8(self, block):
         # at truncation 12 a flat index n0 * 13 + n1 of a count pair would
         # pass the int8 range of the counts; the tables are per entry, and
-        # each row holds the thresholds, or Alice's class weight, of its own
-        # counts
+        # each row holds the thresholds of its own counts
         ctx = self.context(12, 0.6, block)
         table = ctx.joint
         assert table.b0.max() == table.b1.max() == 12
@@ -311,15 +335,6 @@ class TestTwoDetectors:
             f0, f1 = ctx.fire_b[c0], ctx.fire_b[c1]
             assert (d0, d1_lo, d1_hi) == (f0, f0 * (1.0 - f1), f0 * (1.0 - f1) + f1)
             assert d1_hi - d1_lo == pytest.approx(f1, abs=1e-15)
-
-        # Alice's class of each matched entry, at that entry's counts, which
-        # are hers too
-        pairs = table.pairs
-        half = pair_distribution(SourceParams(Scheme.ENTANGLED_PAIRS, 0.3, 12)).probabilities / 2
-        for j, (c0, c1) in enumerate(zip(table.b0[: 3 * pairs].tolist(), table.b1.tolist())):
-            f0, f1 = ctx.fire_a[c0], ctx.fire_a[c1]
-            q = (f0 * (1.0 - f1), f1 * (1.0 - f0), f0 * f1 + (1.0 - f0) * (1.0 - f1))[j // pairs]
-            assert table.probabilities[j] == half[j % pairs] * q
 
 
 class TestRunExperiment:
@@ -509,21 +524,16 @@ class TestEpStatistics:
 
 
 class TestPreparedTable:
-    """The prepared context's alias table reproduces the photon-number law
-    times the herald and block outcomes and the eight equally likely combos,
-    and Bob's thresholds reproduce binomial thinning followed by a 50:50
-    split."""
+    """The prepared context's photon-number law is the source's, with the
+    tail past the table folded into its last entry."""
 
     CASES = [(Scheme.WEAK_COHERENT, mu) for mu in (0.0, 0.1, 0.5, 3.0, 100.0)] + [
         (Scheme.TRIGGERED_PDC, g) for g in (0.0, 0.1, 0.3, 0.6, 0.9, 0.99)
     ]
 
     @staticmethod
-    def context(scheme, x, eta_a=0.6, bob_eta=0.4, block=None):
-        mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
-        return _PreparedContext(
-            resolved_point(scheme, block, eta_a=eta_a, eta_b=bob_eta, **mean)
-        )
+    def context(scheme, x):
+        return _PreparedContext(resolved_point(scheme, **source_fields(scheme, x)))
 
     @staticmethod
     def exact_law(scheme, x, count):
@@ -557,204 +567,33 @@ class TestPreparedTable:
         assert (n * law).sum() == pytest.approx(mu, rel=1e-12)
         assert (n * n * law).sum() - mu * mu == pytest.approx(mu, rel=1e-9)
 
-    @pytest.mark.parametrize("block", [None, 0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("scheme, x", CASES)
-    def test_alias_table_reproduces_probabilities(self, scheme, x, block):
-        ctx = self.context(scheme, x, block=block)
-        k = len(ctx.cut)
-        keep = ctx.cut - np.arange(k)
-        assert k & (k - 1) == 0 and np.all((keep >= 0) & (keep <= 1))
-        implied = np.zeros(k)
-        np.add.at(implied, np.arange(k), keep / k)
-        np.add.at(implied, ctx.alias, (1.0 - keep) / k)
-        # entry 32 n + 16 dark + 8 blocked + c, with combo
-        # c = bit | basis_a << 1 | basis_b << 2
-        entry = np.arange(32 * len(ctx.law))
-        n, c = entry >> 5, entry % 8
-        announced, blocked = (entry & 16) == 0, (entry & 8) != 0
-        # the class byte: announced with the herald, kept in matched bases
-        np.testing.assert_array_equal((ctx.classes & ANNOUNCED) != 0, announced)
-        np.testing.assert_array_equal(
-            (ctx.classes & KEPT) != 0, announced & ((c >> 1 & 1) == c >> 2)
-        )
-        # the herald fires with 1 - (1 - eta_a)^n, a wcs signal is always
-        # announced, and only a single photon can be blocked
-        fire = 1.0 - 0.4**n if scheme is Scheme.TRIGGERED_PDC else np.ones(len(n))
-        herald = np.where(announced, fire, 1.0 - fire)
-        block_at_n = np.where(n == 1, block or 0.0, 0.0)
-        blocking = np.where(blocked, block_at_n, 1.0 - block_at_n)
-        expected = ctx.law[n] * herald * blocking / 8
-        np.testing.assert_allclose(implied[: len(expected)], expected, rtol=0, atol=1e-12)
-        assert np.all(implied[len(expected) :] == 0.0)
-        zero = expected == 0.0
-        assert np.all(implied[: len(expected)][zero] == 0.0)
-        assert np.all(zero[blocked & (n != 1)])
-        # the tally reads a blocked slot as a low row that is not multi
-        tally_blocked = (ctx.classes & (MULTI | LOW)) == LOW
-        np.testing.assert_array_equal(tally_blocked[~zero], blocked[~zero])
-        if scheme is Scheme.WEAK_COHERENT:
-            assert np.all(zero[~announced])
-        elif x == 0.0:
-            assert np.all(zero[n > 0]) and np.all(zero[announced])
-        if block in (0.0, 1.0):
-            assert np.all(zero[(n == 1) & (blocked == (block == 0.0))])
-
-    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.4, 0.8, 1.0])
-    def test_bob_thresholds_match_thin_then_split(self, eta):
-        max_count = 40
-        d0, d1_lo, d1_hi = (t.reshape(max_count + 1, 8) for t in _bob_thresholds(eta, max_count))
-        for k in range(max_count + 1):
-            survivors = [math.comb(k, s) * eta**s * (1.0 - eta) ** (k - s) for s in range(k + 1)]
-            fire = 1.0 - survivors[0]
-            # every survivor to D0, every one to D1, at least one to each
-            alone = sum(p * 0.5**s for s, p in enumerate(survivors) if s > 0)
-            for c in range(8):
-                bit, matched = c & 1, (c >> 1 & 1) == c >> 2
-                if matched:
-                    want = (fire, 0.0, 0.0) if bit == 0 else (0.0, fire, 0.0)
-                else:
-                    want = (alone, alone, fire - 2 * alone)
-                # D0 fires on [0, d0), D1 on [d1_lo, d1_hi)
-                both = max(0.0, min(d0[k, c], d1_hi[k, c]) - d1_lo[k, c])
-                got = (d0[k, c] - both, d1_hi[k, c] - d1_lo[k, c] - both, both)
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                assert 0.0 <= d1_lo[k, c] <= d1_hi[k, c] <= 1.0 and 0.0 <= d0[k, c] <= 1.0
-
-
-class TestClassBytes:
-    """Every row's class byte against a derivation of its own: an ``ep`` row
-    from the joint table's block bounds and, per interposer row, from
-    ``pns_reference.rows``, with the row's weight; a prepared row from its
-    entry's bit fields.
-    The truncation does not enter a prepared table, whose length the mean
-    sets, so its cases vary the mean instead."""
-
-    ATTACKS = [None, 0.0, 0.5, 1.0]
-
-    @staticmethod
-    def flags(**masks):
-        """Class bytes with each named flag set where its mask holds."""
-        return sum(np.where(mask, getattr(engine, name), 0) for name, mask in masks.items())
-
-    @pytest.mark.parametrize("block", ATTACKS)
-    @pytest.mark.parametrize("truncation", [2, 3, 4])
-    def test_ep_rows(self, truncation, block):
-        ctx = _EpContext(resolved_point(
-            Scheme.ENTANGLED_PAIRS, block, g=0.3, eta_a=0.6, truncation_order=truncation
-        ))
-        table = ctx.joint
-        pairs, exceeded = table.pairs, len(table.probabilities) - 1
-        j = np.arange(exceeded + 1)
-        # Alice's single click is in the first two matched blocks, bit 1 in
-        # the second; a pair holds no herald
-        want = self.flags(
-            PRESENT=j != exceeded, ANNOUNCED=j != exceeded, KEPT=j < 3 * pairs,
-            CANDIDATE=j < 2 * pairs, BIT=(j >= pairs) & (j < 2 * pairs),
-        )
-        if block is None:
-            np.testing.assert_array_equal(ctx.classes, want)
-            np.testing.assert_array_equal(ctx.weights, table.probabilities)
-            return
-        assert len(ctx.classes) == 2 * len(j)
-        np.testing.assert_array_equal(ctx.classes & ~(MULTI | LOW), np.repeat(want, 2))
-        # every row's probability is its entry's times that of the rule's
-        # way the row stands for, and a row of no way has weight 0
-        weight, _, _, multi, low = pns_reference.rows(
-            table.probabilities, table.b0, table.b1, block
-        )
-        np.testing.assert_allclose(ctx.weights, weight, rtol=1e-13, atol=0.0)
-        np.testing.assert_array_equal(ctx.weights == 0.0, weight == 0.0)
-        reached = weight > 0.0
-        np.testing.assert_array_equal(((ctx.classes & MULTI) != 0)[reached], multi[reached])
-        np.testing.assert_array_equal((ctx.classes & LOW) != 0, low)
-
-    @pytest.mark.parametrize("block", ATTACKS)
-    @pytest.mark.parametrize("scheme, x", [
-        (Scheme.WEAK_COHERENT, 0.5), (Scheme.WEAK_COHERENT, 3.0),
-        (Scheme.TRIGGERED_PDC, 0.3), (Scheme.TRIGGERED_PDC, 0.9),
-    ])
-    def test_prepared_rows(self, scheme, x, block):
-        mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
-        ctx = _PreparedContext(resolved_point(scheme, block, eta_a=0.6, **mean))
-        # entry 32 n + 16 dark + 8 blocked + c, with combo
-        # c = bit | basis_a << 1 | basis_b << 2
-        entry = np.arange(len(ctx.classes))
-        assert len(entry) == 32 * len(ctx.law)
-        n, c = entry >> 5, entry & 7
-        bit, announced = (c & 1) == 1, (entry & 16) == 0
-        kept = announced & ((c >> 1 & 1) == c >> 2)
-        multi = (n >= 2) & (block is not None)
-        want = self.flags(
-            PRESENT=True, ANNOUNCED=announced, KEPT=kept, CANDIDATE=kept, BIT=bit,
-            MULTI=multi, LOW=np.where(multi, bit, (entry & 8) != 0), HERALD=announced,
-        )
-        np.testing.assert_array_equal(ctx.classes, want)
-        if block is None:
-            return
-        # on a multi-photon row the low way is Alice's bit: the mode of the
-        # photon the rule stores, its one way, as all of a signal's photons
-        # are in it
-        assert np.any(multi)
-        for entry in np.flatnonzero(multi).tolist():
-            photons, one = entry >> 5, entry & 1
-            ((q, *_, stored, _),) = pns_reference.ways(photons * (1 - one), photons * one, block)
-            assert q == 1.0 and stored == one == bool(ctx.classes[entry] & LOW)
-
 
 class TestPreparedStatistics:
-    """Event-level wcs/pdc tallies against the leakage closed forms, including
-    the mismatched-basis double clicks that only Bob's detector stage
-    decides."""
+    """Event-level wcs/pdc tallies against the prepared closed forms of
+    ``oracle_law``, including the mismatched-basis double clicks that only
+    Bob's detector stage decides."""
 
-    ETA_A, ETA_B, ETA_L = 0.6, 0.8, 0.5
-    ETA = ETA_B * ETA_L
-
-    def run(self, scheme, x, seed):
-        source = {"mu_prime": x} if scheme is Scheme.WEAK_COHERENT else {"g": x}
-        return run_experiment(
-            ExperimentConfig(
-                scheme=scheme,
-                eta_a=self.ETA_A,
-                eta_b=self.ETA_B,
-                eta_l=self.ETA_L,
-                trials=1_000_000,
-                master_seed=seed,
-                **source,
-            )
+    @staticmethod
+    def assert_closed_forms(scheme, x, seed):
+        params = resolved_point(
+            scheme, eta_a=0.6, eta_b=0.8, eta_l=0.5, trials=1_000_000, master_seed=seed,
+            **source_fields(scheme, x),
         )
+        report = next(run_experiments([params]))
+        law, n = oracle_law(params), report.trials
+        assert report.valid_trials == n and report.error_count == 0
+        assert_binomial(report.r_key, law["sifted"], n)
+        assert_binomial(report.bob_no_click_rate, law["bob_no_click"], n)
+        assert_binomial(report.triggered_count / n, law["triggered"], n)
+        assert_binomial(report.double_click_mismatched, law["dc_mismatched"], n)
 
     @pytest.mark.parametrize("mu, seed", [(0.5, 71), (3.0, 72)])
     def test_wcs_matches_closed_forms(self, mu, seed):
-        report = self.run(Scheme.WEAK_COHERENT, mu, seed)
-        eta, n = self.ETA, report.trials
-        assert report.valid_trials == report.triggered_count == n
-        assert report.error_count == 0
-        assert_binomial(report.r_key, wcs_leakage(mu, eta).r_exp, n)
-        assert_binomial(report.bob_no_click_rate, math.exp(-mu * eta), n)
-        double = 0.5 * (1.0 - 2.0 * math.exp(-mu * eta / 2) + math.exp(-mu * eta))
-        assert_binomial(report.double_click_mismatched, double, n)
+        self.assert_closed_forms(Scheme.WEAK_COHERENT, mu, seed)
 
     @pytest.mark.parametrize("g, seed", [(0.3, 73), (0.7, 74)])
     def test_pdc_matches_closed_forms(self, g, seed):
-        report = self.run(Scheme.TRIGGERED_PDC, g, seed)
-        eta, n = self.ETA, report.trials
-        g2 = g * g
-
-        def law_sum(x):
-            """Sum over n of (1 - g^2) g^(2n) x^n."""
-            return (1.0 - g2) / (1.0 - g2 * x)
-
-        dark_a = 1.0 - self.ETA_A
-        assert report.error_count == 0
-        assert_binomial(report.r_key, pdc_rates_closed(g, self.ETA_A, eta)[0], n)
-        assert_binomial(report.bob_no_click_rate, law_sum(1.0 - eta), n)
-        assert_binomial(report.triggered_count / n, 1.0 - law_sum(dark_a), n)
-        # heralded, mismatched bases, both of Bob's detectors fire
-        double = 0.5 * sum(
-            sign * (law_sum(x) - law_sum(x * dark_a))
-            for sign, x in ((1.0, 1.0), (-2.0, 1.0 - eta / 2), (1.0, 1.0 - eta))
-        )
-        assert_binomial(report.double_click_mismatched, double, n)
+        self.assert_closed_forms(Scheme.TRIGGERED_PDC, g, seed)
 
 
 class TestDeterminism:

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 
-import numpy as np
 import pytest
 
 from pdcqkd.analytics import (
@@ -14,17 +13,7 @@ from pdcqkd.analytics import (
 from pdcqkd import eve
 from pdcqkd.config import ConfigError, ExperimentConfig
 from pdcqkd.detection import ChannelParams, compose_bob_efficiency
-from pdcqkd.engine import (
-    LOW,
-    MULTI,
-    _EpContext,
-    _Interposer,
-    _PreparedContext,
-    _bob_thresholds,
-    _build_report,
-    _Counts,
-    _resolve_run_params,
-)
+from pdcqkd.engine import _build_report, _Counts, _resolve_run_params
 from pdcqkd.eve import (
     AUTO,
     PnsConfig,
@@ -33,7 +22,6 @@ from pdcqkd.eve import (
 )
 from pdcqkd.source import Scheme, SourceParams
 
-import pns_reference
 from conftest import resolved_point
 
 
@@ -54,72 +42,8 @@ class TestPnsConfig:
             PnsConfig(block_probability="half")
 
 
-def interposer_rows(tap):
-    """Per row of the tabulated interposer ``tap``: its share of its entry's
-    probability, the counts forwarded to Bob, and the ``(multi, stored,
-    blocked)`` masks that the tally reads off the row's class bits: the
-    stored mode is the low way, and a low row that is not multi is a blocked
-    single photon."""
-    multi, low = (tap.classes & MULTI) != 0, (tap.classes & LOW) != 0
-    return tap.share, tap.f0, tap.f1, multi, low, low & ~multi
-
-
-def intercept(counts, p_block):
-    """The two rows of the tabulated interposer of one entry with ``counts``
-    photons in Bob's two modes, high then low, as ``interposer_rows``."""
-    b0, b1 = (np.array([n], dtype=np.int8) for n in counts)
-    return interposer_rows(_Interposer.build(b0, b1, p_block))
-
-
 class TestIntercept:
-    """The tabulated PNS interposer on Bob's arm, on hand-built photon
-    counts: each row's share of its entry, and what it forwards."""
-
-    def test_vacuum_passes_untouched(self):
-        # the truncation-exceeded entry of the ep joint table is vacuum too
-        share, b0, b1, multi, _, blocked = intercept((0, 0), 1.0)
-        np.testing.assert_array_equal(share, [1.0, 0.0])
-        assert not b0[0] and not b1[0] and not multi[0] and not blocked[0]
-
-    def test_single_always_blocked(self):
-        share, b0, b1, multi, _, blocked = intercept((1, 0), 1.0)
-        np.testing.assert_array_equal(share, [0.0, 1.0])
-        assert blocked[1] and not multi[1] and not b0[1] and not b1[1]
-
-    def test_single_never_blocked(self):
-        share, b0, b1, _, _, blocked = intercept((0, 1), 0.0)
-        np.testing.assert_array_equal(share, [1.0, 0.0])
-        assert not blocked[0] and (b0[0], b1[0]) == (0, 1)
-
-    def test_single_blocked_with_its_probability(self):
-        share, b0, _, _, _, blocked = intercept((1, 0), 0.3)
-        np.testing.assert_array_equal(share, [1.0 - 0.3, 0.3])
-        np.testing.assert_array_equal(blocked, [False, True])
-        np.testing.assert_array_equal(b0, [1, 0])
-
-    def test_multi_photon_stores_exactly_one(self):
-        for counts in ((2, 0), (0, 2), (1, 1), (3, 2)):
-            share, b0, b1, multi, stored, blocked = intercept(counts, 1.0)
-            assert multi.all() and not blocked.any()
-            # a mode with no photon is a way of share 0
-            np.testing.assert_array_equal(share == 0.0, np.array(counts) == 0)
-            reached = share > 0.0
-            np.testing.assert_array_equal((b0 + b1)[reached], sum(counts) - 1)
-            np.testing.assert_array_equal(b0[reached], (counts[0] - ~stored)[reached])
-            np.testing.assert_array_equal(b1[reached], (counts[1] - stored)[reached])
-
-    def test_knowledge_classes(self):
-        # both photons in one mode: the stored mode is certain
-        np.testing.assert_array_equal(intercept((2, 0), 0.0)[0], [1.0, 0.0])
-        np.testing.assert_array_equal(intercept((0, 2), 0.0)[0], [0.0, 1.0])
-        # one photon per mode: each is stored half the time
-        np.testing.assert_array_equal(intercept((1, 1), 0.0)[0], [0.5, 0.5])
-
-    def test_stored_mode_is_uniform_over_photons(self):
-        share, _, _, _, stored, _ = intercept((1, 2), 0.0)
-        np.testing.assert_array_equal(stored, [False, True])
-        assert share[1] == 2.0 / 3.0
-        assert share[0] == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
+    """The interposer's blocking probability, as the kernel receives it."""
 
     def test_auto_must_be_resolved_first(self):
         # the kernel gets the solved probability, never the AUTO marker
@@ -138,106 +62,6 @@ class TestIntercept:
             scheme=Scheme.ENTANGLED_PAIRS, g=0.3, eta_a=0.6, attack=PnsConfig(0.25)
         )
         assert _resolve_run_params(config).block_probability == 0.25
-
-
-class TestOneWayPerRow:
-    """An entry's two rows split its probability between the store choice
-    and the block, which never apply to one signal."""
-
-    @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
-    def test_no_row_is_both_multi_and_blocked(self, p_block):
-        for counts in [(n0, n1) for n0 in range(4) for n1 in range(4)]:
-            share, _, _, multi, _, blocked = intercept(counts, p_block)
-            assert not (multi & blocked).any()
-            assert share.sum() == 1.0
-
-    def test_store_choice_shares(self):
-        share, b0, b1, multi, stored, blocked = intercept((2, 1), 1.0)
-        assert multi.all() and not blocked.any()
-        np.testing.assert_array_equal(stored, [False, True])
-        assert share[1] == 1.0 / 3.0 and share[0] == 1.0 - 1.0 / 3.0
-        np.testing.assert_array_equal(b0, [1, 2])
-        np.testing.assert_array_equal(b1, [1, 0])
-
-
-class TestTabulatedInterposer:
-    """The interposer tabulated per entry gives every row the share, the
-    forwarded counts and the masks of the one way of the signal-by-signal
-    rule in ``pns_reference`` that it stands for, at every entry, and share
-    0 to a row that stands for no way."""
-
-    @staticmethod
-    def assert_matches_reference(tap, b0, b1, p_block):
-        share, f0, f1, multi, stored, blocked = interposer_rows(tap)
-        w_share, w0, w1, w_multi, w_low = pns_reference.rows(np.ones(len(b0)), b0, b1, p_block)
-        # a high row's share is 1 - s, the rule's b0 / total, to rounding
-        np.testing.assert_allclose(share, w_share, rtol=1e-13, atol=0.0)
-        np.testing.assert_array_equal(share == 0.0, w_share == 0.0)
-        np.testing.assert_array_equal(stored, w_low)
-        reached = w_share > 0.0
-        for got, want in ((f0, w0), (f1, w1), (multi, w_multi), (blocked, w_low & ~w_multi)):
-            np.testing.assert_array_equal(got[reached], want[reached])
-
-    @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("truncation", [2, 3, 12])
-    def test_ep_entries(self, truncation, p_block):
-        ctx = _EpContext(resolved_point(
-            Scheme.ENTANGLED_PAIRS, p_block, g=0.3, eta_a=0.6, truncation_order=truncation
-        ))
-        table = ctx.joint
-        assert np.count_nonzero(ctx.interposer.classes & MULTI) > 0
-        self.assert_matches_reference(ctx.interposer, table.b0, table.b1, p_block)
-
-    def test_every_count_pair_to_the_deepest_truncation(self):
-        pairs = [(n0, total - n0) for total in range(128) for n0 in range(total + 1)]
-        b0, b1 = np.array(pairs, dtype=np.int8).T
-        tap = _Interposer.build(b0, b1, 0.5)
-        self.assert_matches_reference(tap, b0, b1, 0.5)
-
-    @pytest.mark.parametrize("p_block", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("scheme, x", [
-        (Scheme.WEAK_COHERENT, 0.5), (Scheme.WEAK_COHERENT, 3.0), (Scheme.TRIGGERED_PDC, 0.3),
-    ])
-    def test_prepared_entries(self, scheme, x, p_block):
-        # a prepared entry holds all its photons in the mode of Alice's bit,
-        # so a multi-photon signal goes one way of the rule only, and the
-        # entry's slot decides a single photon's block: each entry must give
-        # the outcome of the rule's way that its slot stands for
-        mean = {"mu_prime" if scheme is Scheme.WEAK_COHERENT else "g": x}
-        ctx = _PreparedContext(resolved_point(scheme, p_block, eta_b=0.8, eta_l=0.5, **mean))
-        entries = np.arange(len(ctx.classes))
-        assert len(entries) == 32 * len(ctx.law)
-        # the tally's multi and blocked masks and the stored mode, per entry
-        multi_at, low_at = (ctx.classes & MULTI) != 0, (ctx.classes & LOW) != 0
-        blocked_at = low_at & ~multi_at
-        bob = _bob_thresholds(1.0, len(ctx.law) - 1)
-        reached = []
-        for entry in entries.tolist():
-            photons, bit = entry >> 5, entry & 1
-            for q, w0, w1, stored, blocked in pns_reference.ways(
-                photons * (1 - bit), photons * bit, p_block
-            ):
-                if blocked != blocked_at[entry] or q == 0.0:
-                    continue
-                reached.append(entry)
-                # every forwarded photon is in the mode of Alice's bit, and
-                # Eve stores a photon of that mode, the entry's low way
-                assert (w0, w1)[1 - bit] == 0
-                assert q == 1.0 or photons == 1
-                assert multi_at[entry] == (stored is not None)
-                if stored is not None:
-                    assert stored == bit == low_at[entry]
-                # Bob's thresholds are those of the forwarded count with the
-                # entry's combo
-                for got, want in zip(ctx.bob, bob):
-                    assert got[entry] == want[8 * (w0 + w1) + entry % 8]
-        # the entries that a way of nonzero probability reaches: every one
-        # at n != 1 that is not blocked, and at n = 1 those on the side of
-        # p_block that has probability
-        possible = np.where(
-            (entries >> 5) == 1, np.where(blocked_at, p_block > 0, p_block < 1), ~blocked_at
-        )
-        np.testing.assert_array_equal(np.isin(entries, reached), possible)
 
 
 class TestBlockSolver:

@@ -18,15 +18,17 @@ from pdcqkd.source import (
     pair_distribution,
 )
 from pdcqkd.engine import (
+    LOW,
+    MULTI,
     _alias_draw,
+    _alias_table,
     _EpContext,
     _ep_batch,
     _prepared_batch,
     _PreparedContext,
 )
 
-import pns_reference
-from conftest import freq_se, resolved_point
+from conftest import alias_probabilities, freq_se, resolved_point
 
 
 def ep_params(g, truncation=2):
@@ -137,7 +139,8 @@ class TestMeanPairs:
 class TestSamplers:
     """The kernels' photon draws: the rows of an ``ep`` context, its joint
     entries or under attack their interposer ways, and the photon numbers of
-    ``_prepared_batch``."""
+    ``_prepared_batch``; and the alias sampler that draws every row, which
+    never reaches a row of weight 0 or the padding."""
 
     @pytest.mark.parametrize("block", [None, 0.5])
     def test_deterministic_pair_config(self, block):
@@ -173,16 +176,52 @@ class TestSamplers:
         # under attack each row is an entry's way: Eve stores a photon of
         # mode 1 or of mode 0 from a multi-photon arm, or blocks a single one
         ctx = _EpContext(resolved_point(Scheme.ENTANGLED_PAIRS, 0.3, g=0.3, **ETA))
-        table = ctx.joint
-        weight, _, _, multi, low = pns_reference.rows(
-            table.probabilities, table.b0, table.b1, 0.3
-        )
+        multi, low = (ctx.classes & MULTI) != 0, (ctx.classes & LOW) != 0
         n = 400_000
         row = _alias_draw(ctx.cut, ctx.alias, np.random.default_rng(11).random(n))
         for way in (multi & low, multi & ~low, low & ~multi):
-            p = weight[way].sum()
+            p = ctx.weights[way].sum()
             assert p > 0.0
             assert abs(np.count_nonzero(way.take(row)) / n - p) < 5 * freq_se(p, n)
+
+    EDGES = np.array([0.0, np.nextafter(1.0, 0.0)])
+
+    @pytest.mark.parametrize("weights", [
+        [1.0], [0.0, 1.0], [0.3, 0.0, 0.7], [1.0, 0.0, 0.0, 2.0, 0.0], [0.0] * 6 + [1e-300, 1.0],
+    ])
+    def test_alias_table_never_draws_a_row_of_weight_0(self, weights):
+        weights = np.array(weights)
+        cut, alias = _alias_table(weights)
+        drawn = alias_probabilities(cut, alias)
+        np.testing.assert_allclose(drawn[: len(weights)], weights / weights.sum(), atol=1e-15)
+        # the padding included
+        assert not drawn[len(weights) :].any() and not drawn[: len(weights)][weights == 0].any()
+        assert np.all(_alias_draw(cut, alias, self.EDGES) < len(weights))
+
+    @pytest.mark.parametrize("scheme, block, fields", [
+        (Scheme.ENTANGLED_PAIRS, 0.0, dict(g=0.3)),
+        (Scheme.ENTANGLED_PAIRS, 1.0, dict(g=0.6, eta_a=1.0, truncation_order=4)),
+        (Scheme.WEAK_COHERENT, 1.0, dict(mu_prime=0.5)),
+        (Scheme.TRIGGERED_PDC, 0.0, dict(g=0.3)),
+    ])
+    def test_context_rows_of_weight_0_are_never_drawn(self, scheme, block, fields):
+        params = resolved_point(scheme, block, **fields)
+        if scheme is Scheme.ENTANGLED_PAIRS:
+            ctx = _EpContext(params)
+            zero = ctx.weights == 0.0
+        else:
+            # a prepared row 32 n + 16 dark + 8 blocked + combo: only a single
+            # photon is blocked, with the blocking probability, 0 or 1 here,
+            # and only a pdc herald stays dark
+            ctx = _PreparedContext(params)
+            row = np.arange(len(ctx.classes))
+            dark, blocked, n = (row & 16) != 0, (row & 8) != 0, row >> 5
+            zero = np.where(n == 1, blocked == (block == 0.0), blocked)
+            zero |= (scheme is Scheme.WEAK_COHERENT) & dark
+        assert zero.any()
+        drawn = alias_probabilities(ctx.cut, ctx.alias)
+        assert not drawn[len(zero) :].any() and not drawn[: len(zero)][zero].any()
+        assert np.all(_alias_draw(ctx.cut, ctx.alias, self.EDGES) < len(zero))
 
     def test_same_seed_same_sequence(self):
         params = resolved_point(Scheme.ENTANGLED_PAIRS, g=0.3, **ETA)
