@@ -199,6 +199,9 @@ class TestTableLaw:
         (Scheme.TRIGGERED_PDC, g, None) for g in (0.0, 0.1, 0.3, 0.6, 0.9, 0.99)
     ]
     ATTACKS = [None, AUTO, 0.0, 0.4, 1.0]
+    # (eta_a, eta_b, eta_l): a working point, ideal detectors over a lossless
+    # link, and the low efficiencies at which multi-pair signals cause errors
+    EFFICIENCIES = {"working": (0.6, 0.8, 0.5), "ideal": (1.0, 1.0, 1.0), "low": (0.1, 0.2, 0.05)}
 
     @staticmethod
     def point(scheme, x, truncation, block, eta_a=0.6, eta_b=0.8, eta_l=0.5):
@@ -227,8 +230,9 @@ class TestTableLaw:
         (*point, block) for point, block in itertools.product(EP + PREPARED, ATTACKS)
         if point[1] or block != AUTO
     ])
-    def test_tallies_follow_the_oracles(self, scheme, x, truncation, block):
-        self.assert_exact_law(self.point(scheme, x, truncation, block))
+    @pytest.mark.parametrize("etas", list(EFFICIENCIES.values()), ids=list(EFFICIENCIES))
+    def test_tallies_follow_the_oracles(self, scheme, x, truncation, block, etas):
+        self.assert_exact_law(self.point(scheme, x, truncation, block, *etas))
 
     @settings(max_examples=120, deadline=None)
     @given(
